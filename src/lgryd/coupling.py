@@ -12,10 +12,11 @@ assembled literally as
        * <CM_f| x^beta |CM_i> * (angular bracket) * (fine-structure weight),
 
 with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
-formula states it.  A numeric lambda-integral oracle rides along in every
-result so the constant can be audited against the exact integral
-int_0^1 lambda^{alpha-1} j_p(k lambda r) dlambda at the resonant k (see
-docs/AUDIT.md for what that ratio reveals).
+formula states it.  Every result carries an audit of that constant against
+the exact integral int_0^1 lambda^{alpha-1} j_p(k lambda r) dlambda at the
+resonant k (see docs/AUDIT.md for what that ratio reveals).
+Each factor is computed once per distinct key (see `assemble`) in a table
+that lives for one scenario or sweep call.
 
 The six normalization constants of c_product follow the coordinate split:
 the printed index pairs are used in the form that matches the CM-side
@@ -29,11 +30,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .atom import RydbergState, SpeciesParams, solve_radial
+from .atom import (RydbergState, SpeciesParams, default_grid,
+                   radial_matrix_element, solve_radial)
 from .beam import BeamSpec, g_coeff, solid_norm
 from .cm import CMState, cm_moment
 from .specfun import clebsch_gordan, log_gamma, multi_gaunt, spherical_bessel
@@ -156,10 +159,6 @@ class ChannelResult:
     k_au: float
     closed: bool          # a selection factor vanished; kept for bookkeeping
 
-    @property
-    def final_composite(self) -> tuple:
-        return (self.channel.final, self.channel.M_f)
-
 
 def c_product(l: int, q: int, l1: int, l2: int, l3: int,
               m1: int, m2: int, m3: int) -> float:
@@ -192,11 +191,6 @@ def fine_structure_weight(initial: tuple, final: tuple, orbital_bra_ket: tuple) 
     return total
 
 
-def _gaunt_factors(ch: Channel) -> list:
-    # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
-    return [(1, ch.sigma), (0, 0), (ch.l1, ch.m1), (ch.l2, ch.m2), (ch.l3, ch.m3)]
-
-
 def _angular_and_cg(ch: Channel, l_i: int, j_i: float, m_ji: float):
     """(angular, cg_weight) for the channel.
 
@@ -206,7 +200,8 @@ def _angular_and_cg(ch: Channel, l_i: int, j_i: float, m_ji: float):
     are reported apart; otherwise the contraction lands in `angular` and
     cg_weight is 1 by convention.
     """
-    fs = _gaunt_factors(ch)
+    # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
+    fs = [(1, ch.sigma), (0, 0), (ch.l1, ch.m1), (ch.l2, ch.m2), (ch.l3, ch.m3)]
     dm = ch.sigma + ch.m1 + ch.m2 + ch.m3
     terms = []
     for twice_mli in range(-2 * l_i, 2 * l_i + 1, 2):
@@ -229,12 +224,28 @@ def _angular_and_cg(ch: Channel, l_i: int, j_i: float, m_ji: float):
     return sum(w * g for w, g in terms), 1.0
 
 
+def _memo(tables: dict, key, fn, *args):
+    """tables[key], filled by fn(*args) on first use."""
+    if key not in tables:
+        tables[key] = fn(*args)
+    return tables[key]
+
+
+def _angular(tables: dict, ch: Channel, l_i: int, j_i: float, m_ji: float):
+    # Channel.l and q do not enter the bracket
+    key = ("angular", ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3, ch.final)
+    return _memo(tables, key, _angular_and_cg, ch, l_i, j_i, m_ji)
+
+
 def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMState,
                        final_l_f_max: int = 3, j_policy: str = "stretched",
-                       include_elastic: bool = False) -> list[Channel]:
+                       include_elastic: bool = False,
+                       tables: dict | None = None) -> list[Channel]:
     """All index tuples compatible with the selection deltas, paired with
     every angular-reachable final electronic label; deterministic
-    lexicographic order in (q, l1, l2, l3, sigma, l_f, j_f)."""
+    lexicographic order in (q, l1, l2, l3, sigma, l_f, j_f); `tables` as in
+    `assemble`."""
+    tables = {} if tables is None else tables
     if initial_e.m_j is None:
         raise ValueError("initial state needs m_j for channel enumeration")
     if j_policy not in ("stretched", "all"):
@@ -266,8 +277,7 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMSt
                             ch = Channel(l=l, sigma=sigma, q=q, l1=l1, l2=l2,
                                          l3=l3, m1=m1, m2=m2, m3=m3,
                                          M_i=M_i, M_f=M_f, final=label)
-                            ang, cg = _angular_and_cg(ch, l_i, j_i, m_ji)
-                            if ang == 0.0:
+                            if _angular(tables, ch, l_i, j_i, m_ji)[0] == 0.0:
                                 continue   # angular selection closes this l_f
                             if not include_elastic and l_f == l_i and \
                                     abs(j_f - j_i) < 1e-9 and \
@@ -279,23 +289,35 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMSt
     return out
 
 
+@cache
+def _gauss_legendre_unit():
+    """64-point Gauss-Legendre nodes mapped to [0, 1], and their weights."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (x + 1.0), w
+
+
 def lambda_integral_oracle(exponent: int, p: int, k: float, r: float) -> float:
     """int_0^1 lambda^exponent j_p(k lambda r) dlambda by Gauss-Legendre."""
     if exponent < 0 or p < 0:
         raise ValueError("exponent and p must be non-negative")
-    x, w = np.polynomial.legendre.leggauss(64)
-    lam = 0.5 * (x + 1.0)
+    lam, w = _gauss_legendre_unit()
     vals = [li**exponent * spherical_bessel(p, k * li * r) for li in lam]
     return 0.5 * float(np.dot(w, vals))
 
 
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
-             psi_f: RydbergState, cm_i: CMState, cm_f: CMState) -> ChannelResult:
+             psi_f: RydbergState, cm_i: CMState, cm_f: CMState,
+             tables: dict | None = None) -> ChannelResult:
     """Literal per-channel matrix element and Rabi frequency.
 
     The reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix
-    element in hartree times E_h/h, in kHz.
+    element in hartree times E_h/h, in kHz.  `tables` memoises the factors:
+    angular x CG per (sigma, l1, m1, l2, l3, final label), <f|r^alpha|i> and
+    the lambda integral per (final state, alpha), <CM_f|x^beta|CM_i> per
+    (CM_f, beta), <i|r|i> once.  Calls may share it only if they share psi_i,
+    cm_i and the beam up to its l; without one a call fills its own.
     """
+    tables = {} if tables is None else tables
     if cm_f.M != channel.M_f:
         raise ValueError(f"final CM projection {cm_f.M} != channel M_f {channel.M_f}")
     if psi_i.m_j is None:
@@ -309,10 +331,12 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
              * c_product(channel.l, channel.q, channel.l1, channel.l2,
                          channel.l3, channel.m1, channel.m2, channel.m3)
              * beam.mass_ratio ** (al - 1))
-    from .atom import radial_matrix_element
-    radial_e = radial_matrix_element(psi_f, psi_i, al, w_r)
-    radial_cm = cm_moment(cm_f, cm_i, channel.beta)
-    angular, cg = _angular_and_cg(channel, psi_i.l, psi_i.j, psi_i.m_j)
+    f_key = (psi_f.n, psi_f.l, round(2 * psi_f.j))
+    radial_e = _memo(tables, ("radial", f_key, al), radial_matrix_element,
+                     psi_f, psi_i, al, w_r)
+    radial_cm = _memo(tables, ("cm", cm_f, channel.beta), cm_moment,
+                      cm_f, cm_i, channel.beta)
+    angular, cg = _angular(tables, channel, psi_i.l, psi_i.j, psi_i.m_j)
 
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
@@ -321,8 +345,9 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     # dipole-limit audit: the assembled constant Gamma(alpha/2) against the
     # exact lambda-integral at the resonant wavenumber and <r> of the bra/ket
     k_au = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
-    r_char = radial_matrix_element(psi_i, psi_i, 1, w_r)
-    exact = lambda_integral_oracle(al - 1, 0, k_au, r_char)
+    r_char = _memo(tables, "r_char", radial_matrix_element, psi_i, psi_i, 1, w_r)
+    exact = _memo(tables, ("lambda", f_key, al), lambda_integral_oracle,
+                  al - 1, 0, k_au, r_char)
     audit = math.exp(log_gamma(al / 2.0)) / exact if exact else math.inf
 
     return ChannelResult(channel=channel, coeff=coeff, radial_e=radial_e,
@@ -342,7 +367,6 @@ class StateSolver:
     def get(self, n: int, l: int, j: float) -> RydbergState:
         key = (n, l, round(2 * j))
         if key not in self._cache:
-            from .atom import default_grid
             self._cache[key] = solve_radial(self.species, n, l, j,
                                             grid=default_grid(n, self.step))
         return self._cache[key]
@@ -358,14 +382,17 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      n: int, l_i: int, j_i: float, m_ji: float,
                      cm_i: CMState, *, final_l_f_max: int = 3,
                      n_final: int | None = None, j_policy: str = "stretched",
-                     include_elastic: bool = False) -> list[ChannelResult]:
-    """Solve, enumerate and assemble every channel of one beam scenario."""
+                     include_elastic: bool = False,
+                     tables: dict | None = None) -> list[ChannelResult]:
+    """Solve, enumerate and assemble every channel of one beam scenario;
+    `tables` as in `assemble`."""
+    tables = {} if tables is None else tables
     psi_i = solver.get(n, l_i, j_i).with_m_j(m_ji)
     # the label-level diagonal is only truly elastic if n does not change
     keep_diag = include_elastic or (n_final is not None and n_final != n)
     channels = enumerate_channels(beam, psi_i, cm_i, final_l_f_max,
                                   j_policy=j_policy,
-                                  include_elastic=keep_diag)
+                                  include_elastic=keep_diag, tables=tables)
     nf = n if n_final is None else n_final
     out = []
     for ch in channels:
@@ -373,7 +400,7 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
             continue   # no bound final state under the centrifugal wall
         psi_f = solver.get(nf, ch.final.l, ch.final.j)
         cm_f = _minimal_final_cm(cm_i, ch.M_f)
-        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, cm_f))
+        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, cm_f, tables))
     return out
 
 
@@ -405,10 +432,11 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
     if not l_values:
         raise ValueError("sweep needs at least one l")
     rows: list[SweepRow] = []
+    tables: dict = {}      # the factors do not depend on l
     for l in l_values:
         beam = dataclasses.replace(beam_template, l=l)
         results = compute_scenario(solver, beam, n, l_i, j_i, m_ji, cm_i,
-                                   **scenario_kwargs)
+                                   tables=tables, **scenario_kwargs)
         groups: dict = {}
         totals: dict = {}
         for res in results:

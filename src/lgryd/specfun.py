@@ -134,6 +134,7 @@ def _two_j(x: float, what: str) -> int:
     return int(ti)
 
 
+@lru_cache(maxsize=2048)
 def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3j symbol by the Racah sum, log-factorial evaluation.
 

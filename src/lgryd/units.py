@@ -5,7 +5,6 @@ BOHR_RADIUS_M = 5.29177210903e-11        # a_0 in metres
 EFIELD_AU_V_PER_M = 5.14220674763e11     # atomic unit of electric field
 HARTREE_HZ = 6.579683920502e15           # E_h / h
 FINE_STRUCTURE = 7.2973525693e-3
-SPEED_OF_LIGHT_AU = 1.0 / FINE_STRUCTURE
 AMU_TO_ME = 1822.888486209               # u -> electron masses
 
 _UM_TO_AU = 1e-6 / BOHR_RADIUS_M
@@ -23,17 +22,8 @@ def field_vpm_to_au(e_vpm: float) -> float:
     return e_vpm / EFIELD_AU_V_PER_M
 
 
-def field_au_to_vpm(e_au: float) -> float:
-    return e_au * EFIELD_AU_V_PER_M
-
-
 def amu_to_au(m_amu: float) -> float:
     return m_amu * AMU_TO_ME
-
-
-def energy_au_to_kHz(e_au: float) -> float:
-    """E/h in kHz for an energy in Hartree."""
-    return e_au * HARTREE_HZ * 1e-3
 
 
 # Rabi convention used throughout: nu = |<f|H_int|i>| / h, reported in kHz.

@@ -7,6 +7,7 @@ second once the solver cache is warm, but tests that only need plumbing
 drop to hydrogen n=4 to keep the suite quick.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -167,6 +168,19 @@ class TestDeterminism:
             assert rc == EXIT_OK
         assert (first / "sweep.svg").read_bytes() == \
             (second / "sweep.svg").read_bytes()
+
+    def test_rb60_outputs_pinned(self, tmp_path):
+        # the reference scenario's CSV bytes; a change that moves the numbers
+        # on purpose (say, a new radial solver) updates these pins with it
+        cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
+        for cmd in ("rabi", "sweep"):
+            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("rabi.csv", "sweep.csv")}
+        assert digest == {
+            "rabi.csv": "327b70503def47cfbdab242b13dd2629c3fcfb8e115db8bda1d1c72253b6ce0c",
+            "sweep.csv": "ea4a5aadb2a0582638ceaea6cca318a3e0fb23321076aa9278268f6f4f56899e",
+        }
 
     def test_10_sig_digit_format(self, tmp_path):
         _, out = run(tmp_path, "rabi", cfg_lines=FAST)

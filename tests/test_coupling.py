@@ -13,18 +13,21 @@ the package's own multi_gaunt:
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
+from lgryd import coupling
 from lgryd.atom import load_species, solve_radial, default_grid, radial_matrix_element
 from lgryd.beam import BeamSpec, g_coeff, solid_norm
 from lgryd.cm import CMState, cm_moment
+from lgryd.config import parse_config
 from lgryd.coupling import (Channel, StateLabel, StateSolver, assemble,
                             c_product, compute_scenario, enumerate_channels,
                             fine_structure_weight, lambda_integral_oracle,
                             sweep_topological_charge)
 from lgryd.specfun import clebsch_gordan, multi_gaunt
-from lgryd.units import rabi_kHz as to_kHz
+from lgryd.units import field_vpm_to_au, rabi_kHz as to_kHz, um_to_au
 
 FOUR_PI = 4.0 * math.pi
 
@@ -505,3 +508,72 @@ class TestRb60Smoke:
                 * (1.0 / (32.0 * math.pi ** 2.5))
                 * (1.0 / math.sqrt(3.0)))
         assert abs(pure.matrix_element) == pytest.approx(abs(want), rel=1e-10)
+
+
+# ------------------------------------------------- factor tables of a sweep
+
+RB60 = parse_config(Path(__file__).parent.parent / "configs" / "rb60.cfg")
+RESULT_FIELDS = ("coeff", "radial_e", "radial_cm", "angular", "cg_weight",
+                 "matrix_element", "rabi_kHz", "lambda_audit", "k_au", "closed")
+
+
+def rb60_sweep(l_values, q_max):
+    """The rb60 sweep at j_policy=all, l_f <= 10 with a fresh state cache."""
+    cfg = RB60
+    cm_i = CMState(cfg.N, cfg.M, um_to_au(cfg.w_r_um))
+    beam = BeamSpec(l=cfg.l, w0=um_to_au(cfg.waist_um),
+                    E0=field_vpm_to_au(cfg.field_V_per_m), sigma=cfg.sigma,
+                    q_max=q_max, mass_ratio=cfg.mass_ratio)
+    return sweep_topological_charge(l_values, StateSolver(RB, cfg.grid_step),
+                                    beam, cfg.n, cfg.l_i, cfg.j_i, cfg.m_j,
+                                    cm_i, final_l_f_max=10, j_policy="all")
+
+
+class TestFactorTables:
+    @pytest.mark.parametrize("l_values, q_max", [((1, 2, 3, 4), 2),
+                                                 ((-2, 2), 1)])
+    def test_sweep_equals_untabulated_assemble(self, monkeypatch, l_values,
+                                               q_max):
+        # every channel of a table-sharing sweep, field by field, against an
+        # assemble call that fills a table of its own; the second sweep shares
+        # one table across both signs of the charge
+        calls = []
+        plain = coupling.assemble
+
+        def recording(*args):
+            res = plain(*args)
+            calls.append((args, res))
+            return res
+
+        monkeypatch.setattr(coupling, "assemble", recording)
+        rb60_sweep(l_values, q_max)
+        assert len({id(args[6]) for args, _ in calls}) == 1   # one table
+        assert {args[1].l for args, _ in calls} == set(l_values)
+        for args, shared in calls:
+            alone = plain(*args[:6])
+            for name in RESULT_FIELDS:
+                assert getattr(shared, name) == getattr(alone, name), \
+                    (shared.channel, name)
+
+    def test_each_factor_once_per_key(self, monkeypatch):
+        # the benchmark's heavy sweep: 606 channels, 39 final (state, alpha)
+        # pairs, 20 (M_f, beta) pairs, 233 angular keys
+        counts = dict.fromkeys(("assemble", "radial_matrix_element",
+                                "cm_moment", "lambda_integral_oracle",
+                                "_angular_and_cg"), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(coupling, name,
+                                counting(name, getattr(coupling, name)))
+        rb60_sweep(tuple(range(1, 9)), q_max=1)
+        assert counts == {"assemble": 606,
+                          "radial_matrix_element": 39 + 1,   # + <i|r|i>
+                          "cm_moment": 20,
+                          "lambda_integral_oracle": 39,
+                          "_angular_and_cg": 233}
