@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .units import FINE_STRUCTURE, amu_to_au
 
@@ -296,10 +295,19 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     if nodes != n - l - 1:
         flags.append("node-count")
 
-    norm2 = 2.0 * simpson(chi * chi * xi * xi, x=xi)
+    norm2 = 2.0 * _simpson(chi * chi * xi * xi, h)
     chi = chi / math.sqrt(norm2)
     return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
                         nodes=nodes, flags=tuple(flags))
+
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson on a uniform grid of step h.  An even point count
+    takes the same last-interval end correction as scipy.integrate.simpson."""
+    if y.size % 2:
+        return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                          + 2.0 * y[2:-1:2].sum())
+    return _simpson(y[:-1], h) + h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
 
 
 def _common_chi(f: RydbergState, i: RydbergState):
@@ -330,7 +338,7 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
     if w_r <= 0:
         raise ValueError("w_r must be positive")
     xi, cf, ci = _common_chi(f, i)
-    val = 2.0 * simpson(cf * ci * xi ** (2 * alpha + 2), x=xi)
+    val = 2.0 * _simpson(cf * ci * xi ** (2 * alpha + 2), f.grid.h)
     return val / w_r ** (alpha - 1)
 
 

@@ -1,4 +1,4 @@
-"""Laguerre-Gaussian field and its regular-solid-harmonic expansion.
+"""Laguerre-Gaussian beam parameters and its solid-harmonic expansion weights.
 
 The l-charged LG mode at its waist,
 
@@ -7,43 +7,26 @@ The l-charged LG mode at its waist,
 
 is rewritten as a finite sum of products of three regular solid harmonics:
 one carrying the vortex (rank |l|, projection l) and a (+q, -q) pair per
-envelope order that carries no net projection.  The solid-harmonic
-normalization used throughout is the multiplicative form
+envelope order that carries no net projection, weighted by f(l, q).  The
+solid-harmonic normalization used throughout is the multiplicative form
 
     R^m_l = C^m_l r^l Y^m_l,   C^m_l = sqrt(4 pi (l-m)! (l+m)! / (2l+1)),
 
 which is the (unique) reading of the mixed-notation normalization that makes
-the expansion and the translation theorem below close as identities; the
+the expansion and the translation theorem close as identities; the
 cylindrical monomials it produces are R^{+1}_1 = -(x+iy), R^{-1}_1 = x-iy,
-R^0_1 = z.  Because the m = +|l| harmonic carries the Condon-Shortley sign,
-the vortex term of the expansion is weighted by (-1)^{|l|} for l > 0 so the
-series reproduces the (sign-free) cylindrical profile exactly.
+R^0_1 = z.  The expansion itself and the translation theorem are evaluated
+only by the oracles in :mod:`lgryd.verify`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
-from .specfun import log_factorial, spherical_harmonic
+from .specfun import log_factorial
 
-__all__ = [
-    "BeamSpec",
-    "SolidHarmonicTerm",
-    "ExpansionTerm",
-    "ExpansionCheck",
-    "solid_norm",
-    "solid_harmonic",
-    "lg_amplitude",
-    "f_coeff",
-    "g_coeff",
-    "expand_field",
-    "evaluate_expansion",
-    "verify_expansion",
-    "translate_solid_harmonic",
-]
+__all__ = ["BeamSpec", "solid_norm", "f_coeff", "g_coeff"]
 
 
 @dataclass(frozen=True)
@@ -76,31 +59,6 @@ class BeamSpec:
             raise ValueError(f"mass ratio out of (0, 1]: {self.mass_ratio}")
 
 
-@dataclass(frozen=True)
-class SolidHarmonicTerm:
-    """One factor R^m_l, with a scalar weight folded into `coefficient`."""
-
-    l: int
-    m: int
-    coefficient: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise ValueError(f"bad solid-harmonic indices (l, m) = ({self.l}, {self.m})")
-
-
-class ExpansionTerm(NamedTuple):
-    q: int
-    weight: float
-    harmonics: tuple  # (vortex, envelope+, envelope-)
-
-
-@dataclass(frozen=True)
-class ExpansionCheck:
-    residual: float
-    relative: bool  # False when the reference field vanished at the probe
-
-
 def solid_norm(l: int, m: int) -> float:
     """C^m_l = sqrt(4 pi (l-m)! (l+m)! / (2l+1))."""
     if abs(m) > l:
@@ -108,27 +66,6 @@ def solid_norm(l: int, m: int) -> float:
     return math.exp(0.5 * (
         math.log(4.0 * math.pi) + log_factorial(l - m) + log_factorial(l + m)
         - math.log(2.0 * l + 1.0)))
-
-
-def solid_harmonic(l: int, m: int, vec: Sequence[float]) -> complex:
-    """R^m_l evaluated at a Cartesian point."""
-    x, y, z = vec
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
-        return 1.0 + 0.0j if l == 0 else 0.0j
-    theta = math.acos(max(-1.0, min(1.0, z / r)))
-    phi = math.atan2(y, x)
-    return solid_norm(l, m) * r ** l * spherical_harmonic(l, m, theta, phi)
-
-
-def lg_amplitude(spec: BeamSpec, rho: float, phi: float, z: float) -> complex:
-    """Waist-plane LG profile times the propagation phase e^{ikz}."""
-    al = abs(spec.l)
-    if rho == 0.0 and al > 0:
-        return 0.0j
-    pre = math.sqrt(2.0 / math.pi * math.exp(-log_factorial(al)))
-    radial = (rho * math.sqrt(2.0) / spec.w0) ** al * math.exp(-(rho / spec.w0) ** 2)
-    return spec.E0 * pre * radial * cmath.exp(1j * (spec.l * phi + spec.k * z))
 
 
 def f_coeff(l: int, q: int, w0: float = 1.0) -> float:
@@ -158,88 +95,3 @@ def g_coeff(l: int, q: int, w_r: float, w0: float) -> float:
         raise ValueError("widths must be positive")
     return (math.pi ** 1.5 / math.sqrt(3.0)
             * f_coeff(l, q, w0=w0) * w_r ** (2 * q + abs(l)))
-
-
-def expand_field(spec: BeamSpec) -> tuple[ExpansionTerm, ...]:
-    """Solid-harmonic series of the LG profile, truncated at q_max.
-
-    Each term is f(l,q) * [s_l R^l_{|l|}] * R^q_q * R^{-q}_q with
-    s_l = (-1)^{|l|} for l > 0 and +1 otherwise (see module docstring); the
-    envelope pair carries zero net projection at every order.
-    """
-    al = abs(spec.l)
-    s_l = (-1.0) ** al if spec.l > 0 else 1.0
-    out = []
-    for q in range(spec.q_max + 1):
-        harms = (
-            SolidHarmonicTerm(al, spec.l, complex(s_l)),
-            SolidHarmonicTerm(q, q),
-            SolidHarmonicTerm(q, -q),
-        )
-        out.append(ExpansionTerm(q, f_coeff(spec.l, q, w0=spec.w0), harms))
-    return tuple(out)
-
-
-def evaluate_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> complex:
-    """Numeric value of the truncated series at a spherical point, with the
-    same e^{ikz} propagation factor as lg_amplitude."""
-    vec = (r * math.sin(theta) * math.cos(phi),
-           r * math.sin(theta) * math.sin(phi),
-           r * math.cos(theta))
-    total = 0.0j
-    for _, weight, harms in expand_field(spec):
-        prod = complex(weight)
-        for t in harms:
-            prod *= t.coefficient * solid_harmonic(t.l, t.m, vec)
-        total += prod
-    return spec.E0 * total * cmath.exp(1j * spec.k * r * math.cos(theta))
-
-
-def verify_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> ExpansionCheck:
-    """Pointwise residual of the truncated series against the closed form."""
-    rho = r * math.sin(theta)
-    ref = lg_amplitude(spec, rho, phi, r * math.cos(theta))
-    got = evaluate_expansion(spec, r, theta, phi)
-    if ref == 0.0:
-        return ExpansionCheck(abs(got - ref), relative=False)
-    return ExpansionCheck(abs(got - ref) / abs(ref), relative=True)
-
-
-def translate_solid_harmonic(l: int, m: int, r_cm: Sequence[float],
-                             lam_r: Sequence[float]
-                             ) -> list[tuple[SolidHarmonicTerm, SolidHarmonicTerm]]:
-    """Split R^m_l(r_cm + lam_r) into products over the two coordinates.
-
-    Under the multiplicative normalization the addition theorem carries
-    binomial weights,
-
-        R^m_l(a+b) = sum_{l1 m1} B(l+m, l1+m1) B(l-m, l1-m1)
-                     R^{m1}_{l1}(b) R^{m-m1}_{l-l1}(a),
-
-    (they collapse to 1 on the stretched-projection terms the coupling path
-    uses, but are required for the identity to hold in general).  Returned
-    pairs are (inner, outer) with the weight and the evaluated inner factor
-    folded into inner.coefficient and the evaluated outer factor in
-    outer.coefficient; pairs that vanish identically at the given points are
-    dropped.
-    """
-    if abs(m) > l:
-        raise ValueError(f"|m| <= l violated: ({l}, {m})")
-    pairs = []
-    for l1 in range(l + 1):
-        l2 = l - l1
-        for m1 in range(-l1, l1 + 1):
-            m2 = m - m1
-            if abs(m2) > l2:
-                continue
-            w = math.comb(l + m, l1 + m1) * math.comb(l - m, l1 - m1) \
-                if 0 <= l1 + m1 <= l + m and 0 <= l1 - m1 <= l - m else 0
-            if w == 0:
-                continue
-            inner_val = solid_harmonic(l1, m1, lam_r)
-            outer_val = solid_harmonic(l2, m2, r_cm)
-            if inner_val == 0.0 or outer_val == 0.0:
-                continue
-            pairs.append((SolidHarmonicTerm(l1, m1, w * inner_val),
-                          SolidHarmonicTerm(l2, m2, outer_val)))
-    return pairs

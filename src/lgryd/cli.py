@@ -159,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override beam.q_max")
         p.add_argument("--l", metavar="LIST", dest="l_list",
                        help="override compute.sweep_l, e.g. \"1,2,3,4\"")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="tabular output format (csv)")
     return parser
 
 

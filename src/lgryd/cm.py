@@ -18,7 +18,7 @@ from scipy.special import roots_genlaguerre
 
 from .specfun import assoc_laguerre, log_factorial
 
-__all__ = ["CMState", "cm_amplitude", "cm_moment", "cm_energy"]
+__all__ = ["CMState", "cm_amplitude", "cm_moment"]
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,3 @@ def cm_moment(f: CMState, i: CMState, beta: int) -> float:
     norm = math.exp(_log_norm(f) + _log_norm(i))
     return 0.5 * norm * float(np.dot(w, lf * li))
 
-
-def cm_energy(s: CMState, m_t: float) -> float:
-    """Trap level energy (N+1)/(w_r^2 m_t), atomic units."""
-    if m_t <= 0:
-        raise ValueError(f"total mass must be positive, got {m_t}")
-    return (s.N + 1.0) / (s.w_r ** 2 * m_t)

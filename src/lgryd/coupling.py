@@ -86,10 +86,6 @@ class StateLabel:
     def __str__(self) -> str:
         return f"{self.letter}{_half(self.j)}({_half(self.m_j, signed=True)})"
 
-    def species(self) -> str:
-        """Label without the projection, e.g. D5/2 (aggregate reporting)."""
-        return f"{self.letter}{_half(self.j)}"
-
 
 @dataclass(frozen=True)
 class Channel:

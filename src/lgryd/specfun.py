@@ -13,15 +13,12 @@ occur stay small (<~ 12), where the alternating sum is benign in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
-import numpy as np
 from scipy.special import spherical_jn
 
 __all__ = [
-    "AngularTriple",
     "log_factorial",
     "log_gamma",
     "assoc_laguerre",
@@ -31,29 +28,7 @@ __all__ = [
     "gaunt",
     "multi_gaunt",
     "spherical_bessel",
-    "sphere_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class AngularTriple:
-    """Rank/projection pair (l, m) of a spherical or solid harmonic."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"rank must be non-negative, got l={self.l}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"|m| <= l violated: (l, m) = ({self.l}, {self.m})")
-
-
-def _as_triple(x) -> AngularTriple:
-    if isinstance(x, AngularTriple):
-        return x
-    l, m = x
-    return AngularTriple(int(l), int(m))
 
 
 # --------------------------------------------------------------------------
@@ -211,31 +186,30 @@ def multi_gaunt(factors: Sequence, bra, ket) -> float:
     through Gaunt coefficients.  The reduction order is immaterial (tested);
     selection failures simply return 0.
     """
-    bra, ket = _as_triple(bra), _as_triple(ket)
-    fs = [_as_triple(f) for f in factors]
-    if not fs:
-        return 1.0 if (bra.l == ket.l and bra.m == ket.m) else 0.0
+    (lb, mb), (lk, mk) = bra, ket
+    if not factors:
+        return 1.0 if (lb, mb) == (lk, mk) else 0.0
     # branches: coefficient of Y_L^M in the partially reduced product
-    branches = {(fs[0].l, fs[0].m): 1.0}
-    for f in fs[1:]:
+    branches = {tuple(factors[0]): 1.0}
+    for lf, mf in factors[1:]:
         nxt: dict[tuple[int, int], float] = {}
         for (L, M), c in branches.items():
-            Mp = M + f.m
-            for Lp in range(abs(L - f.l), L + f.l + 1):
-                if (L + f.l + Lp) % 2 or abs(Mp) > Lp:
+            Mp = M + mf
+            for Lp in range(abs(L - lf), L + lf + 1):
+                if (L + lf + Lp) % 2 or abs(Mp) > Lp:
                     continue
                 w = ((-1.0) ** Mp
-                     * math.sqrt((2 * L + 1) * (2 * f.l + 1) * (2 * Lp + 1)
+                     * math.sqrt((2 * L + 1) * (2 * lf + 1) * (2 * Lp + 1)
                                  / (4.0 * math.pi))
-                     * wigner3j(L, f.l, Lp, 0, 0, 0)
-                     * wigner3j(L, f.l, Lp, M, f.m, -Mp))
+                     * wigner3j(L, lf, Lp, 0, 0, 0)
+                     * wigner3j(L, lf, Lp, M, mf, -Mp))
                 if w != 0.0:
                     nxt[(Lp, Mp)] = nxt.get((Lp, Mp), 0.0) + c * w
         branches = nxt
     out = 0.0
-    sgn = (-1.0) ** bra.m
+    sgn = (-1.0) ** mb
     for (L, M), c in branches.items():
-        out += c * sgn * gaunt(bra.l, -bra.m, L, M, ket.l, ket.m)
+        out += c * sgn * gaunt(lb, -mb, L, M, lk, mk)
     return out
 
 
@@ -259,23 +233,3 @@ def spherical_bessel(p: int, x: float) -> float:
         return val * (-1.0) ** p if (x < 0 and p % 2) else val
     return float(spherical_jn(p, x))
 
-
-# --------------------------------------------------------------------------
-# quadrature over the sphere (backs the verify suites)
-
-def sphere_quadrature(fn: Callable[[float, float], complex],
-                      n_polar: int = 64, n_azimuth: int = 128) -> complex:
-    """Gauss-Legendre x uniform-azimuthal quadrature of fn(theta, phi) dOmega.
-
-    Exact for integrands of band limit < n_polar in cos(theta) and total
-    azimuthal winding < n_azimuth (the trapezoid rule is exact on periodic
-    trigonometric polynomials).
-    """
-    x, w = np.polynomial.legendre.leggauss(n_polar)
-    thetas = np.arccos(x)
-    phis = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    total = 0.0 + 0.0j
-    for th, wi in zip(thetas, w):
-        row = sum(fn(th, ph) for ph in phis)
-        total += wi * row
-    return total * (2.0 * math.pi / n_azimuth)

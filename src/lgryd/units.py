@@ -14,10 +14,6 @@ def um_to_au(x_um: float) -> float:
     return x_um * _UM_TO_AU
 
 
-def au_to_um(x_au: float) -> float:
-    return x_au / _UM_TO_AU
-
-
 def field_vpm_to_au(e_vpm: float) -> float:
     return e_vpm / EFIELD_AU_V_PER_M
 

@@ -1,26 +1,187 @@
-"""Built-in verification suites.
+"""Built-in verification suites and the oracles only they use.
 
 Each suite re-derives a package result by an independent route (closed
 forms, quadrature, exact integrals) and reports the worst residual.  These
 back the `verify` subcommand; the same checks run with tighter harnesses in
-the test suite.
+the test suite.  The oracles -- the closed LG profile, the evaluated
+solid-harmonic expansion, the translation (addition) theorem and a sphere
+quadrature -- live here because no channel, Rabi or sweep result depends on them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .atom import default_grid, load_species, radial_matrix_element, solve_radial
-from .beam import BeamSpec, solid_harmonic, translate_solid_harmonic, \
-    verify_expansion
+from .beam import BeamSpec, f_coeff, solid_norm
 from .cm import CMState, cm_moment
 from .coupling import lambda_integral_oracle
-from .specfun import assoc_laguerre, multi_gaunt, spherical_harmonic, \
-    sphere_quadrature
+from .specfun import assoc_laguerre, log_factorial, multi_gaunt, \
+    spherical_harmonic
 
+
+# --------------------------------------------------------------------------
+# oracles: the LG field as a solid-harmonic series, and the translation
+# theorem (normalization and conventions in lgryd.beam)
+
+@dataclass(frozen=True)
+class SolidHarmonicTerm:
+    """One factor R^m_l, with a scalar weight folded into `coefficient`."""
+
+    l: int
+    m: int
+    coefficient: complex = 1.0 + 0.0j
+
+    def __post_init__(self):
+        if self.l < 0 or abs(self.m) > self.l:
+            raise ValueError(f"bad solid-harmonic indices (l, m) = ({self.l}, {self.m})")
+
+
+class ExpansionTerm(NamedTuple):
+    q: int
+    weight: float
+    harmonics: tuple  # (vortex, envelope+, envelope-)
+
+
+@dataclass(frozen=True)
+class ExpansionCheck:
+    residual: float
+    relative: bool  # False when the reference field vanished at the probe
+
+
+def solid_harmonic(l: int, m: int, vec: Sequence[float]) -> complex:
+    """R^m_l evaluated at a Cartesian point."""
+    x, y, z = vec
+    r = math.sqrt(x * x + y * y + z * z)
+    if r == 0.0:
+        return 1.0 + 0.0j if l == 0 else 0.0j
+    theta = math.acos(max(-1.0, min(1.0, z / r)))
+    phi = math.atan2(y, x)
+    return solid_norm(l, m) * r ** l * spherical_harmonic(l, m, theta, phi)
+
+
+def lg_amplitude(spec: BeamSpec, rho: float, phi: float, z: float) -> complex:
+    """Waist-plane LG profile times the propagation phase e^{ikz}."""
+    al = abs(spec.l)
+    if rho == 0.0 and al > 0:
+        return 0.0j
+    pre = math.sqrt(2.0 / math.pi * math.exp(-log_factorial(al)))
+    radial = (rho * math.sqrt(2.0) / spec.w0) ** al * math.exp(-(rho / spec.w0) ** 2)
+    return spec.E0 * pre * radial * cmath.exp(1j * (spec.l * phi + spec.k * z))
+
+
+def expand_field(spec: BeamSpec) -> tuple[ExpansionTerm, ...]:
+    """Solid-harmonic series of the LG profile, truncated at q_max.
+
+    Each term is f(l,q) * [s_l R^l_{|l|}] * R^q_q * R^{-q}_q with
+    s_l = (-1)^{|l|} for l > 0 and +1 otherwise: the m = +|l| harmonic
+    carries the Condon-Shortley sign, which s_l cancels so the series
+    reproduces the (sign-free) cylindrical profile exactly.  The envelope
+    pair carries zero net projection at every order.
+    """
+    al = abs(spec.l)
+    s_l = (-1.0) ** al if spec.l > 0 else 1.0
+    out = []
+    for q in range(spec.q_max + 1):
+        harms = (
+            SolidHarmonicTerm(al, spec.l, complex(s_l)),
+            SolidHarmonicTerm(q, q),
+            SolidHarmonicTerm(q, -q),
+        )
+        out.append(ExpansionTerm(q, f_coeff(spec.l, q, w0=spec.w0), harms))
+    return tuple(out)
+
+
+def evaluate_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> complex:
+    """Numeric value of the truncated series at a spherical point, with the
+    same e^{ikz} propagation factor as lg_amplitude."""
+    vec = (r * math.sin(theta) * math.cos(phi),
+           r * math.sin(theta) * math.sin(phi),
+           r * math.cos(theta))
+    total = 0.0j
+    for _, weight, harms in expand_field(spec):
+        prod = complex(weight)
+        for t in harms:
+            prod *= t.coefficient * solid_harmonic(t.l, t.m, vec)
+        total += prod
+    return spec.E0 * total * cmath.exp(1j * spec.k * r * math.cos(theta))
+
+
+def verify_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> ExpansionCheck:
+    """Pointwise residual of the truncated series against the closed form."""
+    rho = r * math.sin(theta)
+    ref = lg_amplitude(spec, rho, phi, r * math.cos(theta))
+    got = evaluate_expansion(spec, r, theta, phi)
+    if ref == 0.0:
+        return ExpansionCheck(abs(got - ref), relative=False)
+    return ExpansionCheck(abs(got - ref) / abs(ref), relative=True)
+
+
+def translate_solid_harmonic(l: int, m: int, r_cm: Sequence[float],
+                             lam_r: Sequence[float]
+                             ) -> list[tuple[SolidHarmonicTerm, SolidHarmonicTerm]]:
+    """Split R^m_l(r_cm + lam_r) into products over the two coordinates.
+
+    Under the multiplicative normalization the addition theorem carries
+    binomial weights,
+
+        R^m_l(a+b) = sum_{l1 m1} B(l+m, l1+m1) B(l-m, l1-m1)
+                     R^{m1}_{l1}(b) R^{m-m1}_{l-l1}(a),
+
+    (they collapse to 1 on the stretched-projection terms the coupling path
+    uses, but are required for the identity to hold in general).  Returned
+    pairs are (inner, outer) with the weight and the evaluated inner factor
+    folded into inner.coefficient and the evaluated outer factor in
+    outer.coefficient; pairs that vanish identically at the given points are
+    dropped.
+    """
+    if abs(m) > l:
+        raise ValueError(f"|m| <= l violated: ({l}, {m})")
+    pairs = []
+    for l1 in range(l + 1):
+        l2 = l - l1
+        for m1 in range(-l1, l1 + 1):
+            m2 = m - m1
+            if abs(m2) > l2:
+                continue
+            w = math.comb(l + m, l1 + m1) * math.comb(l - m, l1 - m1) \
+                if 0 <= l1 + m1 <= l + m and 0 <= l1 - m1 <= l - m else 0
+            if w == 0:
+                continue
+            inner_val = solid_harmonic(l1, m1, lam_r)
+            outer_val = solid_harmonic(l2, m2, r_cm)
+            if inner_val == 0.0 or outer_val == 0.0:
+                continue
+            pairs.append((SolidHarmonicTerm(l1, m1, w * inner_val),
+                          SolidHarmonicTerm(l2, m2, outer_val)))
+    return pairs
+
+
+def sphere_quadrature(fn: Callable[[float, float], complex],
+                      n_polar: int = 64, n_azimuth: int = 128) -> complex:
+    """Gauss-Legendre x uniform-azimuthal quadrature of fn(theta, phi) dOmega.
+
+    Exact for integrands of band limit < n_polar in cos(theta) and total
+    azimuthal winding < n_azimuth (the trapezoid rule is exact on periodic
+    trigonometric polynomials).
+    """
+    x, w = np.polynomial.legendre.leggauss(n_polar)
+    thetas = np.arccos(x)
+    phis = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
+    total = 0.0 + 0.0j
+    for th, wi in zip(thetas, w):
+        row = sum(fn(th, ph) for ph in phis)
+        total += wi * row
+    return total * (2.0 * math.pi / n_azimuth)
+
+
+# --------------------------------------------------------------------------
+# suites
 
 @dataclass
 class SuiteReport:

@@ -277,3 +277,19 @@ class TestGrid:
         # same (r_min, step): overlapping nodes coincide bit-for-bit
         g2 = default_grid(50)
         assert np.array_equal(g2.xi, xi[: g2.xi.size])
+
+
+class TestSimpson:
+    # rb grids: 45 and 60 have an odd point count (plain composite rule),
+    # 30 and 90 an even one (last-interval end correction)
+    @pytest.mark.parametrize("n,odd", [(45, True), (60, True),
+                                       (30, False), (90, False)])
+    def test_matches_scipy(self, rb, n, odd):
+        from scipy.integrate import simpson
+        for l in range(4):
+            st = solve_radial(rb, n, l, l + 0.5)
+            xi = st.grid.xi
+            assert (xi.size % 2 == 1) == odd
+            for y in (st.chi**2 * xi**2, st.chi**2 * xi**4):
+                ref = simpson(y, x=xi)
+                assert abs(atom._simpson(y, st.grid.h) - ref) <= 1e-15 * abs(ref)

@@ -1,4 +1,8 @@
-"""Beam-field expansion tests: closed-form checks plus identity properties."""
+"""Beam-field expansion tests: closed-form checks plus identity properties.
+
+BeamSpec and the coefficient maps live in lgryd.beam; the evaluated
+expansion, the closed LG profile and the translation theorem are oracles of
+the verification suites and live in lgryd.verify."""
 
 import cmath
 import math
@@ -6,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from lgryd import beam
-from lgryd.beam import BeamSpec, SolidHarmonicTerm
+from lgryd import beam, verify
+from lgryd.beam import BeamSpec
+from lgryd.verify import SolidHarmonicTerm
 
 
 def _spec(l=1, w0=1.0, E0=1.0, sigma=1, k=0.0, q_max=1):
@@ -46,38 +51,38 @@ class TestSolidNorm:
 
 class TestSolidHarmonicEval:
     def test_origin(self):
-        assert beam.solid_harmonic(0, 0, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
-        assert beam.solid_harmonic(2, 1, (0.0, 0.0, 0.0)) == 0.0
+        assert verify.solid_harmonic(0, 0, (0.0, 0.0, 0.0)) == pytest.approx(1.0)
+        assert verify.solid_harmonic(2, 1, (0.0, 0.0, 0.0)) == 0.0
 
     def test_rank_one_cartesian(self):
         # R^0_1 = C^0_1 r Y^0_1 = sqrt(4pi/3) * sqrt(3/4pi) z = z
         v = (0.3, -0.7, 1.9)
-        assert beam.solid_harmonic(1, 0, v) == pytest.approx(v[2], rel=1e-12)
+        assert verify.solid_harmonic(1, 0, v) == pytest.approx(v[2], rel=1e-12)
         # R^{+1}_1 = -(x + i y), R^{-1}_1 = (x - i y) under the resolved norm
-        rp = beam.solid_harmonic(1, 1, v)
-        rm = beam.solid_harmonic(1, -1, v)
+        rp = verify.solid_harmonic(1, 1, v)
+        rm = verify.solid_harmonic(1, -1, v)
         assert rp == pytest.approx(-(v[0] + 1j * v[1]), rel=1e-12)
         assert rm == pytest.approx(v[0] - 1j * v[1], rel=1e-12)
 
 
 class TestLGAmplitude:
     def test_axis_null_for_vortex(self):
-        assert beam.lg_amplitude(_spec(l=1), 0.0, 0.3, 0.0) == 0.0
+        assert verify.lg_amplitude(_spec(l=1), 0.0, 0.3, 0.0) == 0.0
 
     def test_gaussian_origin(self):
-        got = beam.lg_amplitude(_spec(l=0, E0=2.5), 0.0, 0.0, 0.0)
+        got = verify.lg_amplitude(_spec(l=0, E0=2.5), 0.0, 0.0, 0.0)
         assert got == pytest.approx(2.5 * math.sqrt(2.0 / math.pi))
 
     def test_ring_value(self):
         # l=1 at rho = w0/sqrt(2): vortex factor 1, envelope e^{-1/2}
         w0 = 3.2
-        got = beam.lg_amplitude(_spec(l=1, w0=w0), w0 / math.sqrt(2.0), 0.0, 0.0)
+        got = verify.lg_amplitude(_spec(l=1, w0=w0), w0 / math.sqrt(2.0), 0.0, 0.0)
         assert got == pytest.approx(math.sqrt(2.0 / math.pi) * math.exp(-0.5))
 
     def test_propagation_phase(self):
         s = _spec(l=0, k=0.8)
-        a = beam.lg_amplitude(s, 0.5, 0.0, 0.0)
-        b = beam.lg_amplitude(s, 0.5, 0.0, 2.0)
+        a = verify.lg_amplitude(s, 0.5, 0.0, 0.0)
+        b = verify.lg_amplitude(s, 0.5, 0.0, 2.0)
         assert abs(b / a) == pytest.approx(1.0)
         assert cmath.phase(b / a) == pytest.approx(0.8 * 2.0, rel=1e-12)
 
@@ -85,7 +90,7 @@ class TestLGAmplitude:
     def test_phase_winding(self, l):
         s = _spec(l=l)
         phis = np.linspace(0.0, 2.0 * math.pi, 201)
-        vals = [beam.lg_amplitude(s, 0.6, p, 0.0) for p in phis]
+        vals = [verify.lg_amplitude(s, 0.6, p, 0.0) for p in phis]
         ph = np.unwrap([cmath.phase(v) for v in vals])
         assert ph[-1] - ph[0] == pytest.approx(2.0 * math.pi * l, abs=1e-9)
 
@@ -130,7 +135,7 @@ class TestGCoeff:
 
 class TestExpandField:
     def test_lowest_order_gaussian(self):
-        terms = beam.expand_field(_spec(l=0, q_max=0))
+        terms = verify.expand_field(_spec(l=0, q_max=0))
         assert len(terms) == 1
         q, w, harms = terms[0]
         assert q == 0
@@ -138,7 +143,7 @@ class TestExpandField:
         assert [(t.l, t.m) for t in harms] == [(0, 0), (0, 0), (0, 0)]
 
     def test_vortex_two_orders(self):
-        terms = beam.expand_field(_spec(l=1, q_max=1))
+        terms = verify.expand_field(_spec(l=1, q_max=1))
         assert [(t[0]) for t in terms] == [0, 1]
         ranks0 = [(t.l, t.m) for t in terms[0].harmonics]
         ranks1 = [(t.l, t.m) for t in terms[1].harmonics]
@@ -146,13 +151,13 @@ class TestExpandField:
         assert ranks1 == [(1, 1), (1, 1), (1, -1)]
 
     def test_negative_charge_projection(self):
-        terms = beam.expand_field(_spec(l=-2, q_max=0))
+        terms = verify.expand_field(_spec(l=-2, q_max=0))
         t = terms[0].harmonics[0]
         assert (t.l, t.m) == (2, -2)
 
     def test_envelope_carries_no_net_projection(self):
         for l in (-1, 0, 2):
-            for term in beam.expand_field(_spec(l=l, q_max=3)):
+            for term in verify.expand_field(_spec(l=l, q_max=3)):
                 _, envp, envm = term.harmonics
                 assert envp.m + envm.m == 0
                 assert envp.l == envm.l == term.q
@@ -160,20 +165,20 @@ class TestExpandField:
 
 class TestVerifyExpansion:
     def test_origin_gaussian_exact(self):
-        chk = beam.verify_expansion(_spec(l=0, q_max=0), 0.0, 0.5, 0.0)
+        chk = verify.verify_expansion(_spec(l=0, q_max=0), 0.0, 0.5, 0.0)
         assert chk.relative
         assert chk.residual == pytest.approx(0.0, abs=1e-14)
 
     def test_converged_residual(self):
         s = _spec(l=1, q_max=8, w0=2.0)
-        chk = beam.verify_expansion(s, 0.3 * s.w0, math.pi / 2, 0.7)
+        chk = verify.verify_expansion(s, 0.3 * s.w0, math.pi / 2, 0.7)
         assert chk.relative
         assert chk.residual <= 1e-6
 
     def test_truncation_monotone(self):
         w0 = 1.5
         r, th, ph = 0.3 * w0, math.pi / 2, 1.1
-        res = [beam.verify_expansion(_spec(l=1, q_max=q, w0=w0), r, th, ph).residual
+        res = [verify.verify_expansion(_spec(l=1, q_max=q, w0=w0), r, th, ph).residual
                for q in (0, 1, 2)]
         assert res[0] > res[1] > res[2]
 
@@ -184,34 +189,34 @@ class TestVerifyExpansion:
             r = rng.uniform(0.05, 0.5) * s.w0
             th = rng.uniform(0.1, math.pi - 0.1)
             ph = rng.uniform(0.0, 2.0 * math.pi)
-            chk = beam.verify_expansion(s, r, th, ph)
+            chk = verify.verify_expansion(s, r, th, ph)
             assert chk.relative
             assert chk.residual <= 1e-6
 
     def test_null_field_flag(self):
         # on the vortex axis the reference field vanishes; residual is absolute
-        chk = beam.verify_expansion(_spec(l=1, q_max=2), 1.0, 0.0, 0.0)
+        chk = verify.verify_expansion(_spec(l=1, q_max=2), 1.0, 0.0, 0.0)
         assert not chk.relative
         assert chk.residual == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTranslation:
     def test_null_inner_translation(self):
-        pairs = beam.translate_solid_harmonic(2, 1, (0.4, -0.2, 0.9), (0.0, 0.0, 0.0))
+        pairs = verify.translate_solid_harmonic(2, 1, (0.4, -0.2, 0.9), (0.0, 0.0, 0.0))
         assert len(pairs) == 1
         inner, outer = pairs[0]
         assert (inner.l, inner.m) == (0, 0)
         assert inner.coefficient == pytest.approx(1.0)
         assert outer.coefficient == pytest.approx(
-            beam.solid_harmonic(2, 1, (0.4, -0.2, 0.9)), rel=1e-12)
+            verify.solid_harmonic(2, 1, (0.4, -0.2, 0.9)), rel=1e-12)
 
     def test_null_outer_translation(self):
-        pairs = beam.translate_solid_harmonic(2, 2, (0.0, 0.0, 0.0), (0.1, 0.2, 0.3))
+        pairs = verify.translate_solid_harmonic(2, 2, (0.0, 0.0, 0.0), (0.1, 0.2, 0.3))
         assert len(pairs) == 1
         inner, outer = pairs[0]
         assert (inner.l, inner.m) == (2, 2)
         assert inner.coefficient == pytest.approx(
-            beam.solid_harmonic(2, 2, (0.1, 0.2, 0.3)), rel=1e-12)
+            verify.solid_harmonic(2, 2, (0.1, 0.2, 0.3)), rel=1e-12)
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
     def test_addition_theorem(self, l):
@@ -221,13 +226,13 @@ class TestTranslation:
             b = tuple(rng.uniform(-1.0, 1.0, 3))
             total = tuple(x + y for x, y in zip(a, b))
             for m in range(-l, l + 1):
-                direct = beam.solid_harmonic(l, m, total)
+                direct = verify.solid_harmonic(l, m, total)
                 summed = sum(p.coefficient * q.coefficient
-                             for p, q in beam.translate_solid_harmonic(l, m, b, a))
+                             for p, q in verify.translate_solid_harmonic(l, m, b, a))
                 assert abs(summed - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_binomial_weights_visible(self):
         # R^0_1(a+b) = z_a + z_b: both unit-weight monomial pairs must appear
-        pairs = beam.translate_solid_harmonic(1, 0, (0, 0, 2.0), (0, 0, 3.0))
+        pairs = verify.translate_solid_harmonic(1, 0, (0, 0, 2.0), (0, 0, 3.0))
         vals = sorted(abs(p.coefficient * q.coefficient) for p, q in pairs)
         assert vals == pytest.approx([2.0, 3.0])

@@ -9,12 +9,16 @@ drop to hydrogen n=4 to keep the suite quick.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lgryd
 from lgryd.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
-from lgryd.units import au_to_um, um_to_au
+from lgryd.units import BOHR_RADIUS_M, um_to_au
 
 FAST = ["atom.species = hydrogen", "atom.n = 4", "compute.grid_step = 0.02"]
 
@@ -228,8 +232,28 @@ class TestExitCodes:
     def test_distinct_verify_code(self):
         assert EXIT_VERIFY not in (EXIT_OK, EXIT_CONFIG)
 
+    def test_removed_format_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rabi", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_cli_does_not_import_scipy_integrate(self):
+        # a fresh interpreter, so modules loaded by other tests do not count
+        src = str(Path(lgryd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, lgryd.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestUnitRoundTrip:
     @pytest.mark.parametrize("x_um", [0.001, 1.0, 2.7, 2.2, 1234.5])
     def test_um_au_um(self, x_um):
-        assert au_to_um(um_to_au(x_um)) == pytest.approx(x_um, rel=1e-12)
+        # back to micrometres through the CODATA Bohr radius
+        assert um_to_au(x_um) * BOHR_RADIUS_M * 1e6 == pytest.approx(x_um, rel=1e-12)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lgryd.cm import CMState, cm_amplitude, cm_moment, cm_energy
+from lgryd.cm import CMState, cm_amplitude, cm_moment
 from _oracles import cm_moment_series
 
 
@@ -104,23 +104,3 @@ class TestMoment:
         b = cm_moment(CMState(2, 2, 5.0), CMState(0, 0, 5.0), 2)
         assert a == pytest.approx(b, rel=1e-13)
 
-
-class TestEnergy:
-    def test_ground(self):
-        s = CMState(0, 0, w_r=2.0)
-        assert cm_energy(s, m_t=3.0) == pytest.approx(1.0 / (4.0 * 3.0), rel=1e-14)
-
-    def test_linear_in_quanta(self):
-        w, m = 1.5, 2.0
-        e0 = cm_energy(CMState(0, 0, w), m)
-        e2 = cm_energy(CMState(2, 0, w), m)
-        assert e2 == pytest.approx(3.0 * e0, rel=1e-14)
-
-    def test_width_power_law(self):
-        m = 1.0
-        assert cm_energy(CMState(0, 0, 2.0), m) == pytest.approx(
-            cm_energy(CMState(0, 0, 1.0), m) / 4.0, rel=1e-14)
-
-    def test_bad_mass(self):
-        with pytest.raises(ValueError):
-            cm_energy(CMState(0, 0, 1.0), 0.0)

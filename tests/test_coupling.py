@@ -41,7 +41,8 @@ class TestStateLabel:
         assert str(StateLabel(0, 0.5, -0.5)) == "S1/2(-1/2)"
 
     def test_species_drops_projection(self):
-        assert StateLabel(2, 2.5, 1.5).species() == "D5/2"
+        # the sweep aggregates rows by the label up to its projection
+        assert str(StateLabel(2, 2.5, 1.5)).split("(")[0] == "D5/2"
 
     def test_csv_safe(self):
         assert "," not in str(StateLabel(3, 3.5, -3.5))

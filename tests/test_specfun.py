@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
-from lgryd import specfun
+from lgryd import specfun, verify
 from _oracles import laguerre_coeff_sum, sphere_integral_simpson, sympy_wigner3j
 
 
@@ -96,7 +96,7 @@ class TestSphericalHarmonic:
 
     def test_unit_norm_quadrature(self):
         for l, m in [(0, 0), (3, 2), (6, -5), (8, 0)]:
-            val = specfun.sphere_quadrature(
+            val = verify.sphere_quadrature(
                 lambda th, ph: abs(specfun.spherical_harmonic(l, m, th, ph)) ** 2,
                 n_polar=32, n_azimuth=64)
             assert abs(val - 1.0) < 1e-11
@@ -196,7 +196,7 @@ class TestGaunt:
             return
         m3 = -(m1 + m2)
         ours = specfun.gaunt(l1, m1, l2, m2, l3, m3)
-        ref = specfun.sphere_quadrature(
+        ref = verify.sphere_quadrature(
             lambda th, ph: (specfun.spherical_harmonic(l1, m1, th, ph)
                             * specfun.spherical_harmonic(l2, m2, th, ph)
                             * specfun.spherical_harmonic(l3, m3, th, ph)),
@@ -277,24 +277,14 @@ class TestSphericalBessel:
             specfun.spherical_bessel(-1, 1.0)
 
 
-class TestAngularTriple:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            specfun.AngularTriple(1, 2)
-        with pytest.raises(ValueError):
-            specfun.AngularTriple(-1, 0)
-        t = specfun.AngularTriple(3, -2)
-        assert (t.l, t.m) == (3, -2)
-
-
 class TestSphereQuadrature:
     def test_orthogonality(self):
-        val = specfun.sphere_quadrature(
+        val = verify.sphere_quadrature(
             lambda th, ph: (specfun.spherical_harmonic(3, 1, th, ph).conjugate()
                             * specfun.spherical_harmonic(3, -1, th, ph)),
             n_polar=24, n_azimuth=48)
         assert abs(val) < 1e-12
 
     def test_constant(self):
-        val = specfun.sphere_quadrature(lambda th, ph: 1.0, n_polar=8, n_azimuth=8)
+        val = verify.sphere_quadrature(lambda th, ph: 1.0, n_polar=8, n_azimuth=8)
         assert val.real == pytest.approx(4.0 * math.pi, rel=1e-13)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from lgryd.beam import BeamSpec, verify_expansion
+from lgryd.beam import BeamSpec
 from lgryd import verify
 
 
@@ -37,7 +37,7 @@ class TestTruncationSensitivity:
         res = {}
         for q_max in (0, 8):
             beam = BeamSpec(l=1, w0=w0, E0=1.0, sigma=1, q_max=q_max)
-            res[q_max] = verify_expansion(beam, r, theta, 0.4).residual
+            res[q_max] = verify.verify_expansion(beam, r, theta, 0.4).residual
         assert res[0] > 100 * res[8]
         assert res[8] < 1e-6
 
