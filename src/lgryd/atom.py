@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -235,16 +237,33 @@ def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
 
 
 def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
-    """Integrate chi'' = W chi from the outer end; seeds set the tail scale."""
+    """Integrate chi'' = W chi from the outer end; seeds set the tail scale.
+
+    The step chi[i-1] = (b[i] chi[i] - a[i+1] chi[i+1]) / a[i-1], with
+    a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial, so it runs on Python
+    floats: indexing numpy scalars one at a time costs three to four times
+    as much.  Each float operation is the IEEE double operation numpy does, in
+    the same order, so chi is bit-identical to the numpy-indexed loop.
+    Dividing by a[i-1] must stay a division, and the two products must stay
+    separately rounded: multiplying by a precomputed 1/a, or regrouping or
+    fusing the terms, changes the last bits of chi and of every output.
+    """
     a = 1.0 - (h * h / 12.0) * W
-    chi = np.empty_like(W)
-    chi[-1] = 1e-12
-    chi[-2] = 2e-12
-    for i in range(len(W) - 2, 0, -1):
-        chi[i - 1] = ((12.0 - 10.0 * a[i]) * chi[i] - a[i + 1] * chi[i + 1]) / a[i - 1]
-        if abs(chi[i - 1]) > 1e250:   # rescale long tails before they overflow
-            chi[i - 1:] *= 1e-250
-    return chi
+    b = 12.0 - 10.0 * a
+    a_rev, b_rev = a[::-1].tolist(), b[::-1].tolist()
+    n = len(a_rev)
+    out = array("d", (1e-12, 2e-12))      # chi from the outer end inward
+    c_out, c_in = 1e-12, 2e-12            # chi[i+1], chi[i]
+    for a_out, b_i, a_next in zip(islice(a_rev, 0, n - 2), islice(b_rev, 1, n - 1),
+                                  islice(a_rev, 2, n)):
+        c = (b_i * c_in - a_out * c_out) / a_next
+        if abs(c) > 1e250:   # rescale long tails before they overflow
+            out = array("d", [x * 1e-250 for x in out])
+            c_in *= 1e-250
+            c *= 1e-250
+        out.append(c)
+        c_out, c_in = c_in, c
+    return np.frombuffer(out)[::-1].copy()
 
 
 def solve_radial(p: SpeciesParams, n: int, l: int, j: float,

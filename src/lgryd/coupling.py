@@ -301,6 +301,14 @@ def lambda_integral_oracle(exponent: int, p: int, k: float, r: float) -> float:
     return 0.5 * float(np.dot(w, vals))
 
 
+def _coeff(ch: Channel, beam: BeamSpec, w_r: float) -> float:
+    al = ch.alpha
+    return (g_coeff(ch.l, ch.q, w_r, beam.w0)
+            * math.exp(log_gamma(al / 2.0))
+            * c_product(ch.l, ch.q, ch.l1, ch.l2, ch.l3, ch.m1, ch.m2, ch.m3)
+            * beam.mass_ratio ** (al - 1))
+
+
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
              psi_f: RydbergState, cm_i: CMState, cm_f: CMState,
              tables: dict | None = None) -> ChannelResult:
@@ -308,6 +316,7 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
 
     The reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix
     element in hartree times E_h/h, in kHz.  `tables` memoises the factors:
+    coeff per (l, q, l1, l2, l3), which fixes the m's and alpha,
     angular x CG per (sigma, l1, m1, l2, l3, final label), <f|r^alpha|i> and
     the lambda integral per (final state, alpha), <CM_f|x^beta|CM_i> per
     (CM_f, beta), <i|r|i> once.  Calls may share it only if they share psi_i,
@@ -322,11 +331,8 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     w_r = cm_i.w_r
     al = channel.alpha
 
-    coeff = (g_coeff(channel.l, channel.q, w_r, beam.w0)
-             * math.exp(log_gamma(al / 2.0))
-             * c_product(channel.l, channel.q, channel.l1, channel.l2,
-                         channel.l3, channel.m1, channel.m2, channel.m3)
-             * beam.mass_ratio ** (al - 1))
+    coeff = _memo(tables, ("coeff", channel.l, channel.q, channel.l1,
+                           channel.l2, channel.l3), _coeff, channel, beam, w_r)
     f_key = (psi_f.n, psi_f.l, round(2 * psi_f.j))
     radial_e = _memo(tables, ("radial", f_key, al), radial_matrix_element,
                      psi_f, psi_i, al, w_r)
@@ -438,11 +444,12 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
         for res in results:
             ch = res.channel
             N_f = abs(ch.M_f) + (cm_i.N - abs(cm_i.M))
-            rows.append(SweepRow(l, "channel", ch.group, str(ch.final),
+            label = str(ch.final)
+            rows.append(SweepRow(l, "channel", ch.group, label,
                                  ch.M_f, N_f, ch.q, res.rabi_kHz))
-            gkey = (ch.group, str(ch.final), ch.M_f, N_f)
+            gkey = (ch.group, label, ch.M_f, N_f)
             groups[gkey] = groups.get(gkey, 0j) + res.matrix_element
-            tkey = (str(ch.final), ch.M_f, N_f)
+            tkey = (label, ch.M_f, N_f)
             totals[tkey] = totals.get(tkey, 0j) + res.matrix_element
         for (grp, label, M_f, N_f), me in sorted(groups.items()):
             rows.append(SweepRow(l, "group", grp, label, M_f, N_f, None,

@@ -293,3 +293,46 @@ class TestSimpson:
             for y in (st.chi**2 * xi**2, st.chi**2 * xi**4):
                 ref = simpson(y, x=xi)
                 assert abs(atom._simpson(y, st.grid.h) - ref) <= 1e-15 * abs(ref)
+
+
+def _numerov_inward_reference(W, h):
+    """The numpy-indexed form of the inward Numerov loop, which
+    atom._numerov_inward must reproduce bit for bit."""
+    a = 1.0 - (h * h / 12.0) * W
+    chi = np.empty_like(W)
+    chi[-1] = 1e-12
+    chi[-2] = 2e-12
+    for i in range(len(W) - 2, 0, -1):
+        chi[i - 1] = ((12.0 - 10.0 * a[i]) * chi[i] - a[i + 1] * chi[i + 1]) / a[i - 1]
+        if abs(chi[i - 1]) > 1e250:
+            chi[i - 1:] *= 1e-250
+    return chi
+
+
+class TestNumerovKernel:
+    @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
+                                                 ("rb", 90, 10),
+                                                 ("hydrogen", 10, 9)])
+    def test_bit_identical(self, monkeypatch, species, n, l_max):
+        # every (W, h) that solve_radial hands the kernel, l <= l_max, both j
+        kernel, inputs = atom._numerov_inward, []
+        monkeypatch.setattr(atom, "_numerov_inward",
+                            lambda W, h: inputs.append((W, h)) or kernel(W, h))
+        p = load_species(species)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+            for l in range(l_max + 1):
+                for j in (l - 0.5, l + 0.5):
+                    if j > 0:
+                        solve_radial(p, n, l, j)
+        assert len(inputs) == 2 * l_max + 1
+        for W, h in inputs:
+            assert np.array_equal(kernel(W, h), _numerov_inward_reference(W, h))
+
+    def test_rescale_path_bit_identical(self):
+        # chi grows by about e^2000 over the grid, so the 1e-250 rescale
+        # runs three times; no real state reaches it
+        W = np.full(20000, 100.0)
+        chi = atom._numerov_inward(W, 0.01)
+        assert np.all(np.isfinite(chi))
+        assert np.array_equal(chi, _numerov_inward_reference(W, 0.01))

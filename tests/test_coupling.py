@@ -558,10 +558,11 @@ class TestFactorTables:
 
     def test_each_factor_once_per_key(self, monkeypatch):
         # the benchmark's heavy sweep: 606 channels, 39 final (state, alpha)
-        # pairs, 20 (M_f, beta) pairs, 233 angular keys
+        # pairs, 20 (M_f, beta) pairs, 233 angular keys, 220 coefficient
+        # keys (l, q, l1, l2, l3)
         counts = dict.fromkeys(("assemble", "radial_matrix_element",
                                 "cm_moment", "lambda_integral_oracle",
-                                "_angular_and_cg"), 0)
+                                "_angular_and_cg", "g_coeff", "c_product"), 0)
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -577,4 +578,6 @@ class TestFactorTables:
                           "radial_matrix_element": 39 + 1,   # + <i|r|i>
                           "cm_moment": 20,
                           "lambda_integral_oracle": 39,
-                          "_angular_and_cg": 233}
+                          "_angular_and_cg": 233,
+                          "g_coeff": 220,
+                          "c_product": 220}
