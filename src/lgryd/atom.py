@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -201,18 +199,48 @@ class RydbergState:
 
 
 def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray:
-    """V(r) = V_core + V_polarization + V_spin-orbit, atomic units."""
+    """V(r) = V_core + V_polarization + V_spin-orbit, atomic units:
+
+        V = -z/r - alpha_c/(2 r^4) (1 - exp(-(r/rc)^6)) + so_scale alpha^2/(2 r^3) L.S,
+        z = 1 + (Z-1) exp(-a1 r) - r (a3 + a4 r) exp(-a2 r).
+
+    Built in place on up to two work buffers (solve_radial says why); each
+    ufunc is one IEEE operation of the formula, in the order written.  A
+    scalar r takes the same path and comes back as a float.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("model potential requires r > 0")
     a1, a2, a3, a4, rc = p.potential_for(l)
-    z = 1.0 + (p.Z - 1.0) * np.exp(-a1 * r) - r * (a3 + a4 * r) * np.exp(-a2 * r)
-    v = -z / r
+    v, t = np.empty_like(r), np.empty_like(r)
+    np.multiply(a4, r, out=t)
+    t += a3
+    t *= r
+    t *= np.exp(np.multiply(-a2, r, out=v), out=v)      # r (a3 + a4 r) e^{-a2 r}
+    np.exp(np.multiply(-a1, r, out=v), out=v)
+    v *= p.Z - 1.0
+    v += 1.0
+    v -= t                                              # z
+    np.negative(v, out=v)
+    v /= r
     if p.alpha_c:
-        v = v - p.alpha_c / (2.0 * r**4) * (1.0 - np.exp(-((r / rc) ** 6)))
+        u = np.empty_like(r)
+        np.power(r, 4, out=t)
+        t *= 2.0
+        np.divide(p.alpha_c, t, out=t)
+        np.divide(r, rc, out=u)
+        np.power(u, 6, out=u)
+        np.exp(np.negative(u, out=u), out=u)
+        np.subtract(1.0, u, out=u)
+        t *= u
+        v -= t
     if p.so_scale:
         ls = 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
-        v = v + p.so_scale * FINE_STRUCTURE**2 / (2.0 * r**3) * ls
+        np.power(r, 3, out=t)
+        t *= 2.0
+        np.divide(p.so_scale * FINE_STRUCTURE**2, t, out=t)
+        t *= ls
+        v += t
     return v if v.ndim else float(v)
 
 
@@ -247,23 +275,43 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     Dividing by a[i-1] must stay a division, and the two products must stay
     separately rounded: multiplying by a precomputed 1/a, or regrouping or
     fusing the terms, changes the last bits of chi and of every output.
+    Memoryviews of the reversed a and b hand the loop one float at a time,
+    and one of chi takes each result, so no N-element list is built.
     """
-    a = 1.0 - (h * h / 12.0) * W
-    b = 12.0 - 10.0 * a
-    a_rev, b_rev = a[::-1].tolist(), b[::-1].tolist()
-    n = len(a_rev)
-    out = array("d", (1e-12, 2e-12))      # chi from the outer end inward
-    c_out, c_in = 1e-12, 2e-12            # chi[i+1], chi[i]
-    for a_out, b_i, a_next in zip(islice(a_rev, 0, n - 2), islice(b_rev, 1, n - 1),
-                                  islice(a_rev, 2, n)):
+    a = np.multiply(h * h / 12.0, W)
+    np.subtract(1.0, a, out=a)
+    b = np.multiply(10.0, a)
+    np.subtract(12.0, b, out=b)
+    a_rev, b_rev = memoryview(a[::-1]), memoryview(b[::-1])
+    chi = np.empty_like(W)
+    chi[-1], chi[-2] = 1e-12, 2e-12
+    out = memoryview(chi)
+    c_out, c_in = 1e-12, 2e-12            # chi[i+2], chi[i+1]
+    for i, a_out, b_i, a_next in zip(range(len(chi) - 3, -1, -1),
+                                     a_rev[:-2], b_rev[1:-1], a_rev[2:]):
         c = (b_i * c_in - a_out * c_out) / a_next
         if abs(c) > 1e250:   # rescale long tails before they overflow
-            out = array("d", [x * 1e-250 for x in out])
+            chi[i + 1:] *= 1e-250
             c_in *= 1e-250
             c *= 1e-250
-        out.append(c)
+        out[i] = c
         c_out, c_in = c_in, c
-    return np.frombuffer(out)[::-1].copy()
+    return chi
+
+
+def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
+               xi: np.ndarray) -> np.ndarray:
+    """W = 8 xi^2 (V(xi^2) - E) + (2l + 1/2)(2l + 3/2) / xi^2, built in place
+    in the operation order of that formula."""
+    r = xi * xi
+    W = model_potential(p, l, j, r)
+    W -= energy
+    t = np.multiply(8.0, xi)
+    t *= xi
+    W *= t                                # 8 xi xi (V - E)
+    np.divide((2 * l + 0.5) * (2 * l + 1.5), r, out=t)   # r is xi * xi
+    W += t
+    return W
 
 
 def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
@@ -281,10 +329,13 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
         energy = qd_energy(p, n, l, j)
     xi = grid.xi
     h = grid.h
-    r = xi * xi
-    W = 8.0 * xi * xi * (model_potential(p, l, j, r) - energy) \
-        + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi)
-    chi = _numerov_inward(W, h)
+    # The N-point arrays are built in place: without scipy's import the heap is
+    # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
+    chi = _numerov_inward(_numerov_w(p, l, j, energy, xi), h)
+    work = np.empty_like(chi)
+
+    def crossings():
+        return np.nonzero(np.multiply(chi[:-1], chi[1:], out=work[:-1]) < 0.0)[0]
 
     flags: list[str] = []
     # Truncate an inner blow-up.  Inside the innermost crossing the physical
@@ -293,29 +344,30 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     # order of magnitude marks the spurious branch picked up because E is not
     # an exact eigenvalue; zero it through its minimum so a contamination
     # crossing is not counted as a node.
-    sign_change = np.nonzero(chi[:-1] * chi[1:] < 0.0)[0]
+    sign_change = crossings()
     if sign_change.size and sign_change[0] < 3:
         # a crossing within a couple of samples of the cutoff is the
         # irregular branch leaking into the boundary value, not a node the
         # grid could resolve; blank it (amplitude there is ~1e-8 of the peak)
-        chi = chi.copy()
         chi[: int(sign_change[0]) + 1] = 0.0
-        sign_change = np.nonzero(chi[:-1] * chi[1:] < 0.0)[0]
+        sign_change = crossings()
     seg_end = int(sign_change[0]) + 1 if sign_change.size else chi.size
     inner = np.abs(chi[:seg_end])
     imin = int(np.argmin(inner))
     if imin > 0 and inner[0] >= inner[: imin + 1].max() \
             and inner[0] > 10.0 * inner[imin]:
-        chi = chi.copy()
         chi[: imin + 1] = 0.0
         flags.append("divergent-core")
 
-    nodes = int(np.count_nonzero(chi[:-1] * chi[1:] < 0.0))
+    nodes = crossings().size
     if nodes != n - l - 1:
         flags.append("node-count")
 
-    norm2 = 2.0 * _simpson(chi * chi * xi * xi, h)
-    chi = chi / math.sqrt(norm2)
+    np.multiply(chi, chi, out=work)
+    work *= xi
+    work *= xi
+    norm2 = 2.0 * _simpson(work, h)
+    chi /= math.sqrt(norm2)
     return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
                         nodes=nodes, flags=tuple(flags))
 

@@ -5,7 +5,8 @@ only the radial amplitude lives here -- the azimuthal quantum number enters
 the coupling module through a Kronecker delta, and the phi integral is part
 of the angular algebra there.  Radial moments are evaluated by Gauss-Laguerre
 quadrature after u = x^2, where the integrand is exactly (polynomial) x
-u^{a} e^{-u} and the rule is exact at modest node counts.
+u^{a} e^{-u} and the rule is exact at modest node counts; the nodes and
+weights come from the Golub-Welsch eigenproblem in numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .specfun import assoc_laguerre, log_factorial
 
@@ -65,6 +65,18 @@ def cm_amplitude(s: CMState, r_cm: float) -> float:
             * assoc_laguerre(s.n_minus, float(am), x * x) / s.w_r)
 
 
+def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Laguerre rule for the weight u^a e^{-u} on [0, inf):
+    nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+    the Laguerre recurrence, weights Gamma(a+1) times the squared first
+    eigenvector components (Golub & Welsch, Math. Comp. 23, 221 (1969))."""
+    k = np.arange(n, dtype=float)
+    off = np.sqrt(k[1:] * (k[1:] + a))
+    jacobi = np.diag(2.0 * k + a + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    u, v = np.linalg.eigh(jacobi)
+    return u, math.gamma(a + 1.0) * v[0] ** 2
+
+
 def cm_moment(f: CMState, i: CMState, beta: int) -> float:
     """<f| x^beta |i> over the radial measure x dx (dimensionless; the caller
     owns the azimuthal delta).
@@ -79,7 +91,7 @@ def cm_moment(f: CMState, i: CMState, beta: int) -> float:
         raise ValueError(f"trap lengths differ: {f.w_r} vs {i.w_r}")
     a = 0.5 * (abs(f.M) + abs(i.M) + beta)
     npts = f.n_minus + i.n_minus + 2
-    u, w = roots_genlaguerre(npts, a)
+    u, w = _gauss_laguerre(npts, a)
     lf = np.array([assoc_laguerre(f.n_minus, float(abs(f.M)), ui) for ui in u])
     li = np.array([assoc_laguerre(i.n_minus, float(abs(i.M)), ui) for ui in u])
     norm = math.exp(_log_norm(f) + _log_norm(i))

@@ -8,6 +8,8 @@ module, so cross-module phase consistency reduces to this one convention.
 
 Wigner 3j symbols use the Racah closed sum (no recursion) -- the ranks that
 occur stay small (<~ 12), where the alternating sum is benign in log space.
+Spherical Bessel functions use the three-term recurrence, upward or by
+Miller's backward scheme (Gautschi 1967).
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Sequence
-
-from scipy.special import spherical_jn
 
 __all__ = [
     "log_factorial",
@@ -217,7 +217,16 @@ def multi_gaunt(factors: Sequence, bra, ket) -> float:
 # spherical Bessel
 
 def spherical_bessel(p: int, x: float) -> float:
-    """j_p(x); small arguments take the power series to dodge cancellation."""
+    """j_p(x) by the three-term recurrence j_{k+1} = (2k+1)/x j_k - j_{k-1}
+    (Gautschi, SIAM Rev. 9, 24 (1967)).
+
+    Small arguments take the power series to dodge cancellation.  For
+    |x| > p the recurrence runs upward from j_0 = sin x / x and
+    j_1 = (j_0 - cos x)/x, where it is stable; otherwise Miller's backward
+    recurrence runs down from an order well above p and is scaled to
+    whichever of j_0, j_1 is larger.  Above the series range p = 0 returns
+    sin x / x.
+    """
     if p < 0:
         raise ValueError("order must be non-negative")
     ax = abs(x)
@@ -231,5 +240,25 @@ def spherical_bessel(p: int, x: float) -> float:
         series = 1.0 - x2 / (2.0 * (2 * p + 3)) + x2 * x2 / (8.0 * (2 * p + 3) * (2 * p + 5))
         val = lead * series
         return val * (-1.0) ** p if (x < 0 and p % 2) else val
-    return float(spherical_jn(p, x))
-
+    if ax > p:
+        s0 = math.sin(x) / x
+        if p == 0:
+            return s0
+        s1 = (s0 - math.cos(x)) / x
+        for k in range(1, p):
+            s0, s1 = s1, (2 * k + 1) * s1 / x - s0
+        return s1
+    # backward from j_{top+1} = 0, j_top = 1; rescaled like the Numerov tail
+    nxt, cur, jp = 0.0, 1.0, 0.0
+    for k in range(p + int(ax) + 20, 0, -1):
+        nxt, cur = cur, (2 * k + 1) * cur / ax - nxt
+        if k - 1 == p:
+            jp = cur
+        if abs(cur) > 1e250:
+            nxt, cur, jp = nxt * 1e-250, cur * 1e-250, jp * 1e-250
+    s0 = math.sin(ax) / ax
+    if abs(cur) >= abs(nxt):              # cur = j_0, nxt = j_1, both unscaled
+        val = jp * (s0 / cur)
+    else:                                 # near a zero of j_0
+        val = jp * ((s0 - math.cos(ax)) / ax / nxt)
+    return -val if (x < 0 and p % 2) else val

@@ -17,6 +17,7 @@ from lgryd import atom
 from lgryd.atom import (RadialGrid, RydbergState, SpeciesParams, default_grid,
                         load_species, model_potential, qd_energy,
                         radial_matrix_element, solve_radial)
+from lgryd.units import FINE_STRUCTURE
 from _oracles import hydrogen_expectation_r, hydrogen_radial
 
 
@@ -336,3 +337,60 @@ class TestNumerovKernel:
         chi = atom._numerov_inward(W, 0.01)
         assert np.all(np.isfinite(chi))
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.01))
+
+
+def _model_potential_reference(p, l, j, r):
+    """model_potential as plain numpy expressions, the form the in-place
+    build in atom.model_potential must reproduce bit for bit."""
+    a1, a2, a3, a4, rc = p.potential_for(l)
+    z = 1.0 + (p.Z - 1.0) * np.exp(-a1 * r) - r * (a3 + a4 * r) * np.exp(-a2 * r)
+    v = -z / r
+    if p.alpha_c:
+        v = v - p.alpha_c / (2.0 * r**4) * (1.0 - np.exp(-((r / rc) ** 6)))
+    if p.so_scale:
+        ls = 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
+        v = v + p.so_scale * FINE_STRUCTURE**2 / (2.0 * r**3) * ls
+    return v
+
+
+class TestInPlaceBuild:
+    @pytest.mark.parametrize("species,n", [(s, n) for s in ("rb", "hydrogen")
+                                           for n in (30, 60, 90)])
+    def test_bit_identical(self, monkeypatch, species, n):
+        # the potential, the W that reaches the kernel, and the solved state
+        # against the expression form fed to the numpy-indexed kernel
+        p = load_species(species)
+        xi = default_grid(n).xi
+        r = xi * xi
+        kernel, seen = atom._numerov_inward, []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+            for l in range(11):
+                for j in (l - 0.5, l + 0.5):
+                    if j <= 0:
+                        continue
+                    v = _model_potential_reference(p, l, j, r)
+                    assert np.array_equal(model_potential(p, l, j, r), v)
+                    W = (8.0 * xi * xi * (v - qd_energy(p, n, l, j))
+                         + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi))
+                    monkeypatch.setattr(atom, "_numerov_inward",
+                                        lambda W_, h: seen.append(W_) or kernel(W_, h))
+                    new = solve_radial(p, n, l, j)
+                    assert np.array_equal(seen[-1], W)
+                    monkeypatch.setattr(atom, "_numerov_inward",
+                                        lambda W_, h: _numerov_inward_reference(W, h))
+                    old = solve_radial(p, n, l, j)
+                    assert np.array_equal(new.chi, old.chi)
+                    assert (new.flags, new.nodes) == (old.flags, old.nodes)
+
+    def test_scalar_path(self, rb, hyd):
+        # a scalar r runs the array path: a float, equal to the reference
+        # element.  (The expression form on a bare scalar took numpy's scalar
+        # power for (r/rc)**6, one ulp off the array loop at rare points.)
+        r = default_grid(30).xi[::37] ** 2
+        for p in (rb, hyd):
+            for l, j in ((0, 0.5), (1, 0.5), (1, 1.5), (2, 2.5), (5, 4.5)):
+                ref = _model_potential_reference(p, l, j, r).tolist()
+                for x, v in zip(r.tolist(), ref):
+                    got = model_potential(p, l, j, x)
+                    assert type(got) is float and got == v

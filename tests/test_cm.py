@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lgryd.cm import CMState, cm_amplitude, cm_moment
+from lgryd.cm import CMState, _gauss_laguerre, cm_amplitude, cm_moment
 from _oracles import cm_moment_series
 
 
@@ -104,3 +104,16 @@ class TestMoment:
         b = cm_moment(CMState(2, 2, 5.0), CMState(0, 0, 5.0), 2)
         assert a == pytest.approx(b, rel=1e-13)
 
+
+
+class TestGaussLaguerre:
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 6.0, 7.5])
+    def test_matches_scipy(self, a):
+        from scipy.special import roots_genlaguerre
+        for n in range(1, 13):
+            u, w = _gauss_laguerre(n, a)
+            u_ref, w_ref = roots_genlaguerre(n, a)
+            assert np.allclose(u, u_ref, rtol=1e-13, atol=0.0), (n, a)
+            # weights fall over many decades; hold them to the total Gamma(a+1)
+            assert np.allclose(w, w_ref, rtol=0.0,
+                               atol=1e-14 * math.gamma(a + 1.0)), (n, a)

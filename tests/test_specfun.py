@@ -276,6 +276,33 @@ class TestSphericalBessel:
         with pytest.raises(ValueError):
             specfun.spherical_bessel(-1, 1.0)
 
+    # both sides of the 1e-3 series crossover, Miller's branch (|x| <= p),
+    # the upward branch (|x| > p) and the boundary |x| = p between them
+    BESSEL_X = (0.9e-3, 1e-3, 1.1e-3, 0.01, 0.3, 1.0, 2.0, 3.3, 5.0, 7.3,
+                9.99, 11.9, 12.0, 12.5, 20.0, 47.3, 150.0)
+
+    @pytest.mark.parametrize("p", range(13))
+    def test_matches_scipy(self, p):
+        from scipy.special import spherical_jn
+        for x0 in self.BESSEL_X:
+            for x in (x0, -x0):
+                ref = float(spherical_jn(p, x))
+                assert specfun.spherical_bessel(p, x) == pytest.approx(
+                    ref, rel=1e-13, abs=0.0), (p, x)
+
+    def test_backward_rescale_matches_scipy(self):
+        # p = 60 at x = 2e-3: the backward run passes 1e250 and is rescaled
+        from scipy.special import spherical_jn
+        for x in (2e-3, -2e-3):
+            assert specfun.spherical_bessel(60, x) == pytest.approx(
+                float(spherical_jn(60, x)), rel=1e-12, abs=0.0)
+
+    def test_order_zero_bit_equal_to_scipy(self):
+        from scipy.special import spherical_jn
+        for x in self.BESSEL_X[1:] + (1e5, math.pi):
+            for s in (x, -x):
+                assert specfun.spherical_bessel(0, s) == float(spherical_jn(0, s))
+
 
 class TestSphereQuadrature:
     def test_orthogonality(self):
