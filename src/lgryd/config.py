@@ -15,11 +15,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-def _parse_int(s): return int(s)
-def _parse_float(s): return float(s)
-def _parse_str(s): return s
-
-
 def _parse_half(s):
     # accept "0.5", "-1/2", "3/2"
     s = s.strip()
@@ -89,26 +84,26 @@ class ScenarioConfig:
 
 # dotted key -> (attribute, parser)
 _KEYS = {
-    "beam.l": ("l", _parse_int),
-    "beam.waist_um": ("waist_um", _parse_float),
-    "beam.field_V_per_m": ("field_V_per_m", _parse_float),
-    "beam.sigma": ("sigma", _parse_int),
-    "beam.q_max": ("q_max", _parse_int),
-    "beam.mass_ratio": ("mass_ratio", _parse_float),
-    "atom.species": ("species", _parse_str),
-    "atom.n": ("n", _parse_int),
-    "atom.l": ("l_i", _parse_int),
+    "beam.l": ("l", int),
+    "beam.waist_um": ("waist_um", float),
+    "beam.field_V_per_m": ("field_V_per_m", float),
+    "beam.sigma": ("sigma", int),
+    "beam.q_max": ("q_max", int),
+    "beam.mass_ratio": ("mass_ratio", float),
+    "atom.species": ("species", str),
+    "atom.n": ("n", int),
+    "atom.l": ("l_i", int),
     "atom.j": ("j_i", _parse_half),
     "atom.m_j": ("m_j", _parse_half),
-    "atom.n_final": ("n_final", _parse_int),
-    "trap.w_r_um": ("w_r_um", _parse_float),
-    "trap.N": ("N", _parse_int),
-    "trap.M": ("M", _parse_int),
-    "compute.final_l_f_max": ("final_l_f_max", _parse_int),
+    "atom.n_final": ("n_final", int),
+    "trap.w_r_um": ("w_r_um", float),
+    "trap.N": ("N", int),
+    "trap.M": ("M", int),
+    "compute.final_l_f_max": ("final_l_f_max", int),
     "compute.sweep_l": ("sweep_l", _parse_int_list),
-    "compute.grid_step": ("grid_step", _parse_float),
-    "compute.j_policy": ("j_policy", _parse_str),
-    "output.dir": ("out_dir", _parse_str),
+    "compute.grid_step": ("grid_step", float),
+    "compute.j_policy": ("j_policy", str),
+    "output.dir": ("out_dir", str),
 }
 
 

@@ -13,7 +13,7 @@ assembled literally as
 
 with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
 formula states it.  Every result carries an audit of that constant against
-the exact integral int_0^1 lambda^{alpha-1} j_p(k lambda r) dlambda at the
+the exact integral int_0^1 lambda^{alpha-1} j_0(k lambda r) dlambda at the
 resonant k (see docs/AUDIT.md for what that ratio reveals).
 Each factor is computed once per distinct key (see `assemble`) in a table
 that lives for one scenario or sweep call.
@@ -187,8 +187,11 @@ def fine_structure_weight(initial: tuple, final: tuple, orbital_bra_ket: tuple) 
     return total
 
 
-def _angular_and_cg(ch: Channel, l_i: int, j_i: float, m_ji: float):
-    """(angular, cg_weight) for the channel.
+def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
+                    l_f: int, j_f: float, m_jf: float,
+                    l_i: int, j_i: float, m_ji: float):
+    """(angular, cg_weight) for the channel (sigma, l1, m1, l2, l3) feeding
+    the final label (l_f, j_f, m_jf) from |l_i j_i m_ji>; m2 = l2, m3 = -l3.
 
     General case: sum over the initial m_l decomposition of |j_i m_ji>, each
     term weighted by both Clebsch-Gordan brackets.  When a single m_li
@@ -197,20 +200,19 @@ def _angular_and_cg(ch: Channel, l_i: int, j_i: float, m_ji: float):
     cg_weight is 1 by convention.
     """
     # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
-    fs = [(1, ch.sigma), (0, 0), (ch.l1, ch.m1), (ch.l2, ch.m2), (ch.l3, ch.m3)]
-    dm = ch.sigma + ch.m1 + ch.m2 + ch.m3
+    fs = [(1, sigma), (0, 0), (l1, m1), (l2, l2), (l3, -l3)]
+    dm = sigma + m1 + l2 - l3
     terms = []
     for twice_mli in range(-2 * l_i, 2 * l_i + 1, 2):
         m_li = twice_mli / 2.0
         m_lf = m_li + dm
-        if abs(m_lf) > ch.final.l:
+        if abs(m_lf) > l_f:
             continue
-        w = fine_structure_weight((l_i, j_i, m_ji),
-                                  (ch.final.l, ch.final.j, ch.final.m_j),
+        w = fine_structure_weight((l_i, j_i, m_ji), (l_f, j_f, m_jf),
                                   (m_li, m_lf))
         if w == 0.0:
             continue
-        g = multi_gaunt(fs, (ch.final.l, round(m_lf)), (l_i, round(m_li)))
+        g = multi_gaunt(fs, (l_f, round(m_lf)), (l_i, round(m_li)))
         terms.append((w, g))
     if not terms:
         return 0.0, 0.0
@@ -227,20 +229,14 @@ def _memo(tables: dict, key, fn, *args):
     return tables[key]
 
 
-def _angular(tables: dict, ch: Channel, l_i: int, j_i: float, m_ji: float):
-    # Channel.l and q do not enter the bracket
-    key = ("angular", ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3, ch.final)
-    return _memo(tables, key, _angular_and_cg, ch, l_i, j_i, m_ji)
-
-
 def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMState,
                        final_l_f_max: int = 3, j_policy: str = "stretched",
                        include_elastic: bool = False,
                        tables: dict | None = None) -> list[Channel]:
     """All index tuples compatible with the selection deltas, paired with
-    every angular-reachable final electronic label; deterministic
-    lexicographic order in (q, l1, l2, l3, sigma, l_f, j_f); `tables` as in
-    `assemble`."""
+    every angular-reachable final electronic label, in the lexicographic
+    order (q, l1, l2, l3, sigma, l_f, j_f) the loops run in (sigma is the
+    beam's); `tables` as in `assemble`."""
     tables = {} if tables is None else tables
     if initial_e.m_j is None:
         raise ValueError("initial state needs m_j for channel enumeration")
@@ -269,19 +265,19 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMSt
                         for j_f in j_fs:
                             if abs(m_jf) > j_f + 1e-9:
                                 continue
-                            label = StateLabel(l_f, j_f, m_jf)
-                            ch = Channel(l=l, sigma=sigma, q=q, l1=l1, l2=l2,
-                                         l3=l3, m1=m1, m2=m2, m3=m3,
-                                         M_i=M_i, M_f=M_f, final=label)
-                            if _angular(tables, ch, l_i, j_i, m_ji)[0] == 0.0:
+                            key = ("angular", sigma, l1, m1, l2, l3,
+                                   l_f, j_f, m_jf)
+                            if _memo(tables, key, _angular_and_cg, *key[1:],
+                                     l_i, j_i, m_ji)[0] == 0.0:
                                 continue   # angular selection closes this l_f
                             if not include_elastic and l_f == l_i and \
                                     abs(j_f - j_i) < 1e-9 and \
                                     abs(m_jf - m_ji) < 1e-9 and M_f == M_i:
                                 continue
-                            out.append(ch)
-    out.sort(key=lambda c: (c.q, c.l1, c.l2, c.l3, c.sigma,
-                            c.final.l, round(2 * c.final.j)))
+                            out.append(Channel(
+                                l=l, sigma=sigma, q=q, l1=l1, l2=l2, l3=l3,
+                                m1=m1, m2=m2, m3=m3, M_i=M_i, M_f=M_f,
+                                final=StateLabel(l_f, j_f, m_jf)))
     return out
 
 
@@ -292,12 +288,12 @@ def _gauss_legendre_unit():
     return 0.5 * (x + 1.0), w
 
 
-def lambda_integral_oracle(exponent: int, p: int, k: float, r: float) -> float:
-    """int_0^1 lambda^exponent j_p(k lambda r) dlambda by Gauss-Legendre."""
-    if exponent < 0 or p < 0:
-        raise ValueError("exponent and p must be non-negative")
+def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
+    """int_0^1 lambda^exponent j_0(k lambda r) dlambda by Gauss-Legendre."""
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
     lam, w = _gauss_legendre_unit()
-    vals = [li**exponent * spherical_bessel(p, k * li * r) for li in lam]
+    vals = [li**exponent * spherical_bessel(k * li * r) for li in lam]
     return 0.5 * float(np.dot(w, vals))
 
 
@@ -317,10 +313,10 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     The reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix
     element in hartree times E_h/h, in kHz.  `tables` memoises the factors:
     coeff per (l, q, l1, l2, l3), which fixes the m's and alpha,
-    angular x CG per (sigma, l1, m1, l2, l3, final label), <f|r^alpha|i> and
-    the lambda integral per (final state, alpha), <CM_f|x^beta|CM_i> per
-    (CM_f, beta), <i|r|i> once.  Calls may share it only if they share psi_i,
-    cm_i and the beam up to its l; without one a call fills its own.
+    angular x CG per (sigma, l1, m1, l2, l3, l_f, j_f, m_jf), <f|r^alpha|i>
+    and the lambda integral per (final state, alpha), <CM_f|x^beta|CM_i> per
+    (N_f, M_f, beta), <i|r|i> once.  Calls may share it only if they share
+    psi_i, cm_i and the beam up to its l; without one a call fills its own.
     """
     tables = {} if tables is None else tables
     if cm_f.M != channel.M_f:
@@ -336,9 +332,13 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     f_key = (psi_f.n, psi_f.l, round(2 * psi_f.j))
     radial_e = _memo(tables, ("radial", f_key, al), radial_matrix_element,
                      psi_f, psi_i, al, w_r)
-    radial_cm = _memo(tables, ("cm", cm_f, channel.beta), cm_moment,
-                      cm_f, cm_i, channel.beta)
-    angular, cg = _angular(tables, channel, psi_i.l, psi_i.j, psi_i.m_j)
+    radial_cm = _memo(tables, ("cm", cm_f.N, cm_f.M, channel.beta),
+                      cm_moment, cm_f, cm_i, channel.beta)
+    fin = channel.final
+    key = ("angular", channel.sigma, channel.l1, channel.m1, channel.l2,
+           channel.l3, fin.l, fin.j, fin.m_j)
+    angular, cg = _memo(tables, key, _angular_and_cg, *key[1:],
+                        psi_i.l, psi_i.j, psi_i.m_j)
 
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
@@ -349,7 +349,7 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     k_au = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
     r_char = _memo(tables, "r_char", radial_matrix_element, psi_i, psi_i, 1, w_r)
     exact = _memo(tables, ("lambda", f_key, al), lambda_integral_oracle,
-                  al - 1, 0, k_au, r_char)
+                  al - 1, k_au, r_char)
     audit = math.exp(log_gamma(al / 2.0)) / exact if exact else math.inf
 
     return ChannelResult(channel=channel, coeff=coeff, radial_e=radial_e,
@@ -359,18 +359,21 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
 
 
 class StateSolver:
-    """Memoizing wrapper around solve_radial for one species/grid step."""
+    """Memoizing wrapper around solve_radial for one species/grid step; a
+    state is solved on default_grid(grid_n), grid_n defaulting to n."""
 
     def __init__(self, species: SpeciesParams, step: float = 0.01):
         self.species = species
         self.step = step
         self._cache: dict = {}
 
-    def get(self, n: int, l: int, j: float) -> RydbergState:
-        key = (n, l, round(2 * j))
+    def get(self, n: int, l: int, j: float,
+            grid_n: int | None = None) -> RydbergState:
+        grid_n = n if grid_n is None else grid_n
+        key = (n, l, round(2 * j), grid_n)
         if key not in self._cache:
-            self._cache[key] = solve_radial(self.species, n, l, j,
-                                            grid=default_grid(n, self.step))
+            self._cache[key] = solve_radial(
+                self.species, n, l, j, grid=default_grid(grid_n, self.step))
         return self._cache[key]
 
 
@@ -384,23 +387,23 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      n: int, l_i: int, j_i: float, m_ji: float,
                      cm_i: CMState, *, final_l_f_max: int = 3,
                      n_final: int | None = None, j_policy: str = "stretched",
-                     include_elastic: bool = False,
                      tables: dict | None = None) -> list[ChannelResult]:
     """Solve, enumerate and assemble every channel of one beam scenario;
-    `tables` as in `assemble`."""
+    `tables` as in `assemble`.  All states share the grid of max(n, n_final),
+    so no overlap integral clips a tail."""
     tables = {} if tables is None else tables
-    psi_i = solver.get(n, l_i, j_i).with_m_j(m_ji)
+    nf = n if n_final is None else n_final
+    grid_n = max(n, nf)
+    psi_i = solver.get(n, l_i, j_i, grid_n).with_m_j(m_ji)
     # the label-level diagonal is only truly elastic if n does not change
-    keep_diag = include_elastic or (n_final is not None and n_final != n)
     channels = enumerate_channels(beam, psi_i, cm_i, final_l_f_max,
                                   j_policy=j_policy,
-                                  include_elastic=keep_diag, tables=tables)
-    nf = n if n_final is None else n_final
+                                  include_elastic=nf != n, tables=tables)
     out = []
     for ch in channels:
         if ch.final.l >= nf:
             continue   # no bound final state under the centrifugal wall
-        psi_f = solver.get(nf, ch.final.l, ch.final.j)
+        psi_f = solver.get(nf, ch.final.l, ch.final.j, grid_n)
         cm_f = _minimal_final_cm(cm_i, ch.M_f)
         out.append(assemble(ch, beam, psi_i, psi_f, cm_i, cm_f, tables))
     return out

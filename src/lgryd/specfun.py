@@ -8,8 +8,8 @@ module, so cross-module phase consistency reduces to this one convention.
 
 Wigner 3j symbols use the Racah closed sum (no recursion) -- the ranks that
 occur stay small (<~ 12), where the alternating sum is benign in log space.
-Spherical Bessel functions use the three-term recurrence, upward or by
-Miller's backward scheme (Gautschi 1967).
+The plane-wave factor enters at order 0 only, so the one spherical Bessel
+function here is j_0.
 """
 
 from __future__ import annotations
@@ -216,49 +216,10 @@ def multi_gaunt(factors: Sequence, bra, ket) -> float:
 # --------------------------------------------------------------------------
 # spherical Bessel
 
-def spherical_bessel(p: int, x: float) -> float:
-    """j_p(x) by the three-term recurrence j_{k+1} = (2k+1)/x j_k - j_{k-1}
-    (Gautschi, SIAM Rev. 9, 24 (1967)).
-
-    Small arguments take the power series to dodge cancellation.  For
-    |x| > p the recurrence runs upward from j_0 = sin x / x and
-    j_1 = (j_0 - cos x)/x, where it is stable; otherwise Miller's backward
-    recurrence runs down from an order well above p and is scaled to
-    whichever of j_0, j_1 is larger.  Above the series range p = 0 returns
-    sin x / x.
-    """
-    if p < 0:
-        raise ValueError("order must be non-negative")
-    ax = abs(x)
-    if ax == 0.0:
-        return 1.0 if p == 0 else 0.0
-    if ax < 1e-3:
-        # j_p(x) = x^p/(2p+1)!! [1 - x^2/(2(2p+3)) + x^4/(8(2p+3)(2p+5))]
-        log_dfact = log_factorial(2 * p + 1) - p * math.log(2.0) - log_factorial(p)
-        lead = math.exp(p * math.log(ax) - log_dfact) if p else 1.0
+def spherical_bessel(x: float) -> float:
+    """j_0(x) = sin x / x; below |x| = 1e-3 the power series
+    1 - x^2/6 + x^4/120 dodges the cancellation."""
+    if abs(x) < 1e-3:
         x2 = x * x
-        series = 1.0 - x2 / (2.0 * (2 * p + 3)) + x2 * x2 / (8.0 * (2 * p + 3) * (2 * p + 5))
-        val = lead * series
-        return val * (-1.0) ** p if (x < 0 and p % 2) else val
-    if ax > p:
-        s0 = math.sin(x) / x
-        if p == 0:
-            return s0
-        s1 = (s0 - math.cos(x)) / x
-        for k in range(1, p):
-            s0, s1 = s1, (2 * k + 1) * s1 / x - s0
-        return s1
-    # backward from j_{top+1} = 0, j_top = 1; rescaled like the Numerov tail
-    nxt, cur, jp = 0.0, 1.0, 0.0
-    for k in range(p + int(ax) + 20, 0, -1):
-        nxt, cur = cur, (2 * k + 1) * cur / ax - nxt
-        if k - 1 == p:
-            jp = cur
-        if abs(cur) > 1e250:
-            nxt, cur, jp = nxt * 1e-250, cur * 1e-250, jp * 1e-250
-    s0 = math.sin(ax) / ax
-    if abs(cur) >= abs(nxt):              # cur = j_0, nxt = j_1, both unscaled
-        val = jp * (s0 / cur)
-    else:                                 # near a zero of j_0
-        val = jp * ((s0 - math.cos(ax)) / ax / nxt)
-    return -val if (x < 0 and p % 2) else val
+        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    return math.sin(x) / x

@@ -330,7 +330,7 @@ def suite_lambda_audit() -> SuiteReport:
     lines = []
     worst = 0.0
     for alpha in (1, 2, 3, 4):
-        exact0 = lambda_integral_oracle(alpha - 1, 0, 0.0, 1.0)
+        exact0 = lambda_integral_oracle(alpha - 1, 0.0, 1.0)
         worst = max(worst, abs(exact0 - 1.0 / alpha))
         ratio = math.gamma(alpha / 2.0) / exact0
         lines.append(f"alpha={alpha}: exact integral {exact0:.12f} "

@@ -193,6 +193,22 @@ class TestDeterminism:
                 assert r[col] == f"{float(r[col]):.10g}"
 
 
+class TestNFinal:
+    # rb60 with a final principal quantum number away from 60: initial and
+    # final states share the grid of the larger n, so no overlap is clipped
+    @pytest.mark.parametrize("n_final", (48, 62, 73))
+    def test_rabi_and_sweep_run(self, tmp_path, n_final):
+        cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
+        lines = cfg.read_text().splitlines() + [f"atom.n_final = {n_final}"]
+        for cmd, name, count in (("rabi", "rabi.csv", 14),
+                                 ("sweep", "sweep.csv", 208)):
+            rc, out = run(tmp_path, cmd, cfg_lines=lines)
+            assert rc == EXIT_OK
+            table = rows(out / name)
+            assert len(table) == count, cmd
+            assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
+
+
 def write_fast(tmp_path):
     p = tmp_path / "fast.cfg"
     p.write_text("\n".join(FAST) + "\n")

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from lgryd import coupling
-from lgryd.atom import load_species, solve_radial, default_grid, radial_matrix_element
+from lgryd.atom import (_simpson, default_grid, load_species,
+                        radial_matrix_element, solve_radial)
 from lgryd.beam import BeamSpec, g_coeff, solid_norm
 from lgryd.cm import CMState, cm_moment
 from lgryd.config import parse_config
@@ -28,6 +29,7 @@ from lgryd.coupling import (Channel, StateLabel, StateSolver, assemble,
                             sweep_topological_charge)
 from lgryd.specfun import clebsch_gordan, multi_gaunt
 from lgryd.units import field_vpm_to_au, rabi_kHz as to_kHz, um_to_au
+from lgryd.verify import _hydrogen_u
 
 FOUR_PI = 4.0 * math.pi
 
@@ -131,33 +133,24 @@ class TestFineStructureWeight:
 
 class TestLambdaOracle:
     def test_dipole_limit_monomial(self):
-        assert lambda_integral_oracle(0, 0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-        assert lambda_integral_oracle(1, 0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
-        assert lambda_integral_oracle(3, 0, 0.0, 5.0) == pytest.approx(0.25, abs=1e-14)
+        assert lambda_integral_oracle(0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert lambda_integral_oracle(1, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert lambda_integral_oracle(3, 0.0, 5.0) == pytest.approx(0.25, abs=1e-14)
 
     def test_small_kr_expansion_p0(self):
         # int_0^1 j_0(kr lam) dlam = 1 - (kr)^2/18 + O(kr^4)
         kr = 0.2
-        got = lambda_integral_oracle(0, 0, kr, 1.0)
+        got = lambda_integral_oracle(0, kr, 1.0)
         assert got == pytest.approx(1.0 - kr * kr / 18.0, abs=5e-6)
 
-    def test_small_kr_expansion_p1(self):
-        # int_0^1 j_1(kr lam) dlam = kr/6 - (kr)^3/120 + (kr)^5/5040 - ...
-        kr = 0.1
-        got = lambda_integral_oracle(0, 1, kr, 1.0)
-        want = kr / 6.0 - kr ** 3 / 120.0 + kr ** 5 / 5040.0
-        assert got == pytest.approx(want, abs=1e-12)
-
     def test_scale_split_between_k_and_r(self):
-        a = lambda_integral_oracle(2, 1, 0.05, 10.0)
-        b = lambda_integral_oracle(2, 1, 0.5, 1.0)
+        a = lambda_integral_oracle(2, 0.05, 10.0)
+        b = lambda_integral_oracle(2, 0.5, 1.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lambda_integral_oracle(-1, 0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            lambda_integral_oracle(0, -1, 0.0, 1.0)
+            lambda_integral_oracle(-1, 0.0, 1.0)
 
 
 # ----------------------------------------------------- channel invariants
@@ -247,10 +240,20 @@ class TestEnumerateChannels:
         assert all(c.final.l <= 2 for c in chans)
 
     def test_lexicographic_order(self):
-        chans = enumerate_channels(beam_for(1, 1, q_max=2), S_INIT, CM0, 3)
-        keys = [(c.q, c.l1, c.l2, c.l3, c.sigma, c.final.l, 2 * c.final.j)
-                for c in chans]
-        assert keys == sorted(keys)
+        # hydrogen 4S, and rb60 at l = -2..4, q_max = 2, both j, l_f <= 10
+        cases = [(beam_for(1, 1, q_max=2), S_INIT, CM0, 3, "stretched")]
+        cfg = RB60
+        rb_i = StateSolver(RB).get(cfg.n, cfg.l_i, cfg.j_i).with_m_j(cfg.m_j)
+        rb_cm = CMState(cfg.N, cfg.M, um_to_au(cfg.w_r_um))
+        cases += [(BeamSpec(l=l, w0=um_to_au(cfg.waist_um), E0=1.0,
+                            sigma=cfg.sigma, q_max=2), rb_i, rb_cm, 10, "all")
+                  for l in range(-2, 5)]
+        for beam, psi_i, cm_i, l_f_max, j_policy in cases:
+            chans = enumerate_channels(beam, psi_i, cm_i, l_f_max,
+                                       j_policy=j_policy)
+            keys = [(c.q, c.l1, c.l2, c.l3, c.sigma, c.final.l,
+                     2 * c.final.j) for c in chans]
+            assert chans and keys == sorted(keys), beam.l
 
     def test_oam_conservation_identity(self):
         # m_jf - m_ji + M_f - M_i == l + sigma for every emitted channel
@@ -414,6 +417,21 @@ class TestScenario:
                               n_final=5)
         assert same[0].radial_e != pytest.approx(up[0].radial_e, rel=1e-3)
         assert all(r.k_au > 0 for r in up)
+
+    @pytest.mark.parametrize("n_p", (55, 73))
+    def test_hydrogen_dipole_across_n(self, n_p):
+        # <n'p|r|60s> of the pure-dipole channel against the same Simpson
+        # integral of the closed-form Coulomb functions on the grid of
+        # max(n', 60), the grid both states must share
+        res = compute_scenario(StateSolver(HY), beam_for(1, 1), 60, 0, 0.5,
+                               -0.5, CM0, n_final=n_p)
+        pure = [r for r in res if r.channel.group == "pure"]
+        assert len(pure) == 1 and pure[0].channel.alpha == 1
+        grid = default_grid(max(n_p, 60))
+        xi = grid.xi
+        want = 2.0 * _simpson(_hydrogen_u(n_p, 1, xi * xi)
+                              * _hydrogen_u(60, 0, xi * xi) * xi ** 3, grid.h)
+        assert abs(pure[0].radial_e) == pytest.approx(abs(want), rel=1e-7)
 
     def test_unbound_finals_are_skipped(self):
         # at n=3 the l_f=3 channels have no bound final state
