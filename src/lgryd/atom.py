@@ -43,6 +43,8 @@ __all__ = [
 # polarizability scale alpha_c^{1/3} instead silently loses ~4 nodes for Rb.
 R_MIN = 1e-3
 XI_STEP = 0.01
+# exp(-x) is exactly +0.0 for every x > _EXP_ZERO (model_potential)
+_EXP_ZERO = 746.0
 
 
 @dataclass(frozen=True)
@@ -204,35 +206,53 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
         V = -z/r - alpha_c/(2 r^4) (1 - exp(-(r/rc)^6)) + so_scale alpha^2/(2 r^3) L.S,
         z = 1 + (Z-1) exp(-a1 r) - r (a3 + a4 r) exp(-a2 r).
 
-    Built in place on up to two work buffers (solve_radial says why); each
-    ufunc is one IEEE operation of the formula, in the order written.  A
-    scalar r takes the same path and comes back as a float.
+    Built in place on one work buffer besides the result (solve_radial says
+    why); each ufunc is one IEEE operation of the formula, in the order
+    written.  exp(x) rounds to exactly +0.0 below x = -745.14, and numpy's
+    vector exp takes a slow path below about -708, so the exponentials are
+    evaluated only where an argument is >= -746, on gathered copies of
+    those points; every other point is set to the value the full formula
+    gives there:
+      - z is computed only where min(a1, a2) r <= 746.  Beyond, both core
+        exponentials are 0, z is exactly 1 and V_core is set to -1/r.
+      - 1 - exp(-(r/rc)^6) is computed only where r <= rc 746^(1/6).
+        Beyond, it is exactly 1, so the polarization term is
+        -alpha_c/(2 r^4) as it stands and the sixth power is skipped.
+    Any r, scalar, unsorted or a grid, takes this one path; a scalar comes
+    back as a float.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("model potential requires r > 0")
     a1, a2, a3, a4, rc = p.potential_for(l)
-    v, t = np.empty_like(r), np.empty_like(r)
-    np.multiply(a4, r, out=t)
+    shape, r = r.shape, r.reshape(-1)
+    v = np.divide(-1.0, r)                              # -z/r at z = 1
+    core = np.flatnonzero(min(a1, a2) * r <= _EXP_ZERO)
+    rk = r[core]
+    z, t = np.empty_like(rk), np.empty_like(rk)
+    np.multiply(a4, rk, out=t)
     t += a3
-    t *= r
-    t *= np.exp(np.multiply(-a2, r, out=v), out=v)      # r (a3 + a4 r) e^{-a2 r}
-    np.exp(np.multiply(-a1, r, out=v), out=v)
-    v *= p.Z - 1.0
-    v += 1.0
-    v -= t                                              # z
-    np.negative(v, out=v)
-    v /= r
+    t *= rk
+    t *= np.exp(np.multiply(-a2, rk, out=z), out=z)     # r (a3 + a4 r) e^{-a2 r}
+    np.exp(np.multiply(-a1, rk, out=z), out=z)
+    z *= p.Z - 1.0
+    z += 1.0
+    z -= t                                              # z
+    np.negative(z, out=z)
+    z /= rk
+    v[core] = z
+    t = np.empty_like(r)
     if p.alpha_c:
-        u = np.empty_like(r)
         np.power(r, 4, out=t)
         t *= 2.0
         np.divide(p.alpha_c, t, out=t)
-        np.divide(r, rc, out=u)
+        near = np.flatnonzero(r <= rc * _EXP_ZERO ** (1.0 / 6.0))
+        u = r[near]
+        u /= rc
         np.power(u, 6, out=u)
         np.exp(np.negative(u, out=u), out=u)
         np.subtract(1.0, u, out=u)
-        t *= u
+        t[near] *= u
         v -= t
     if p.so_scale:
         ls = 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
@@ -241,7 +261,7 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
         np.divide(p.so_scale * FINE_STRUCTURE**2, t, out=t)
         t *= ls
         v += t
-    return v if v.ndim else float(v)
+    return v.reshape(shape) if shape else float(v[0])
 
 
 def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
@@ -276,7 +296,10 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     separately rounded: multiplying by a precomputed 1/a, or regrouping or
     fusing the terms, changes the last bits of chi and of every output.
     Memoryviews of the reversed a and b hand the loop one float at a time,
-    and one of chi takes each result, so no N-element list is built.
+    and one of chi takes each result, so no N-element list is built.  The
+    rescale test is two comparisons, c > 1e250 or c < -1e250: the outcome
+    of abs(c) > 1e250 for every c, +-inf and NaN included, without a builtin
+    call on each step.
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
@@ -290,7 +313,7 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     for i, a_out, b_i, a_next in zip(range(len(chi) - 3, -1, -1),
                                      a_rev[:-2], b_rev[1:-1], a_rev[2:]):
         c = (b_i * c_in - a_out * c_out) / a_next
-        if abs(c) > 1e250:   # rescale long tails before they overflow
+        if c > 1e250 or c < -1e250:   # rescale long tails before they overflow
             chi[i + 1:] *= 1e-250
             c_in *= 1e-250
             c *= 1e-250

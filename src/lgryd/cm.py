@@ -6,7 +6,9 @@ the coupling module through a Kronecker delta, and the phi integral is part
 of the angular algebra there.  Radial moments are evaluated by Gauss-Laguerre
 quadrature after u = x^2, where the integrand is exactly (polynomial) x
 u^{a} e^{-u} and the rule is exact at modest node counts; the nodes and
-weights come from the Golub-Welsch eigenproblem in numpy.
+weights come from the Golub-Welsch eigenproblem in numpy.  The same
+eigenproblem gives the Gauss-Legendre rule of the lambda audit and of the
+verifier's sphere quadrature, so no module needs numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .specfun import assoc_laguerre, log_factorial
 
-__all__ = ["CMState", "cm_amplitude", "cm_moment"]
+__all__ = ["CMState", "cm_amplitude", "cm_moment", "gauss_legendre"]
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,28 @@ def cm_amplitude(s: CMState, r_cm: float) -> float:
             * assoc_laguerre(s.n_minus, float(am), x * x) / s.w_r)
 
 
+def _golub_welsch(diag: np.ndarray, off: np.ndarray,
+                  mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the orthogonal polynomials whose symmetric tridiagonal
+    Jacobi matrix has diagonal `diag` and off-diagonal `off`: nodes are its
+    eigenvalues, weights mu0 (the weight's total integral) times the squared
+    first eigenvector components (Golub & Welsch, Math. Comp. 23, 221 (1969))."""
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x, v = np.linalg.eigh(jacobi)
+    return x, mu0 * v[0] ** 2
+
+
 def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Laguerre rule for the weight u^a e^{-u} on [0, inf):
-    nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
-    the Laguerre recurrence, weights Gamma(a+1) times the squared first
-    eigenvector components (Golub & Welsch, Math. Comp. 23, 221 (1969))."""
+    """n-point Gauss-Laguerre rule for the weight u^a e^{-u} on [0, inf)."""
     k = np.arange(n, dtype=float)
-    off = np.sqrt(k[1:] * (k[1:] + a))
-    jacobi = np.diag(2.0 * k + a + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    u, v = np.linalg.eigh(jacobi)
-    return u, math.gamma(a + 1.0) * v[0] ** 2
+    return _golub_welsch(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
+                         math.gamma(a + 1.0))
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on [-1, 1], nodes ascending."""
+    k = np.arange(1, n, dtype=float)
+    return _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), 2.0)
 
 
 def cm_moment(f: CMState, i: CMState, beta: int) -> float:

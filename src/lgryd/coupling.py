@@ -38,7 +38,7 @@ import numpy as np
 from .atom import (RydbergState, SpeciesParams, default_grid,
                    radial_matrix_element, solve_radial)
 from .beam import BeamSpec, g_coeff, solid_norm
-from .cm import CMState, cm_moment
+from .cm import CMState, cm_moment, gauss_legendre
 from .specfun import clebsch_gordan, log_gamma, multi_gaunt, spherical_bessel
 from .units import FINE_STRUCTURE, rabi_kHz as _to_kHz
 
@@ -284,7 +284,7 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMSt
 @cache
 def _gauss_legendre_unit():
     """64-point Gauss-Legendre nodes mapped to [0, 1], and their weights."""
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = gauss_legendre(64)
     return 0.5 * (x + 1.0), w
 
 
@@ -389,7 +389,7 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      n_final: int | None = None, j_policy: str = "stretched",
                      tables: dict | None = None) -> list[ChannelResult]:
     """Solve, enumerate and assemble every channel of one beam scenario;
-    `tables` as in `assemble`.  All states share the grid of max(n, n_final),
+    `tables` as in `assemble`, plus the final CM state per M_f.  All states share the grid of max(n, n_final),
     so no overlap integral clips a tail."""
     tables = {} if tables is None else tables
     nf = n if n_final is None else n_final
@@ -404,7 +404,7 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
         if ch.final.l >= nf:
             continue   # no bound final state under the centrifugal wall
         psi_f = solver.get(nf, ch.final.l, ch.final.j, grid_n)
-        cm_f = _minimal_final_cm(cm_i, ch.M_f)
+        cm_f = _memo(tables, ("cm_f", ch.M_f), _minimal_final_cm, cm_i, ch.M_f)
         out.append(assemble(ch, beam, psi_i, psi_f, cm_i, cm_f, tables))
     return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .atom import default_grid, load_species, radial_matrix_element, solve_radial
 from .beam import BeamSpec, f_coeff, solid_norm
-from .cm import CMState, cm_moment
+from .cm import CMState, cm_moment, gauss_legendre
 from .coupling import lambda_integral_oracle
 from .specfun import assoc_laguerre, log_factorial, multi_gaunt, \
     spherical_harmonic
@@ -170,7 +170,7 @@ def sphere_quadrature(fn: Callable[[float, float], complex],
     azimuthal winding < n_azimuth (the trapezoid rule is exact on periodic
     trigonometric polynomials).
     """
-    x, w = np.polynomial.legendre.leggauss(n_polar)
+    x, w = gauss_legendre(n_polar)
     thetas = np.arccos(x)
     phis = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     total = 0.0 + 0.0j

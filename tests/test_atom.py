@@ -338,6 +338,24 @@ class TestNumerovKernel:
         assert np.all(np.isfinite(chi))
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.01))
 
+    def test_overflow_and_nan_bit_identical(self):
+        # W ~ 1e65 gives b ~ 1e61, so b chi overflows once chi nears the
+        # 1e250 rescale: +inf and -inf (the rescale leaves them infinite),
+        # then inf - inf = NaN.  A NaN in W makes every point inward of it
+        # NaN, and NaN never passes the rescale test.
+        overflow = np.full(600, 1.2e65)
+        poisoned = np.full(3000, 100.0)
+        poisoned[2000] = np.nan
+        chis = []
+        with np.errstate(all="ignore"):     # the reference runs numpy scalars
+            for W in (overflow, poisoned):
+                chis.append(atom._numerov_inward(W, 0.01))
+                assert np.array_equal(chis[-1], _numerov_inward_reference(W, 0.01),
+                                      equal_nan=True)
+        assert np.isposinf(chis[0]).any() and np.isneginf(chis[0]).any()
+        assert np.isnan(chis[0]).any()
+        assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
+
 
 def _model_potential_reference(p, l, j, r):
     """model_potential as plain numpy expressions, the form the in-place
@@ -394,3 +412,29 @@ class TestInPlaceBuild:
                 for x, v in zip(r.tolist(), ref):
                     got = model_potential(p, l, j, x)
                     assert type(got) is float and got == v
+
+    def test_exp_cut_boundaries(self, rb, hyd):
+        # r placed so each exponential's argument runs from -700 to -760:
+        # through the subnormal band and across the -746 cut, with the ulp
+        # neighbours of every point.  Every Rb block, both j; hydrogen
+        # (a1 = a2 = 0, alpha_c = 0) on the same points cuts nothing.
+        # Ascending, shuffled, and one scalar at a time.
+        x = np.concatenate([np.linspace(700.0, 760.0, 121),
+                            [708.0, 745.13, 745.14, 746.0]])
+        rng = np.random.default_rng(9)
+        for l in sorted(rb.potential):
+            a1, a2, a3, a4, rc = rb.potential_for(l)
+            r = np.concatenate([x / a1, x / a2, rc * x ** (1.0 / 6.0)])
+            r = np.concatenate([np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)])
+            r.sort()
+            for p in (rb, hyd):
+                for j in (l - 0.5, l + 0.5):
+                    if j <= 0:
+                        continue
+                    ref = _model_potential_reference(p, l, j, r)
+                    assert np.array_equal(model_potential(p, l, j, r), ref)
+                    perm = rng.permutation(r.size)
+                    assert np.array_equal(model_potential(p, l, j, r[perm]),
+                                          ref[perm])
+                    for x_, v in zip(r[::7].tolist(), ref[::7].tolist()):
+                        assert model_potential(p, l, j, x_) == v

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lgryd.cm import CMState, _gauss_laguerre, cm_amplitude, cm_moment
+from lgryd.cm import (CMState, _gauss_laguerre, cm_amplitude, cm_moment,
+                      gauss_legendre)
 from _oracles import cm_moment_series
 
 
@@ -117,3 +118,12 @@ class TestGaussLaguerre:
             # weights fall over many decades; hold them to the total Gamma(a+1)
             assert np.allclose(w, w_ref, rtol=0.0,
                                atol=1e-14 * math.gamma(a + 1.0)), (n, a)
+
+
+class TestGaussLegendre:
+    def test_matches_numpy(self):
+        for n in (1, 2, 3, 8, 16, 64):
+            x, w = gauss_legendre(n)
+            x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+            assert np.allclose(x, x_ref, rtol=0.0, atol=1e-14), n
+            assert np.allclose(w, w_ref, rtol=0.0, atol=1e-14), n

@@ -389,6 +389,16 @@ class TestScenario:
         assert len(res) == 13
         assert all(r.channel.final.l < 4 for r in res)
 
+    def test_final_cm_built_once_per_projection(self, monkeypatch):
+        # the final CM state depends on M_f alone, so it sits in the tables
+        built, make = [], coupling._minimal_final_cm
+        monkeypatch.setattr(coupling, "_minimal_final_cm",
+                            lambda cm_i, M_f: built.append(M_f) or make(cm_i, M_f))
+        res = compute_scenario(StateSolver(HY), beam_for(1, 1, q_max=1), 4, 0,
+                               0.5, -0.5, CM0)
+        assert sorted(built) == sorted({r.channel.M_f for r in res})
+        assert len(res) > len(built)
+
     def test_mirror_scenario_matches(self):
         # flipping beam OAM, polarization and both initial projections must
         # reproduce every channel magnitude; the mirror partner of tuple
