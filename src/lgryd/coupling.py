@@ -389,8 +389,8 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      n_final: int | None = None, j_policy: str = "stretched",
                      tables: dict | None = None) -> list[ChannelResult]:
     """Solve, enumerate and assemble every channel of one beam scenario;
-    `tables` as in `assemble`, plus the final CM state per M_f.  All states share the grid of max(n, n_final),
-    so no overlap integral clips a tail."""
+    `tables` as in `assemble`, plus the final CM state per M_f.  All states
+    share the grid of max(n, n_final), so no overlap integral clips a tail."""
     tables = {} if tables is None else tables
     nf = n if n_final is None else n_final
     grid_n = max(n, nf)
