@@ -16,8 +16,8 @@ from .atom import load_species
 from .beam import BeamSpec
 from .cm import CMState
 from .config import ConfigError, ScenarioConfig, parse_config
-from .coupling import StateSolver, compute_scenario, enumerate_channels, \
-    sweep_topological_charge
+from .coupling import StateLabel, StateSolver, compute_scenario, \
+    enumerate_channels, sweep_topological_charge
 from .plot import render_sweep_svg
 from .units import field_vpm_to_au, um_to_au
 
@@ -76,8 +76,9 @@ class Runtime:
 
 
 def cmd_channels(rt: Runtime, out: Path) -> int:
-    chans = enumerate_channels(rt.beam, rt.initial_state(), rt.cm_i,
-                               rt.cfg.final_l_f_max, j_policy=rt.cfg.j_policy)
+    cfg = rt.cfg                  # the channels need the label, not a solve
+    chans = enumerate_channels(rt.beam, StateLabel(cfg.l_i, cfg.j_i, cfg.m_j),
+                               rt.cm_i, cfg.final_l_f_max, j_policy=cfg.j_policy)
     write_csv(out / "channels.csv", CHANNEL_COLS,
               [_channel_fields(c) for c in chans])
     print(f"wrote {out / 'channels.csv'} ({len(chans)} channels)")

@@ -229,14 +229,15 @@ def _memo(tables: dict, key, fn, *args):
     return tables[key]
 
 
-def enumerate_channels(beam: BeamSpec, initial_e: RydbergState, initial_cm: CMState,
-                       final_l_f_max: int = 3, j_policy: str = "stretched",
-                       include_elastic: bool = False,
+def enumerate_channels(beam: BeamSpec, initial_e: RydbergState | StateLabel,
+                       initial_cm: CMState, final_l_f_max: int = 3,
+                       j_policy: str = "stretched", include_elastic: bool = False,
                        tables: dict | None = None) -> list[Channel]:
     """All index tuples compatible with the selection deltas, paired with
     every angular-reachable final electronic label, in the lexicographic
     order (q, l1, l2, l3, sigma, l_f, j_f) the loops run in (sigma is the
-    beam's); `tables` as in `assemble`."""
+    beam's); only l, j and m_j of `initial_e` are read, so a label will do;
+    `tables` as in `assemble`."""
     tables = {} if tables is None else tables
     if initial_e.m_j is None:
         raise ValueError("initial state needs m_j for channel enumeration")

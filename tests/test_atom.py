@@ -310,12 +310,22 @@ def _numerov_inward_reference(W, h):
     return chi
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Entries into the kernel's rescaling fallback, one per call."""
+    calls, fallback = [], atom._numerov_rescaled
+    monkeypatch.setattr(atom, "_numerov_rescaled",
+                        lambda *args: calls.append(args) or fallback(*args))
+    return calls
+
+
 class TestNumerovKernel:
     @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
                                                  ("rb", 90, 10),
                                                  ("hydrogen", 10, 9)])
-    def test_bit_identical(self, monkeypatch, species, n, l_max):
-        # every (W, h) that solve_radial hands the kernel, l <= l_max, both j
+    def test_bit_identical(self, monkeypatch, fallbacks, species, n, l_max):
+        # every (W, h) that solve_radial hands the kernel, l <= l_max, both j;
+        # none of them leaves the fast path
         kernel, inputs = atom._numerov_inward, []
         monkeypatch.setattr(atom, "_numerov_inward",
                             lambda W, h: inputs.append((W, h)) or kernel(W, h))
@@ -329,32 +339,42 @@ class TestNumerovKernel:
         assert len(inputs) == 2 * l_max + 1
         for W, h in inputs:
             assert np.array_equal(kernel(W, h), _numerov_inward_reference(W, h))
+        assert len(fallbacks) == 0
 
-    def test_rescale_path_bit_identical(self):
+    def test_rescale_path_bit_identical(self, fallbacks):
         # chi grows by about e^2000 over the grid, so the 1e-250 rescale
         # runs three times; no real state reaches it
         W = np.full(20000, 100.0)
         chi = atom._numerov_inward(W, 0.01)
         assert np.all(np.isfinite(chi))
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.01))
+        assert len(fallbacks) == 1
 
-    def test_overflow_and_nan_bit_identical(self):
+    def test_overflow_and_nan_bit_identical(self, fallbacks):
         # W ~ 1e65 gives b ~ 1e61, so b chi overflows once chi nears the
         # 1e250 rescale: +inf and -inf (the rescale leaves them infinite),
         # then inf - inf = NaN.  A NaN in W makes every point inward of it
-        # NaN, and NaN never passes the rescale test.
+        # NaN, and NaN never passes the rescale test.  At W = 12/h^2 the
+        # point's a = 1 - (h^2/12) W is exactly 0: dividing by it gives
+        # +-inf, and the steps after it NaN.
         overflow = np.full(600, 1.2e65)
         poisoned = np.full(3000, 100.0)
         poisoned[2000] = np.nan
+        zero_a = np.full(3000, 100.0)
+        zero_a[1500] = 120000.0
+        assert 1.0 - (0.01 * 0.01 / 12.0) * zero_a[1500] == 0.0
         chis = []
         with np.errstate(all="ignore"):     # the reference runs numpy scalars
-            for W in (overflow, poisoned):
+            for W in (overflow, poisoned, zero_a):
+                entered = len(fallbacks)
                 chis.append(atom._numerov_inward(W, 0.01))
                 assert np.array_equal(chis[-1], _numerov_inward_reference(W, 0.01),
                                       equal_nan=True)
+                assert len(fallbacks) > entered
         assert np.isposinf(chis[0]).any() and np.isneginf(chis[0]).any()
         assert np.isnan(chis[0]).any()
         assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
+        assert np.isinf(chis[2]).sum() == 2 and np.isnan(chis[2]).sum() == 1499
 
 
 def _model_potential_reference(p, l, j, r):

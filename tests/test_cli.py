@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import lgryd
+from lgryd import coupling
 from lgryd.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from lgryd.units import BOHR_RADIUS_M, um_to_au
 
@@ -67,6 +68,14 @@ class TestChannelsCommand:
         table = rows(out / "channels.csv")
         assert len(table) == 1
         assert table[0]["M_f"] == "0" and table[0]["final_state"].startswith("P")
+
+    def test_solves_no_state(self, tmp_path, monkeypatch):
+        # channels reads only the initial label (l, j, m_j): no radial solve
+        calls = []
+        monkeypatch.setattr(coupling, "solve_radial",
+                            lambda *args, **kw: calls.append(args))
+        rc, _ = run(tmp_path, "channels")
+        assert rc == EXIT_OK and calls == []
 
 
 class TestRabiCommand:
@@ -177,11 +186,12 @@ class TestDeterminism:
         # the reference scenario's CSV bytes; a change that moves the numbers
         # on purpose (say, a new radial solver) updates these pins with it
         cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
-        for cmd in ("rabi", "sweep"):
+        for cmd in ("channels", "rabi", "sweep"):
             assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
         digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                  for name in ("rabi.csv", "sweep.csv")}
+                  for name in ("channels.csv", "rabi.csv", "sweep.csv")}
         assert digest == {
+            "channels.csv": "2ee79372a65886d36f984f645d41153f6a433bf8f7d571ba9841f60e9d99560c",
             "rabi.csv": "327b70503def47cfbdab242b13dd2629c3fcfb8e115db8bda1d1c72253b6ce0c",
             "sweep.csv": "ea4a5aadb2a0582638ceaea6cca318a3e0fb23321076aa9278268f6f4f56899e",
         }
