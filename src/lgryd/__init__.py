@@ -16,7 +16,7 @@ coupling  channel enumeration, selection rules, matrix-element assembly
 config    flat dotted-key scenario configuration
 cli       batch front-end (channels / rabi / sweep / wavefunction / verify)
 verify    self-check suites and their oracles (LG field expansion,
-          translation theorem, sphere quadrature)
+          spherical harmonics, translation theorem, sphere quadrature)
 """
 
 __version__ = "0.1.0"

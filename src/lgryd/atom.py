@@ -12,6 +12,12 @@ which Numerov handles at O(h^4).  Because E is not an exact eigenvalue of the
 model potential, high-l solutions can blow up under the inner centrifugal
 barrier; the blow-up is cut at the innermost |chi| minimum and flagged rather
 than hidden.
+
+The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
+potential are computed once per `RadialGrid` and cached on it, so a solve
+does only its own state's work: -1/r and the core exponentials, the
+polarization cutoff near rc, the alpha_c and spin-orbit scalings and the
+centrifugal term.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -134,9 +141,33 @@ class SpeciesParams:
             raise ValueError(f"{path}: bad atom block ({e})") from None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _r_factors(r: np.ndarray) -> tuple:
+    """(2 r^4, 2 r^3): the powers of r in model_potential, each built as the
+    full formula builds it."""
+    two_r4 = np.power(r, 4)
+    two_r4 *= 2.0
+    two_r3 = np.power(r, 3)
+    two_r3 *= 2.0
+    return two_r4, two_r3
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid in xi = sqrt(r) on [sqrt(r_min), sqrt(r_max)]."""
+    """Uniform grid in xi = sqrt(r) on [sqrt(r_min), sqrt(r_max)].
+
+    The node arrays xi, r and r_factors are built on first use and cached
+    on the grid.  They are read-only and shared by every state solved on the
+    grid and every matrix element taken on it, so no caller may edit them in
+    place; a solver that hands one grid object to all its states builds them
+    once.  Only arrays that cost a solve more to rebuild than to keep are
+    cached: -1/r and 8 xi^2 take one pass each, and every N-point array that
+    lives through an nscan op costs about 850 page faults a pass.
+    """
 
     r_min: float
     r_max: float
@@ -148,14 +179,23 @@ class RadialGrid:
         if self.step <= 0:
             raise ValueError("step must be positive")
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
         # nodes at sqrt(r_min) + k*step, overshooting r_max by < one step:
         # grids sharing (r_min, step) then coincide exactly on their overlap,
         # so cross-n matrix elements need no resampling
         lo, hi = math.sqrt(self.r_min), math.sqrt(self.r_max)
         npts = int(math.ceil((hi - lo) / self.step - 1e-9)) + 1
-        return lo + np.arange(npts) * self.step
+        return _read_only(lo + np.arange(npts) * self.step)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _read_only(self.xi * self.xi)
+
+    @cached_property
+    def r_factors(self) -> tuple:
+        """(2 r^4, 2 r^3) at the nodes (see `_r_factors`)."""
+        return tuple(map(_read_only, _r_factors(self.r)))
 
     @property
     def h(self) -> float:
@@ -196,8 +236,7 @@ class RydbergState:
 
     def u_of_r(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, u = r psi) for plotting/inspection."""
-        xi = self.grid.xi
-        return xi * xi, self.chi * np.sqrt(xi)
+        return self.grid.r, self.chi * np.sqrt(self.grid.xi)
 
 
 def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray:
@@ -206,15 +245,16 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
         V = -z/r - alpha_c/(2 r^4) (1 - exp(-(r/rc)^6)) + so_scale alpha^2/(2 r^3) L.S,
         z = 1 + (Z-1) exp(-a1 r) - r (a3 + a4 r) exp(-a2 r).
 
-    Built in place on one work buffer besides the result (solve_radial says
-    why); each ufunc is one IEEE operation of the formula, in the order
-    written.  exp(x) rounds to exactly +0.0 below x = -745.14, and numpy's
-    vector exp takes a slow path below about -708, so the exponentials are
-    evaluated only where an argument is >= -746, on gathered copies of
-    those points; every other point is set to the value the full formula
-    gives there:
+    The r-factors 2 r^4 and 2 r^3 come from `_r_factors`, here on this r
+    and in solve_radial from its grid's cache; `_potential` then does the
+    rest on one work buffer besides the result, each ufunc one IEEE
+    operation of the formula, in the order written.  exp(x) rounds to
+    exactly +0.0 below x = -745.14, and numpy's vector exp takes a slow path
+    below about -708, so the exponentials are evaluated only where an
+    argument is >= -746, on gathered copies of those points; every other
+    point is set to the value the full formula gives there:
       - z is computed only where min(a1, a2) r <= 746.  Beyond, both core
-        exponentials are 0, z is exactly 1 and V_core is set to -1/r.
+        exponentials are 0, z is exactly 1 and V_core is -1/r.
       - 1 - exp(-(r/rc)^6) is computed only where r <= rc 746^(1/6).
         Beyond, it is exactly 1, so the polarization term is
         -alpha_c/(2 r^4) as it stands and the sixth power is skipped.
@@ -224,8 +264,15 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("model potential requires r > 0")
-    a1, a2, a3, a4, rc = p.potential_for(l)
     shape, r = r.shape, r.reshape(-1)
+    v = _potential(p, l, j, r, *_r_factors(r))
+    return v.reshape(shape) if shape else float(v[0])
+
+
+def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray,
+               two_r4: np.ndarray, two_r3: np.ndarray) -> np.ndarray:
+    """model_potential on a flat r > 0, given its r-factors; a fresh array."""
+    a1, a2, a3, a4, rc = p.potential_for(l)
     v = np.divide(-1.0, r)                              # -z/r at z = 1
     core = np.flatnonzero(min(a1, a2) * r <= _EXP_ZERO)
     rk = r[core]
@@ -243,9 +290,7 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
     v[core] = z
     t = np.empty_like(r)
     if p.alpha_c:
-        np.power(r, 4, out=t)
-        t *= 2.0
-        np.divide(p.alpha_c, t, out=t)
+        np.divide(p.alpha_c, two_r4, out=t)
         near = np.flatnonzero(r <= rc * _EXP_ZERO ** (1.0 / 6.0))
         u = r[near]
         u /= rc
@@ -256,12 +301,10 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
         v -= t
     if p.so_scale:
         ls = 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
-        np.power(r, 3, out=t)
-        t *= 2.0
-        np.divide(p.so_scale * FINE_STRUCTURE**2, t, out=t)
+        np.divide(p.so_scale * FINE_STRUCTURE**2, two_r3, out=t)
         t *= ls
         v += t
-    return v.reshape(shape) if shape else float(v[0])
+    return v
 
 
 def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
@@ -361,17 +404,15 @@ def _numerov_rescaled(a_rev, b_rev, chi: np.ndarray) -> np.ndarray:
 
 
 def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
-               xi: np.ndarray) -> np.ndarray:
+               grid: RadialGrid) -> np.ndarray:
     """W = 8 xi^2 (V(xi^2) - E) + (2l + 1/2)(2l + 3/2) / xi^2, built in place
-    in the operation order of that formula."""
-    r = xi * xi
-    W = model_potential(p, l, j, r)
+    in the operation order of that formula from the grid's cached factors.
+    Scaling by 8 is exact, so (V - E) 8 r rounds as (V - E) ((8 xi) xi)."""
+    W = _potential(p, l, j, grid.r, *grid.r_factors)
     W -= energy
-    t = np.multiply(8.0, xi)
-    t *= xi
-    W *= t                                # 8 xi xi (V - E)
-    np.divide((2 * l + 0.5) * (2 * l + 1.5), r, out=t)   # r is xi * xi
-    W += t
+    W *= 8.0
+    W *= grid.r                                         # 8 xi xi (V - E)
+    W += np.divide((2 * l + 0.5) * (2 * l + 1.5), grid.r)
     return W
 
 
@@ -392,7 +433,7 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     h = grid.h
     # The N-point arrays are built in place: without scipy's import the heap is
     # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
-    chi = _numerov_inward(_numerov_w(p, l, j, energy, xi), h)
+    chi = _numerov_inward(_numerov_w(p, l, j, energy, grid), h)
     work = np.empty_like(chi)
 
     def crossings():

@@ -1,7 +1,7 @@
 """Center-of-mass states of the 2-D harmonic trap.
 
 The transverse CM wavefunction factorizes as A_{N,M}(r/w_r) e^{iM phi}/sqrt(2pi);
-only the radial amplitude lives here -- the azimuthal quantum number enters
+only radial moments of A are computed here -- the azimuthal quantum number enters
 the coupling module through a Kronecker delta, and the phi integral is part
 of the angular algebra there.  Radial moments are evaluated by Gauss-Laguerre
 quadrature after u = x^2, where the integrand is exactly (polynomial) x
@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .specfun import assoc_laguerre, log_factorial
 
-__all__ = ["CMState", "cm_amplitude", "cm_moment", "gauss_legendre"]
+__all__ = ["CMState", "cm_moment", "gauss_legendre"]
 
 
 @dataclass(frozen=True)
@@ -53,20 +54,6 @@ def _log_norm(s: CMState) -> float:
     return 0.5 * (math.log(2.0) + log_factorial(s.n_minus) - log_factorial(s.n_plus))
 
 
-def cm_amplitude(s: CMState, r_cm: float) -> float:
-    """Radial amplitude A_{N,M}(x), x = r_cm/w_r, with int A^2 r dr = 1."""
-    if r_cm < 0:
-        raise ValueError("radius must be non-negative")
-    x = r_cm / s.w_r
-    am = abs(s.M)
-    if x == 0.0:
-        if am > 0:
-            return 0.0
-        return math.exp(_log_norm(s)) * assoc_laguerre(s.n_minus, 0.0, 0.0) / s.w_r
-    return (math.exp(_log_norm(s) + am * math.log(x) - 0.5 * x * x)
-            * assoc_laguerre(s.n_minus, float(am), x * x) / s.w_r)
-
-
 def _golub_welsch(diag: np.ndarray, off: np.ndarray,
                   mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of the orthogonal polynomials whose symmetric tridiagonal
@@ -78,11 +65,16 @@ def _golub_welsch(diag: np.ndarray, off: np.ndarray,
     return x, mu0 * v[0] ** 2
 
 
+@cache
 def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Laguerre rule for the weight u^a e^{-u} on [0, inf)."""
+    """n-point Gauss-Laguerre rule for the weight u^a e^{-u} on [0, inf);
+    cached per (n, a), so the arrays are read-only."""
     k = np.arange(n, dtype=float)
-    return _golub_welsch(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
+    rule = _golub_welsch(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
                          math.gamma(a + 1.0))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -284,9 +284,24 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState | StateLabel,
 
 @cache
 def _gauss_legendre_unit():
-    """64-point Gauss-Legendre nodes mapped to [0, 1], and their weights."""
+    """64-point Gauss-Legendre nodes mapped to [0, 1], and their weights;
+    read-only, as every later call shares them."""
     x, w = gauss_legendre(64)
-    return 0.5 * (x + 1.0), w
+    lam = 0.5 * (x + 1.0)
+    lam.setflags(write=False)
+    w.setflags(write=False)
+    return lam, w
+
+
+@cache
+def _lambda_powers(exponent: int) -> np.ndarray:
+    """lambda^exponent at the unit nodes, read-only.  Python's ** calls
+    libm's pow, as a numpy scalar's does; numpy's vectorised array power can
+    differ from pow in the last bit (at 1 to 6 of the 64 nodes for most
+    exponents on an AVX-512 x86-64 host)."""
+    out = np.array([li**exponent for li in _gauss_legendre_unit()[0].tolist()])
+    out.setflags(write=False)
+    return out
 
 
 def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
@@ -294,7 +309,7 @@ def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     lam, w = _gauss_legendre_unit()
-    vals = [li**exponent * spherical_bessel(k * li * r) for li in lam]
+    vals = _lambda_powers(exponent) * spherical_bessel(k * lam * r)
     return 0.5 * float(np.dot(w, vals))
 
 
@@ -361,20 +376,23 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
 
 class StateSolver:
     """Memoizing wrapper around solve_radial for one species/grid step; a
-    state is solved on default_grid(grid_n), grid_n defaulting to n."""
+    state is solved on default_grid(grid_n), grid_n defaulting to n, and
+    every state with the same grid_n gets the same grid object, so its
+    cached node arrays are built once."""
 
     def __init__(self, species: SpeciesParams, step: float = 0.01):
         self.species = species
         self.step = step
         self._cache: dict = {}
+        self._grids: dict = {}
 
     def get(self, n: int, l: int, j: float,
             grid_n: int | None = None) -> RydbergState:
         grid_n = n if grid_n is None else grid_n
         key = (n, l, round(2 * j), grid_n)
         if key not in self._cache:
-            self._cache[key] = solve_radial(
-                self.species, n, l, j, grid=default_grid(grid_n, self.step))
+            grid = _memo(self._grids, grid_n, default_grid, grid_n, self.step)
+            self._cache[key] = solve_radial(self.species, n, l, j, grid=grid)
         return self._cache[key]
 
 

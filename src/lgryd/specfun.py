@@ -2,9 +2,11 @@
 
 All factorial-laden coefficients are evaluated in log space and exponentiated
 once, so ranks up to l ~ 10 and envelope orders q ~ 8 survive without
-overflow.  The Condon-Shortley phase is fixed globally here: every spherical
-harmonic, 3j symbol and Gaunt coefficient in the package goes through this
-module, so cross-module phase consistency reduces to this one convention.
+overflow.  The Condon-Shortley phase is fixed globally here: every 3j symbol
+and Gaunt coefficient in the package goes through this module (the explicit
+spherical harmonics that check them live in the verifier, in the same
+convention), so cross-module phase consistency reduces to this one
+convention.
 
 Wigner 3j symbols use the Racah closed sum (no recursion) -- the ranks that
 occur stay small (<~ 12), where the alternating sum is benign in log space.
@@ -18,11 +20,12 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "log_factorial",
     "log_gamma",
     "assoc_laguerre",
-    "spherical_harmonic",
     "wigner3j",
     "clebsch_gordan",
     "gaunt",
@@ -60,42 +63,6 @@ def assoc_laguerre(n: int, a: float, x: float) -> float:
     for k in range(1, n):
         lm, lk = lk, ((2 * k + 1 + a - x) * lk - (k + a) * lm) / (k + 1)
     return lk
-
-
-# --------------------------------------------------------------------------
-# spherical harmonics
-
-def _norm_assoc_legendre(l: int, m: int, x: float) -> float:
-    """Fully normalized associated Legendre P~_l^m(x), m >= 0, including the
-    Condon-Shortley (-1)^m, such that Y_l^m = P~_l^m(cos th) e^{i m phi}."""
-    # seed: P~_m^m = (-1)^m sqrt((2m+1)!/(4 pi)) / (2^m m!) * (1-x^2)^{m/2}
-    sin2 = max(1.0 - x * x, 0.0)
-    if m > 0 and sin2 == 0.0:
-        return 0.0
-    log_seed = 0.5 * (log_factorial(2 * m + 1) - math.log(4 * math.pi)) \
-        - m * math.log(2.0) - log_factorial(m) + 0.5 * m * math.log(sin2 if m else 1.0)
-    pmm = (-1.0) ** m * math.exp(log_seed)
-    if l == m:
-        return pmm
-    pm1 = math.sqrt(2 * m + 3.0) * x * pmm
-    if l == m + 1:
-        return pm1
-    for ll in range(m + 2, l + 1):
-        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
-        b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        pmm, pm1 = pm1, a * (x * pm1 - b * pmm)
-    return pm1
-
-
-def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
-    """Y_l^m(theta, phi), Condon-Shortley convention, unit L2 norm on the sphere."""
-    if abs(m) > l:
-        raise ValueError(f"|m| <= l violated: (l, m) = ({l}, {m})")
-    am = abs(m)
-    p = _norm_assoc_legendre(l, am, math.cos(theta))
-    if m < 0:
-        p *= (-1.0) ** am  # Y_l^{-m} = (-1)^m conj(Y_l^m)
-    return p * complex(math.cos(m * phi), math.sin(m * phi))
 
 
 # --------------------------------------------------------------------------
@@ -216,10 +183,14 @@ def multi_gaunt(factors: Sequence, bra, ket) -> float:
 # --------------------------------------------------------------------------
 # spherical Bessel
 
-def spherical_bessel(x: float) -> float:
+def spherical_bessel(x):
     """j_0(x) = sin x / x; below |x| = 1e-3 the power series
-    1 - x^2/6 + x^4/120 dodges the cancellation."""
-    if abs(x) < 1e-3:
-        x2 = x * x
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    return math.sin(x) / x
+    1 - x^2/6 + x^4/120 dodges the cancellation.  x may be a scalar or an
+    array; a scalar comes back as a float.  Each element takes the IEEE
+    operations of the scalar formula, so the two forms agree bit for bit."""
+    x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.reshape(-1)
+    x2 = x * x
+    j0 = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+    np.divide(np.sin(x), x, out=j0, where=np.abs(x) >= 1e-3)
+    return j0.reshape(shape) if shape else float(j0[0])

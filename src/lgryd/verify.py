@@ -3,9 +3,10 @@
 Each suite re-derives a package result by an independent route (closed
 forms, quadrature, exact integrals) and reports the worst residual.  These
 back the `verify` subcommand; the same checks run with tighter harnesses in
-the test suite.  The oracles -- the closed LG profile, the evaluated
-solid-harmonic expansion, the translation (addition) theorem and a sphere
-quadrature -- live here because no channel, Rabi or sweep result depends on them.
+the test suite.  The oracles -- the closed LG profile, explicit spherical
+harmonics, the evaluated solid-harmonic expansion, the translation (addition)
+theorem and a sphere quadrature -- live here because no channel, Rabi or sweep
+result depends on them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .atom import default_grid, load_species, radial_matrix_element, solve_radia
 from .beam import BeamSpec, f_coeff, solid_norm
 from .cm import CMState, cm_moment, gauss_legendre
 from .coupling import lambda_integral_oracle
-from .specfun import assoc_laguerre, log_factorial, multi_gaunt, \
-    spherical_harmonic
+from .specfun import assoc_laguerre, log_factorial, multi_gaunt
 
 
 # --------------------------------------------------------------------------
@@ -52,6 +52,39 @@ class ExpansionTerm(NamedTuple):
 class ExpansionCheck:
     residual: float
     relative: bool  # False when the reference field vanished at the probe
+
+
+def _norm_assoc_legendre(l: int, m: int, x: float) -> float:
+    """Fully normalized associated Legendre P~_l^m(x), m >= 0, including the
+    Condon-Shortley (-1)^m, such that Y_l^m = P~_l^m(cos th) e^{i m phi}."""
+    # seed: P~_m^m = (-1)^m sqrt((2m+1)!/(4 pi)) / (2^m m!) * (1-x^2)^{m/2}
+    sin2 = max(1.0 - x * x, 0.0)
+    if m > 0 and sin2 == 0.0:
+        return 0.0
+    log_seed = 0.5 * (log_factorial(2 * m + 1) - math.log(4 * math.pi)) \
+        - m * math.log(2.0) - log_factorial(m) + 0.5 * m * math.log(sin2 if m else 1.0)
+    pmm = (-1.0) ** m * math.exp(log_seed)
+    if l == m:
+        return pmm
+    pm1 = math.sqrt(2 * m + 3.0) * x * pmm
+    if l == m + 1:
+        return pm1
+    for ll in range(m + 2, l + 1):
+        a = math.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
+        b = math.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
+        pmm, pm1 = pm1, a * (x * pm1 - b * pmm)
+    return pm1
+
+
+def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
+    """Y_l^m(theta, phi), Condon-Shortley convention, unit L2 norm on the sphere."""
+    if abs(m) > l:
+        raise ValueError(f"|m| <= l violated: (l, m) = ({l}, {m})")
+    am = abs(m)
+    p = _norm_assoc_legendre(l, am, math.cos(theta))
+    if m < 0:
+        p *= (-1.0) ** am  # Y_l^{-m} = (-1)^m conj(Y_l^m)
+    return p * complex(math.cos(m * phi), math.sin(m * phi))
 
 
 def solid_harmonic(l: int, m: int, vec: Sequence[float]) -> complex:

@@ -71,6 +71,25 @@ def hydrogen_expectation_r(n: int, l: int) -> float:
     return 0.5 * (3.0 * n * n - l * (l + 1))
 
 
+def cm_amplitude(s, r_cm: float) -> float:
+    """Radial amplitude A_{N,M}(x) of the CM state s, x = r_cm/w_r, with
+    int A^2 r dr = 1; the pointwise form of what lgryd.cm.cm_moment
+    integrates."""
+    from lgryd.cm import _log_norm
+    from lgryd.specfun import assoc_laguerre
+
+    if r_cm < 0:
+        raise ValueError("radius must be non-negative")
+    x = r_cm / s.w_r
+    am = abs(s.M)
+    if x == 0.0:
+        if am > 0:
+            return 0.0
+        return math.exp(_log_norm(s)) * assoc_laguerre(s.n_minus, 0.0, 0.0) / s.w_r
+    return (math.exp(_log_norm(s) + am * math.log(x) - 0.5 * x * x)
+            * assoc_laguerre(s.n_minus, float(am), x * x) / s.w_r)
+
+
 def cm_moment_series(Nf: int, Mf: int, Ni: int, Mi: int, power: int,
                      n_terms_guard: int = 0) -> float:
     """<Nf Mf| x^power |Ni Mi> for the radial 2-D oscillator (w_r = 1) by

@@ -8,6 +8,7 @@ inward integration cannot avoid (checked separately away from the cutoff).
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -279,6 +280,16 @@ class TestGrid:
         g2 = default_grid(50)
         assert np.array_equal(g2.xi, xi[: g2.xi.size])
 
+    def test_cached_arrays_shared_and_read_only(self):
+        # built once per grid object, and no caller can edit them in place
+        g = default_grid(30)
+        assert g.xi is g.xi and g.r is g.r and g.r_factors is g.r_factors
+        for arr in (g.xi, g.r, *g.r_factors):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+
 
 class TestSimpson:
     # rb grids: 45 and 60 have an odd point count (plain composite rule),
@@ -458,3 +469,33 @@ class TestInPlaceBuild:
                                           ref[perm])
                     for x_, v in zip(r[::7].tolist(), ref[::7].tolist()):
                         assert model_potential(p, l, j, x_) == v
+
+
+class TestSharedGrid:
+    @pytest.mark.parametrize("species,n", [(s, n) for s in ("rb", "hydrogen")
+                                           for n in (30, 60, 90)])
+    def test_bit_identical_to_fresh_grids(self, monkeypatch, species, n):
+        # every l <= 10 and both j, solved in shuffled order on one grid
+        # object, against solves that each build a fresh grid; the W the
+        # kernel gets from the cached factors is the expression form
+        p = load_species(species)
+        grid = default_grid(n)
+        xi = grid.xi
+        kernel, seen = atom._numerov_inward, []
+        monkeypatch.setattr(atom, "_numerov_inward",
+                            lambda W, h: seen.append(W) or kernel(W, h))
+        states = [(l, j) for l in range(11) for j in (l - 0.5, l + 0.5) if j > 0]
+        random.Random(n).shuffle(states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+            for l, j in states:
+                shared = solve_radial(p, n, l, j, grid=grid)
+                v = _model_potential_reference(p, l, j, xi * xi)
+                W = (8.0 * xi * xi * (v - qd_energy(p, n, l, j))
+                     + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi))
+                assert np.array_equal(seen[-1], W)
+                fresh = solve_radial(p, n, l, j)
+                assert fresh.grid == grid and fresh.grid is not grid
+                assert np.array_equal(shared.chi, fresh.chi)
+                assert (shared.nodes, shared.flags) == (fresh.nodes, fresh.flags)
+        assert grid.xi is xi

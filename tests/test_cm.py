@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lgryd.cm import (CMState, _gauss_laguerre, cm_amplitude, cm_moment,
-                      gauss_legendre)
-from _oracles import cm_moment_series
+from lgryd.cm import CMState, _gauss_laguerre, cm_moment, gauss_legendre
+from _oracles import cm_amplitude, cm_moment_series
 
 
 class TestCMState:
@@ -118,6 +117,14 @@ class TestGaussLaguerre:
             # weights fall over many decades; hold them to the total Gamma(a+1)
             assert np.allclose(w, w_ref, rtol=0.0,
                                atol=1e-14 * math.gamma(a + 1.0)), (n, a)
+
+    def test_cached_and_read_only(self):
+        # one eigen-solve per (n, a); the shared arrays cannot be edited
+        u, w = _gauss_laguerre(5, 1.5)
+        assert _gauss_laguerre(5, 1.5)[0] is u
+        for arr in (u, w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestGaussLegendre:

@@ -15,6 +15,7 @@ the package's own multi_gaunt:
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lgryd import coupling
@@ -131,6 +132,21 @@ class TestFineStructureWeight:
 
 # --------------------------------------------------------- lambda oracle
 
+def _lambda_oracle_reference(exponent, k, r):
+    """lambda_integral_oracle node by node: Python-float powers and the
+    scalar j_0 formula at each node, the form the array version must
+    reproduce bit for bit."""
+    def j0(x):
+        if abs(x) < 1e-3:
+            x2 = x * x
+            return 1.0 - x2 / 6.0 + x2 * x2 / 120.0
+        return math.sin(x) / x
+
+    lam, w = coupling._gauss_legendre_unit()
+    vals = [li**exponent * j0(k * li * r) for li in lam]
+    return 0.5 * float(np.dot(w, vals))
+
+
 class TestLambdaOracle:
     def test_dipole_limit_monomial(self):
         assert lambda_integral_oracle(0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
@@ -151,6 +167,29 @@ class TestLambdaOracle:
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_integral_oracle(-1, 0.0, 1.0)
+
+    # (k, r) so that x = k lam r over the 64 nodes is: all 0; all below,
+    # straddling or all above the 1e-3 series switch; out to 1e3; and the
+    # rb60 dipole audit's own scale (k ~ 1e-7, <r> ~ 5e3)
+    KR = ((0.0, 1.0), (1.0, 0.0), (1e-4, 1.0), (2e-3, 1.0), (1.5e-3, 0.9),
+          (0.37, 2.0), (1.0, 1e3), (6.9e-8, 5.4e3), (2.3e-5, 4.1e7))
+
+    @pytest.mark.parametrize("exponent", range(12))
+    def test_array_form_bit_identical(self, exponent):
+        lam = coupling._gauss_legendre_unit()[0]
+        for k, r in self.KR:
+            assert lambda_integral_oracle(exponent, k, r) == \
+                _lambda_oracle_reference(exponent, k, r), (k, r)
+        x = 2e-3 * lam
+        assert (x < 1e-3).any() and (x >= 1e-3).any()
+        assert (1.0 * lam * 1e3).max() > 990.0
+
+    def test_tables_read_only(self):
+        lam, w = coupling._gauss_legendre_unit()
+        for arr in (lam, w, coupling._lambda_powers(3)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert coupling._lambda_powers(3) is coupling._lambda_powers(3)
 
 
 # ----------------------------------------------------- channel invariants

@@ -63,41 +63,41 @@ class TestAssocLaguerre:
 
 class TestSphericalHarmonic:
     def test_y00(self):
-        assert specfun.spherical_harmonic(0, 0, 1.1, 2.3) == pytest.approx(
+        assert verify.spherical_harmonic(0, 0, 1.1, 2.3) == pytest.approx(
             1.0 / math.sqrt(4.0 * math.pi))
 
     def test_frozen_y21(self):
         # Y_2^1(pi/3, pi/4) = -sqrt(15/8pi) sin cos e^{i pi/4}, CS phase included
         expect = (-math.sqrt(15.0 / (8.0 * math.pi))
                   * math.sin(math.pi / 3) * math.cos(math.pi / 3) / math.sqrt(2.0))
-        got = specfun.spherical_harmonic(2, 1, math.pi / 3, math.pi / 4)
+        got = verify.spherical_harmonic(2, 1, math.pi / 3, math.pi / 4)
         assert got.real == pytest.approx(expect, abs=1e-12)
         assert got.imag == pytest.approx(expect, abs=1e-12)
         assert got.real == pytest.approx(-0.2365436739, abs=1e-9)
 
     def test_invalid_m_raises(self):
         with pytest.raises(ValueError):
-            specfun.spherical_harmonic(1, 2, 0.3, 0.4)
+            verify.spherical_harmonic(1, 2, 0.3, 0.4)
 
     @given(l=st.integers(0, 10), theta=st.floats(0.01, 3.13), phi=st.floats(0.0, 6.28))
     @settings(max_examples=200, deadline=None)
     def test_matches_scipy(self, l, theta, phi):
         for m in range(-l, l + 1):
-            ours = specfun.spherical_harmonic(l, m, theta, phi)
+            ours = verify.spherical_harmonic(l, m, theta, phi)
             ref = complex(sph_harm_y(l, m, theta, phi))
             assert abs(ours - ref) < 1e-10 * (1.0 + abs(ref))
 
     def test_conjugation_symmetry(self):
         for l in range(1, 6):
             for m in range(1, l + 1):
-                yp = specfun.spherical_harmonic(l, m, 0.7, 1.9)
-                ym = specfun.spherical_harmonic(l, -m, 0.7, 1.9)
+                yp = verify.spherical_harmonic(l, m, 0.7, 1.9)
+                ym = verify.spherical_harmonic(l, -m, 0.7, 1.9)
                 assert abs(ym - (-1.0) ** m * yp.conjugate()) < 1e-12
 
     def test_unit_norm_quadrature(self):
         for l, m in [(0, 0), (3, 2), (6, -5), (8, 0)]:
             val = verify.sphere_quadrature(
-                lambda th, ph: abs(specfun.spherical_harmonic(l, m, th, ph)) ** 2,
+                lambda th, ph: abs(verify.spherical_harmonic(l, m, th, ph)) ** 2,
                 n_polar=32, n_azimuth=64)
             assert abs(val - 1.0) < 1e-11
 
@@ -197,9 +197,9 @@ class TestGaunt:
         m3 = -(m1 + m2)
         ours = specfun.gaunt(l1, m1, l2, m2, l3, m3)
         ref = verify.sphere_quadrature(
-            lambda th, ph: (specfun.spherical_harmonic(l1, m1, th, ph)
-                            * specfun.spherical_harmonic(l2, m2, th, ph)
-                            * specfun.spherical_harmonic(l3, m3, th, ph)),
+            lambda th, ph: (verify.spherical_harmonic(l1, m1, th, ph)
+                            * verify.spherical_harmonic(l2, m2, th, ph)
+                            * verify.spherical_harmonic(l3, m3, th, ph)),
             n_polar=16, n_azimuth=32)
         assert abs(ours - ref) < 1e-11
 
@@ -235,10 +235,10 @@ class TestMultiGaunt:
         ours = specfun.multi_gaunt(factors, bra, ket)
 
         def integrand(th, ph):
-            val = specfun.spherical_harmonic(*bra, th, ph).conjugate()
+            val = verify.spherical_harmonic(*bra, th, ph).conjugate()
             for (l, m) in factors:
-                val *= specfun.spherical_harmonic(l, m, th, ph)
-            return val * specfun.spherical_harmonic(*ket, th, ph)
+                val *= verify.spherical_harmonic(l, m, th, ph)
+            return val * verify.spherical_harmonic(*ket, th, ph)
 
         ref = sphere_integral_simpson(integrand, n_theta=121, n_phi=96)
         assert abs(ref.imag) < 1e-10
@@ -289,12 +289,23 @@ class TestSphericalBessel:
             for s in (x, -x):
                 assert specfun.spherical_bessel(s) == float(spherical_jn(0, s))
 
+    def test_array_form_bit_identical(self):
+        # an array takes each element's scalar path; a scalar comes back a float
+        xs = np.array([0.0, -0.0, 1e-4, -9e-4] + [s * x for x in self.BESSEL_X
+                                                  for s in (1.0, -1.0)])
+        got = specfun.spherical_bessel(xs.reshape(2, -1))
+        assert got.shape == (2, xs.size // 2)
+        scalars = [specfun.spherical_bessel(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert got.ravel().tolist() == scalars
+        assert type(specfun.spherical_bessel(np.float64(0.5))) is float
+
 
 class TestSphereQuadrature:
     def test_orthogonality(self):
         val = verify.sphere_quadrature(
-            lambda th, ph: (specfun.spherical_harmonic(3, 1, th, ph).conjugate()
-                            * specfun.spherical_harmonic(3, -1, th, ph)),
+            lambda th, ph: (verify.spherical_harmonic(3, 1, th, ph).conjugate()
+                            * verify.spherical_harmonic(3, -1, th, ph)),
             n_polar=24, n_azimuth=48)
         assert abs(val) < 1e-12
 
