@@ -95,19 +95,20 @@ class SpeciesParams:
             if not line:
                 continue
             if line.startswith("["):
-                if not line.endswith("]"):
-                    raise ValueError(f"{path}:{lineno}: malformed section header {raw!r}")
-                parts = line[1:-1].split()
-                kind = parts[0]
-                tags = dict(p.split("=", 1) for p in parts[1:])
-                if kind == "atom":
-                    section = ("atom",)
-                elif kind == "potential":
-                    section = ("potential", int(tags["l"]))
-                    potential[section[1]] = {}
-                elif kind == "defect":
-                    section = ("defect", int(tags["l"]), round(2 * float(tags["j"])))
-                else:
+                try:
+                    kind, *parts = line[1:-1].split() if line.endswith("]") else ()
+                    tags = dict(p.split("=", 1) for p in parts)
+                    if kind == "potential":
+                        section = ("potential", int(tags["l"]))
+                        potential[section[1]] = {}
+                    elif kind == "defect":
+                        section = ("defect", int(tags["l"]), round(2 * float(tags["j"])))
+                    else:
+                        section = (kind,)
+                except (KeyError, ValueError, OverflowError):
+                    raise ValueError(f"{path}:{lineno}: malformed section header "
+                                     f"{raw!r}") from None
+                if kind not in ("atom", "potential", "defect"):
                     raise ValueError(f"{path}:{lineno}: unknown section {kind!r}")
                 continue
             if section is None or "=" not in line:
@@ -182,8 +183,7 @@ class RadialGrid:
     @cached_property
     def xi(self) -> np.ndarray:
         # nodes at sqrt(r_min) + k*step, overshooting r_max by < one step:
-        # grids sharing (r_min, step) then coincide exactly on their overlap,
-        # so cross-n matrix elements need no resampling
+        # grids sharing (r_min, step) then coincide exactly on their overlap
         lo, hi = math.sqrt(self.r_min), math.sqrt(self.r_max)
         npts = int(math.ceil((hi - lo) / self.step - 1e-9)) + 1
         return _read_only(lo + np.arange(npts) * self.step)
@@ -346,10 +346,11 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     step tests for overflow.  The finished chi is then checked once,
     max <= 1e250 and min >= -1e250 (NaN fails both).  If it passes, the
     reference's 1e-250 rescale never fired and chi is its exact result.  If
-    it fails, or a step divides by zero, `_numerov_rescaled` restarts from
-    the seeds with the rescale test.  The real states that need the rescale
-    are Rb n = 60 at l >= 54, Rb n = 90 at l >= 56 and hydrogen n = 60 at
-    l >= 55; every workload stops at l_f <= 10.
+    it fails, or a step divides by zero, `_numerov_rescaled` reruns the
+    whole recurrence as the numpy-indexed reference loop, rescale included,
+    at about four times the fast path's cost.  The real states that need
+    the rescale are Rb n = 60 at l >= 54, Rb n = 90 at l >= 56 and hydrogen
+    n = 60 at l >= 55; every workload stops at l_f <= 10.
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
@@ -373,33 +374,20 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     else:
         if chi.max() <= 1e250 and chi.min() >= -1e250:
             return chi
-    return _numerov_rescaled(a_rev, b_rev, chi)
+    return _numerov_rescaled(a, b, chi)
 
 
-def _numerov_rescaled(a_rev, b_rev, chi: np.ndarray) -> np.ndarray:
-    """`_numerov_inward`'s recurrence from the seeds again, with the
-    reference's rescale: once |chi[i]| > 1e250, chi[i:] is multiplied by
-    1e-250.  The test is two comparisons, which give abs()'s outcome for
-    +-inf and NaN.  A zero a[i] gives numpy's x / 0: +-inf by the signs, NaN
-    for x = 0 or NaN.  chi is overwritten in place."""
+def _numerov_rescaled(a, b, chi: np.ndarray) -> np.ndarray:
+    """`_numerov_inward`'s recurrence from the seeds again as the
+    numpy-indexed reference loop, with its rescale: once |chi[i]| > 1e250,
+    chi[i:] is multiplied by 1e-250.  numpy scalars give +-inf for x / 0 and
+    NaN for 0 / 0 and inf - inf themselves.  chi is overwritten in place."""
     chi[-1], chi[-2] = 1e-12, 2e-12
-    out = memoryview(chi)
-    c_out, c_in = 1e-12, 2e-12            # chi[i+2], chi[i+1]
-    for i, a_out, b_i, a_next in zip(range(len(chi) - 3, -1, -1),
-                                     a_rev[:-2], b_rev[1:-1], a_rev[2:]):
-        x = b_i * c_in - a_out * c_out
-        if a_next:
-            c = x / a_next
-        elif x == x and x:
-            c = math.copysign(math.inf, x) * math.copysign(1.0, a_next)
-        else:
-            c = math.nan
-        if c > 1e250 or c < -1e250:   # rescale long tails before they overflow
-            chi[i + 1:] *= 1e-250
-            c_in *= 1e-250
-            c *= 1e-250
-        out[i] = c
-        c_out, c_in = c_in, c
+    with np.errstate(all="ignore"):
+        for i in range(len(chi) - 2, 0, -1):
+            chi[i - 1] = (b[i] * chi[i] - a[i + 1] * chi[i + 1]) / a[i - 1]
+            if abs(chi[i - 1]) > 1e250:   # rescale long tails before they overflow
+                chi[i - 1:] *= 1e-250
     return chi
 
 
@@ -484,35 +472,17 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return _simpson(y[:-1], h) + h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
 
 
-def _common_chi(f: RydbergState, i: RydbergState):
-    """Overlay two states on one xi grid (grids share r_min and step here;
-    only the outer cutoff differs between principal quantum numbers)."""
-    gf, gi = f.grid, i.grid
-    if gf == gi:
-        return gf.xi, f.chi, i.chi
-    if abs(gf.h - gi.h) > 1e-12 or abs(gf.r_min - gi.r_min) > 1e-15:
-        raise ValueError("states live on incompatible grids (r_min/step differ)")
-    nshort = min(f.chi.size, i.chi.size)
-    longer = f if f.chi.size > i.chi.size else i
-    # the longer state must carry no weight in the clipped tail
-    tail = 2.0 * np.sum(longer.chi[nshort:] ** 2
-                        * longer.grid.xi[nshort:] ** 2) * longer.grid.h
-    if tail > 1e-8:
-        raise ValueError(f"grid overlap clips {tail:.1e} of the norm; "
-                         "resolve the states on a common grid")
-    xi = (gf if f.chi.size <= i.chi.size else gi).xi
-    return xi, f.chi[:nshort], i.chi[:nshort]
-
-
 def radial_matrix_element(f: RydbergState, i: RydbergState,
                           alpha: int, w_r: float) -> float:
-    """<f| r (r/w_r)^{alpha-1} |i> = w_r^{1-alpha} * 2 int chi_f chi_i xi^{2alpha+2} dxi."""
+    """<f| r (r/w_r)^{alpha-1} |i> = w_r^{1-alpha} * 2 int chi_f chi_i xi^{2alpha+2} dxi,
+    with both states solved on one grid (as `compute_scenario` solves them)."""
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
     if w_r <= 0:
         raise ValueError("w_r must be positive")
-    xi, cf, ci = _common_chi(f, i)
-    val = 2.0 * _simpson(cf * ci * xi ** (2 * alpha + 2), f.grid.h)
+    if f.grid != i.grid:
+        raise ValueError("states live on different grids; solve both on one grid")
+    val = 2.0 * _simpson(f.chi * i.chi * f.grid.xi ** (2 * alpha + 2), f.grid.h)
     return val / w_r ** (alpha - 1)
 
 

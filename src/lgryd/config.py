@@ -7,7 +7,8 @@ V/m); everything past the parser is atomic units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -19,8 +20,10 @@ def _parse_half(s):
     # accept "0.5", "-1/2", "3/2"
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(t) for t in s.split("/", 1))
+        if den == 0:
+            raise ValueError("zero denominator")
+        return num / den
     return float(s)
 
 
@@ -129,7 +132,10 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         seen.add(key)
         attr, parse = _KEYS[key]
         try:
-            setattr(cfg, attr, parse(value))
+            parsed = parse(value)
+            if isinstance(parsed, float) and not math.isfinite(parsed):
+                raise ValueError("not a finite number")
+            setattr(cfg, attr, parsed)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
                               f"{value!r} ({exc})") from None

@@ -39,7 +39,7 @@ from .atom import (RydbergState, SpeciesParams, default_grid,
                    radial_matrix_element, solve_radial)
 from .beam import BeamSpec, g_coeff, solid_norm
 from .cm import CMState, cm_moment, gauss_legendre
-from .specfun import clebsch_gordan, log_gamma, multi_gaunt, spherical_bessel
+from .specfun import clebsch_gordan, multi_gaunt, spherical_bessel
 from .units import FINE_STRUCTURE, rabi_kHz as _to_kHz
 
 __all__ = [
@@ -316,7 +316,7 @@ def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
 def _coeff(ch: Channel, beam: BeamSpec, w_r: float) -> float:
     al = ch.alpha
     return (g_coeff(ch.l, ch.q, w_r, beam.w0)
-            * math.exp(log_gamma(al / 2.0))
+            * math.exp(math.lgamma(al / 2.0))
             * c_product(ch.l, ch.q, ch.l1, ch.l2, ch.l3, ch.m1, ch.m2, ch.m3)
             * beam.mass_ratio ** (al - 1))
 
@@ -366,7 +366,7 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     r_char = _memo(tables, "r_char", radial_matrix_element, psi_i, psi_i, 1, w_r)
     exact = _memo(tables, ("lambda", f_key, al), lambda_integral_oracle,
                   al - 1, k_au, r_char)
-    audit = math.exp(log_gamma(al / 2.0)) / exact if exact else math.inf
+    audit = math.exp(math.lgamma(al / 2.0)) / exact if exact else math.inf
 
     return ChannelResult(channel=channel, coeff=coeff, radial_e=radial_e,
                          radial_cm=radial_cm, angular=angular, cg_weight=cg,
@@ -409,7 +409,8 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      tables: dict | None = None) -> list[ChannelResult]:
     """Solve, enumerate and assemble every channel of one beam scenario;
     `tables` as in `assemble`, plus the final CM state per M_f.  All states
-    share the grid of max(n, n_final), so no overlap integral clips a tail."""
+    are solved on the grid of max(n, n_final), the one grid
+    `radial_matrix_element` requires of its two states."""
     tables = {} if tables is None else tables
     nf = n if n_final is None else n_final
     grid_n = max(n, nf)

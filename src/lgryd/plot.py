@@ -15,6 +15,7 @@ from typing import Sequence
 from .coupling import SweepRow
 
 _W, _H = 760, 500
+_TITLE = "Rabi frequency vs topological charge"
 _ML, _MR, _MT, _MB = 90, 30, 46, 58
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#555555")
 
@@ -49,8 +50,7 @@ def _series_from_rows(rows: Sequence[SweepRow]):
     return out
 
 
-def render_sweep_svg(rows: Sequence[SweepRow],
-                     title: str = "Rabi frequency vs topological charge") -> str:
+def render_sweep_svg(rows: Sequence[SweepRow]) -> str:
     series = [(name, ser) for name, ser in _series_from_rows(rows) if ser]
     pts = [(l, v) for _, ser in series for l, v in ser.items() if v > 0.0]
     if not pts:
@@ -75,7 +75,7 @@ def render_sweep_svg(rows: Sequence[SweepRow],
            f'height="{_H}" viewBox="0 0 {_W} {_H}">',
            f'<rect width="{_W}" height="{_H}" fill="white"/>',
            f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="26" text-anchor="middle" '
-           f'font-family="sans-serif" font-size="15" fill="#222">{title}</text>']
+           f'font-family="sans-serif" font-size="15" fill="#222">{_TITLE}</text>']
     # frame
     out.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                f'fill="none" stroke="#222" stroke-width="1"/>')

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "log_factorial",
-    "log_gamma",
     "assoc_laguerre",
     "wigner3j",
     "clebsch_gordan",
@@ -35,7 +34,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# factorials / gamma
+# factorials
 
 @lru_cache(maxsize=2048)
 def log_factorial(n: int) -> float:
@@ -43,13 +42,6 @@ def log_factorial(n: int) -> float:
     if n < 0:
         raise ValueError(f"log_factorial of negative integer {n}")
     return math.lgamma(n + 1)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x), x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def assoc_laguerre(n: int, a: float, x: float) -> float:

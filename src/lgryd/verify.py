@@ -293,8 +293,9 @@ def suite_hydrogen_oracle() -> SuiteReport:
             if np.dot(u_num, u_ref) < 0:
                 u_num = -u_num
             worst_u = max(worst_u, float(np.max(np.abs(u_num - u_ref))))
-    s1 = solve_radial(hy, 1, 0, 0.5, grid=default_grid(1))
-    p2 = solve_radial(hy, 2, 1, 1.5, grid=default_grid(2))
+    grid = default_grid(2)
+    s1 = solve_radial(hy, 1, 0, 0.5, grid=grid)
+    p2 = solve_radial(hy, 2, 1, 1.5, grid=grid)
     dip = radial_matrix_element(p2, s1, 1, 1.0)
     dip_ref = 128.0 * math.sqrt(6.0) / 243.0
     dip_err = abs(abs(dip) - dip_ref) / dip_ref

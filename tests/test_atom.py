@@ -225,8 +225,10 @@ class TestRadialMatrixElement:
         assert got > 0
         assert got == pytest.approx(hydrogen_expectation_r(n, l), rel=1e-6)
 
-    def test_symmetry(self, hyd_states):
-        a, b = hyd_states[(4, 1)], hyd_states[(5, 2)]
+    def test_symmetry(self, hyd):
+        g = default_grid(5)
+        a = solve_radial(hyd, 4, 1, 1.5, grid=g)
+        b = solve_radial(hyd, 5, 2, 2.5, grid=g)
         assert radial_matrix_element(a, b, 2, 3.0) == pytest.approx(
             radial_matrix_element(b, a, 2, 3.0), rel=1e-12)
 
@@ -236,18 +238,15 @@ class TestRadialMatrixElement:
         v2 = radial_matrix_element(a, b, 3, 5.0) * 5.0**2
         assert v1 == pytest.approx(v2, rel=1e-12)
 
-    def test_cross_n_grids_overlap(self, hyd):
-        # different n -> different outer cutoff; the clipped tail is empty
-        a = solve_radial(hyd, 4, 1, 1.5)
-        b = solve_radial(hyd, 5, 2, 2.5)
-        got = radial_matrix_element(a, b, 1, 1.0)
-        assert math.isfinite(got) and abs(got) > 1.0
-
     def test_incompatible_grid_step(self, hyd):
-        a = solve_radial(hyd, 2, 0, 0.5, grid=RadialGrid(1e-3, 68.0, 0.01))
-        b = solve_radial(hyd, 2, 1, 1.5, grid=RadialGrid(1e-3, 68.0, 0.02))
-        with pytest.raises(ValueError):
-            radial_matrix_element(a, b, 1, 1.0)
+        # a different step, and the same step with a longer grid: a matrix
+        # element takes both states on one grid
+        for ga, gb in ((RadialGrid(1e-3, 68.0, 0.01), RadialGrid(1e-3, 68.0, 0.02)),
+                       (default_grid(4), default_grid(5))):
+            a = solve_radial(hyd, 2, 0, 0.5, grid=ga)
+            b = solve_radial(hyd, 2, 1, 1.5, grid=gb)
+            with pytest.raises(ValueError):
+                radial_matrix_element(a, b, 1, 1.0)
 
     def test_alpha_validation(self, hyd_states):
         st = hyd_states[(1, 0)]
@@ -386,6 +385,28 @@ class TestNumerovKernel:
         assert np.isnan(chis[0]).any()
         assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
         assert np.isinf(chis[2]).sum() == 2 and np.isnan(chis[2]).sum() == 1499
+
+    @pytest.mark.parametrize("species,l,j", [("rb", 54, 53.5), ("rb", 54, 54.5),
+                                             ("rb", 55, 54.5), ("rb", 55, 55.5),
+                                             ("hydrogen", 55, 55.5)])
+    def test_real_states_take_fallback(self, monkeypatch, fallbacks, species, l, j):
+        # n = 60 states high enough in l that the inward solve passes the
+        # 1e250 rescale: each takes the fallback once, and its chi is the
+        # reference loop's
+        kernel, seen = atom._numerov_inward, []
+
+        def spy(W, h):
+            chi = kernel(W, h)
+            seen.append((W, h, chi.copy()))   # solve_radial blanks chi in place
+            return chi
+
+        monkeypatch.setattr(atom, "_numerov_inward", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+            solve_radial(load_species(species), 60, l, j)
+        [(W, h, chi)] = seen
+        assert len(fallbacks) == 1
+        assert np.array_equal(chi, _numerov_inward_reference(W, h))
 
 
 def _model_potential_reference(p, l, j, r):

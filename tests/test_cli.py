@@ -183,17 +183,21 @@ class TestDeterminism:
             (second / "sweep.svg").read_bytes()
 
     def test_rb60_outputs_pinned(self, tmp_path):
-        # the reference scenario's CSV bytes; a change that moves the numbers
-        # on purpose (say, a new radial solver) updates these pins with it
+        # the reference scenario's output bytes; a change that moves the
+        # numbers on purpose (say, a new radial solver) updates these pins
         cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
-        for cmd in ("channels", "rabi", "sweep"):
+        for cmd in ("channels", "rabi", "sweep", "wavefunction", "verify"):
             assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
         digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                  for name in ("channels.csv", "rabi.csv", "sweep.csv")}
+                  for name in ("channels.csv", "rabi.csv", "sweep.csv", "sweep.svg",
+                               "wavefunction.csv", "verify.txt")}
         assert digest == {
             "channels.csv": "2ee79372a65886d36f984f645d41153f6a433bf8f7d571ba9841f60e9d99560c",
             "rabi.csv": "327b70503def47cfbdab242b13dd2629c3fcfb8e115db8bda1d1c72253b6ce0c",
             "sweep.csv": "ea4a5aadb2a0582638ceaea6cca318a3e0fb23321076aa9278268f6f4f56899e",
+            "sweep.svg": "64f3b2ec9616d6c0b758dbf51b10f5b3a78369365586877874b072c6ac174a9a",
+            "wavefunction.csv": "9baba59cea4b165396036608f33d8b832cc5bd24203174a586b4d4720c6c4c06",
+            "verify.txt": "d1039e4fdd10be05ceb3653ae2b62331fcdf074fba8426337d724a67bd23106c",
         }
 
     def test_10_sig_digit_format(self, tmp_path):
@@ -227,9 +231,11 @@ def write_fast(tmp_path):
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "channels", cfg_lines=["beam.l = fish"])
-        assert rc == EXIT_CONFIG
-        assert "bad value" in capsys.readouterr().err
+        # not a number, a zero denominator, a float that is not finite
+        for line in ("beam.l = fish", "atom.m_j = 1/0", "compute.grid_step = inf"):
+            rc, _ = run(tmp_path, "channels", cfg_lines=[line])
+            assert rc == EXIT_CONFIG
+            assert "bad value" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["channels", "--config", str(tmp_path / "none.cfg")])
@@ -243,12 +249,18 @@ class TestExitCodes:
         assert "unobtainium" in capsys.readouterr().err
 
     def test_corrupted_species_names_path(self, tmp_path, capsys):
+        # a bad atom value; section headers missing a tag or with no '='
         bad = tmp_path / "broken.species"
-        bad.write_text("[atom]\nZ = broken\n")
-        rc, _ = run(tmp_path, "channels",
-                    cfg_lines=[f"atom.species = {bad}"])
-        assert rc == EXIT_CONFIG
-        assert "broken.species" in capsys.readouterr().err
+        for text, what in (("[atom]\nZ = broken\n", "bad atom block"),
+                           ("[potential]\n", ":1: malformed section header"),
+                           ("[defect l=0]\n", ":1: malformed section header"),
+                           ("[potential l=0 x]\n", ":1: malformed section header")):
+            bad.write_text(text)
+            rc, _ = run(tmp_path, "channels",
+                        cfg_lines=[f"atom.species = {bad}"])
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "broken.species" in err and what in err
 
     def test_validation_failure_is_2(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "channels", cfg_lines=["trap.N = -1"])

@@ -25,18 +25,6 @@ class TestLogFactorial:
             specfun.log_factorial(-1)
 
 
-class TestLogGamma:
-    def test_half_integer(self):
-        assert math.isclose(specfun.log_gamma(0.5), math.log(math.sqrt(math.pi)),
-                            rel_tol=1e-14)
-
-    def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            specfun.log_gamma(0.0)
-        with pytest.raises(ValueError):
-            specfun.log_gamma(-1.5)
-
-
 class TestAssocLaguerre:
     def test_frozen_value(self):
         # L^2_3(x) = -x^3/6 + 5x^2/2 - 10x + 10; at x = 3/2 this is 1/16
