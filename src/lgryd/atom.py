@@ -116,12 +116,17 @@ class SpeciesParams:
             key, val = (s.strip() for s in line.split("=", 1))
             if section[0] == "atom":
                 atom[key] = val
-            elif section[0] == "potential":
-                potential[section[1]][key] = float(val)
-            else:
-                if key != "d":
-                    raise ValueError(f"{path}:{lineno}: defect blocks take only 'd'")
-                defects[(section[1], section[2])] = tuple(float(t) for t in val.split())
+                continue
+            if section[0] == "defect" and key != "d":
+                raise ValueError(f"{path}:{lineno}: defect blocks take only 'd'")
+            try:
+                if section[0] == "potential":
+                    potential[section[1]][key] = float(val)
+                else:
+                    defects[section[1:]] = tuple(float(t) for t in val.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
+                                 f"{val!r}") from None
         pot = {}
         for l, kv in potential.items():
             try:
@@ -179,14 +184,23 @@ class RadialGrid:
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if self.size < 3:
+            # Simpson's rule and the Numerov step each need three nodes
+            raise ValueError(f"step {self.step:g} leaves the grid on "
+                             f"[{self.r_min:g}, {self.r_max:g}] {self.size} "
+                             "nodes; it needs at least 3")
 
-    @cached_property
-    def xi(self) -> np.ndarray:
+    @property
+    def size(self) -> int:
         # nodes at sqrt(r_min) + k*step, overshooting r_max by < one step:
         # grids sharing (r_min, step) then coincide exactly on their overlap
         lo, hi = math.sqrt(self.r_min), math.sqrt(self.r_max)
-        npts = int(math.ceil((hi - lo) / self.step - 1e-9)) + 1
-        return _read_only(lo + np.arange(npts) * self.step)
+        return int(math.ceil((hi - lo) / self.step - 1e-9)) + 1
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return _read_only(math.sqrt(self.r_min)
+                          + np.arange(self.size) * self.step)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -338,43 +352,55 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     Dividing by a[i-1] must stay a division, and the two products must stay
     separately rounded: multiplying by a precomputed 1/a, or regrouping or
     fusing the terms, changes the last bits of chi and of every output.
-    Memoryviews of the reversed a and b hand the loop one float at a time,
-    and one of chi takes each result, so no N-element list is built.
 
-    There are two paths.  The fast one runs the bare recurrence: a[i+2] and
-    a[i+1] stay in locals, so each step fetches only b[i+1] and a[i], and no
-    step tests for overflow.  The finished chi is then checked once,
-    max <= 1e250 and min >= -1e250 (NaN fails both).  If it passes, the
-    reference's 1e-250 rescale never fired and chi is its exact result.  If
-    it fails, or a step divides by zero, `_numerov_rescaled` reruns the
-    whole recurrence as the numpy-indexed reference loop, rescale included,
-    at about four times the fast path's cost.  The real states that need
-    the rescale are Rb n = 60 at l >= 54, Rb n = 90 at l >= 56 and hydrogen
-    n = 60 at l >= 55; every workload stops at l_f <= 10.
+    `_numerov_steps` yields chi from the outer end inward, and np.fromiter
+    writes each value into one N-point buffer, which is returned reversed as
+    a view, so no N-element list and no second array is built.  The fast
+    path runs the bare recurrence with no per-step overflow test.  The
+    finished chi is then checked once, max <= 1e250 and min >= -1e250 (NaN
+    fails both).  If it passes, the reference's 1e-250 rescale never fired
+    and chi is its exact result.  If it fails, or a step divides by zero
+    (the ZeroDivisionError leaves np.fromiter), `_numerov_rescaled` reruns
+    the whole recurrence as the numpy-indexed reference loop, rescale
+    included, at about four times the fast path's cost.  The real states
+    that need the rescale are Rb n = 60 at l >= 54, Rb n = 90 at l >= 56 and
+    hydrogen n = 60 at l >= 55; every workload stops at l_f <= 10.
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
     b = np.multiply(10.0, a)
     np.subtract(12.0, b, out=b)
-    a_rev, b_rev = memoryview(a[::-1]), memoryview(b[::-1])
-    chi = np.empty_like(W)
-    chi[-1], chi[-2] = 1e-12, 2e-12
-    out = memoryview(chi)
-    c_out, c_in = 1e-12, 2e-12            # chi[i+2], chi[i+1]
-    a_out, a_mid = a_rev[0], a_rev[1]     # a[i+2], a[i+1]
     try:
-        for i, b_i, a_i in zip(range(len(chi) - 3, -1, -1),
-                               b_rev[1:-1], a_rev[2:]):
-            c = (b_i * c_in - a_out * c_out) / a_i
-            out[i] = c
-            c_out, c_in = c_in, c
-            a_out, a_mid = a_mid, a_i
+        chi = np.fromiter(_numerov_steps(memoryview(a[::-1]),
+                                         memoryview(b[::-1])),
+                          float, W.size)[::-1]
     except ZeroDivisionError:
-        pass
+        chi = np.empty_like(W)
     else:
         if chi.max() <= 1e250 and chi.min() >= -1e250:
             return chi
     return _numerov_rescaled(a, b, chi)
+
+
+def _numerov_steps(a_rev, b_rev):
+    """chi from the outer end inward: the two seeds, then the recurrence two
+    steps per iteration, over stride-2 slices of the reversed a and b.  The
+    locals hold chi[i+1], chi[i], a[i+1] and a[i] between iterations, so each
+    step fetches only b[i] and a[i-1]; an odd step count ends with one more
+    step after the loop."""
+    c_out, c_in = 1e-12, 2e-12            # chi[i+1], chi[i]
+    yield c_out
+    yield c_in
+    a_out, a_mid = a_rev[0], a_rev[1]     # a[i+1], a[i]
+    for b_1, b_2, a_1, a_2 in zip(b_rev[1:-1:2], b_rev[2:-1:2],
+                                  a_rev[2::2], a_rev[3::2]):
+        c_out = (b_1 * c_in - a_out * c_out) / a_1
+        yield c_out
+        c_in = (b_2 * c_out - a_mid * c_in) / a_2
+        yield c_in
+        a_out, a_mid = a_1, a_2
+    if len(a_rev) % 2:
+        yield (b_rev[-2] * c_in - a_out * c_out) / a_rev[-1]
 
 
 def _numerov_rescaled(a, b, chi: np.ndarray) -> np.ndarray:
@@ -424,23 +450,23 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     chi = _numerov_inward(_numerov_w(p, l, j, energy, grid), h)
     work = np.empty_like(chi)
 
-    def crossings():
-        return np.nonzero(np.multiply(chi[:-1], chi[1:], out=work[:-1]) < 0.0)[0]
-
     flags: list[str] = []
     # Truncate an inner blow-up.  Inside the innermost crossing the physical
     # solution decays toward r -> 0 (the Langer term keeps W > 0 at the
     # boundary), so |chi| growing monotonically INTO the boundary by over an
     # order of magnitude marks the spurious branch picked up because E is not
     # an exact eigenvalue; zero it through its minimum so a contamination
-    # crossing is not counted as a node.
-    sign_change = crossings()
+    # crossing is not counted as a node.  Blanking chi[:k+1] zeroes every
+    # product chi[i] chi[i+1] with i <= k and leaves the rest, so the
+    # crossings after it are the ones beyond k.
+    sign_change = np.flatnonzero(np.multiply(chi[:-1], chi[1:],
+                                             out=work[:-1]) < 0.0)
     if sign_change.size and sign_change[0] < 3:
         # a crossing within a couple of samples of the cutoff is the
         # irregular branch leaking into the boundary value, not a node the
         # grid could resolve; blank it (amplitude there is ~1e-8 of the peak)
         chi[: int(sign_change[0]) + 1] = 0.0
-        sign_change = crossings()
+        sign_change = sign_change[1:]
     seg_end = int(sign_change[0]) + 1 if sign_change.size else chi.size
     inner = np.abs(chi[:seg_end])
     imin = int(np.argmin(inner))
@@ -448,7 +474,7 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
             and inner[0] > 10.0 * inner[imin]:
         chi[: imin + 1] = 0.0
         flags.append("divergent-core")
-        sign_change = crossings()
+        sign_change = sign_change[sign_change > imin]
 
     nodes = sign_change.size
     if nodes != n - l - 1:

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .atom import load_species
+from .atom import default_grid, load_species
 from .beam import BeamSpec
 from .cm import CMState
 from .config import ConfigError, ScenarioConfig, parse_config
@@ -61,6 +61,10 @@ class Runtime:
                              sigma=cfg.sigma, q_max=cfg.q_max,
                              mass_ratio=cfg.mass_ratio)
         self.cm_i = CMState(cfg.N, cfg.M, um_to_au(cfg.w_r_um))
+        try:                      # n's grid is the smallest any command solves on
+            default_grid(cfg.n, cfg.grid_step)
+        except ValueError as exc:
+            raise ConfigError(f"compute.grid_step: {exc}") from None
         self.solver = StateSolver(self.species, cfg.grid_step)
 
     def initial_state(self):

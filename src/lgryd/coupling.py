@@ -187,11 +187,13 @@ def fine_structure_weight(initial: tuple, final: tuple, orbital_bra_ket: tuple) 
     return total
 
 
-def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
-                    l_f: int, j_f: float, m_jf: float,
+def _angular_and_cg(tables: dict, sigma: int, l1: int, m1: int, l2: int,
+                    l3: int, l_f: int, j_f: float, m_jf: float,
                     l_i: int, j_i: float, m_ji: float):
     """(angular, cg_weight) for the channel (sigma, l1, m1, l2, l3) feeding
     the final label (l_f, j_f, m_jf) from |l_i j_i m_ji>; m2 = l2, m3 = -l3.
+    Each Gaunt integral is memoised in `tables`: both j_f of one l_f take
+    the same ones.
 
     General case: sum over the initial m_l decomposition of |j_i m_ji>, each
     term weighted by both Clebsch-Gordan brackets.  When a single m_li
@@ -212,7 +214,9 @@ def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
                                   (m_li, m_lf))
         if w == 0.0:
             continue
-        g = multi_gaunt(fs, (l_f, round(m_lf)), (l_i, round(m_li)))
+        bra, ket = (l_f, round(m_lf)), (l_i, round(m_li))
+        g = _memo(tables, ("gaunt", sigma, l1, m1, l2, l3, bra, ket),
+                  multi_gaunt, fs, bra, ket)
         terms.append((w, g))
     if not terms:
         return 0.0, 0.0
@@ -268,8 +272,8 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState | StateLabel,
                                 continue
                             key = ("angular", sigma, l1, m1, l2, l3,
                                    l_f, j_f, m_jf)
-                            if _memo(tables, key, _angular_and_cg, *key[1:],
-                                     l_i, j_i, m_ji)[0] == 0.0:
+                            if _memo(tables, key, _angular_and_cg, tables,
+                                     *key[1:], l_i, j_i, m_ji)[0] == 0.0:
                                 continue   # angular selection closes this l_f
                             if not include_elastic and l_f == l_i and \
                                     abs(j_f - j_i) < 1e-9 and \
@@ -353,7 +357,7 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     fin = channel.final
     key = ("angular", channel.sigma, channel.l1, channel.m1, channel.l2,
            channel.l3, fin.l, fin.j, fin.m_j)
-    angular, cg = _memo(tables, key, _angular_and_cg, *key[1:],
+    angular, cg = _memo(tables, key, _angular_and_cg, tables, *key[1:],
                         psi_i.l, psi_i.j, psi_i.m_j)
 
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)

@@ -265,6 +265,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             RadialGrid(1e-3, 10.0, step=0.0)
 
+    def test_needs_three_nodes(self):
+        # Simpson's rule and the first Numerov step each take three nodes
+        assert np.array_equal(RadialGrid(1.0, 9.0, 1.0).xi, [1.0, 2.0, 3.0])
+        for grid_args in ((1.0, 9.0, 2.0), (1.0, 9.0, 5.0), (1e-3, 9000.0, 100.0)):
+            with pytest.raises(ValueError, match="needs at least 3"):
+                RadialGrid(*grid_args)
+
     def test_default_grid_extent(self):
         g = default_grid(60)
         assert g.r_max == pytest.approx(2 * 60 * 75.0)
@@ -407,6 +414,57 @@ class TestNumerovKernel:
         [(W, h, chi)] = seen
         assert len(fallbacks) == 1
         assert np.array_equal(chi, _numerov_inward_reference(W, h))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_short_grids_bit_identical(self, fallbacks, n):
+        # both parities of the step count n - 2, so the two-step loop alone
+        # (n even) and the loop plus its tail step (n odd); h = 0.3 keeps a
+        # far from 1 and of both signs
+        W = np.random.default_rng(n).uniform(-150.0, 250.0, n)
+        chi = atom._numerov_inward(W, 0.3)
+        assert chi.shape == (n,)
+        assert np.array_equal(chi, _numerov_inward_reference(W, 0.3))
+        assert len(fallbacks) == 0
+
+    @pytest.mark.parametrize("at", [8, 5, 0])
+    def test_zero_a_reaches_fallback(self, fallbacks, at):
+        # n = 11: the first step divides by a[8], a middle one by a[5] and
+        # the tail step after the two-step loop by a[0]; a = 0 exactly at
+        # W = 12/h^2 (h = 0.01)
+        W = np.full(11, 100.0)
+        W[at] = 120000.0
+        with np.errstate(all="ignore"):     # the reference runs numpy scalars
+            chi = atom._numerov_inward(W, 0.01)
+            assert np.array_equal(chi, _numerov_inward_reference(W, 0.01),
+                                  equal_nan=True)
+        assert len(fallbacks) == 1
+        assert np.isinf(chi[at])
+
+    def test_chi_full_length_and_read_only_in_state(self, hyd):
+        grid = default_grid(4)
+        W = atom._numerov_w(hyd, 1, 1.5, qd_energy(hyd, 4, 1, 1.5), grid)
+        chi = atom._numerov_inward(W, grid.h)
+        assert chi.shape == W.shape and chi.flags.writeable
+        st = solve_radial(hyd, 4, 1, 1.5, grid=grid)
+        assert st.chi.shape == grid.xi.shape
+        with pytest.raises(ValueError):
+            st.chi[0] = 1.0
+
+    @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
+                                                 ("rb", 90, 10),
+                                                 ("hydrogen", 10, 9)])
+    def test_nodes_are_sign_changes(self, species, n, l_max):
+        # the states of test_bit_identical: after any blanking the node count
+        # is the sign changes of the returned chi, counted afresh
+        p = load_species(species)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+            for l in range(l_max + 1):
+                for j in (l - 0.5, l + 0.5):
+                    if j > 0:
+                        st = solve_radial(p, n, l, j)
+                        assert st.nodes == np.count_nonzero(
+                            st.chi[:-1] * st.chi[1:] < 0.0), (l, j)
 
 
 def _model_potential_reference(p, l, j, r):

@@ -262,6 +262,26 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "broken.species" in err and what in err
 
+    @pytest.mark.parametrize("block, key, value",
+                             [("[potential l=0]", "a1", "x"),
+                              ("[defect l=0 j=0.5]", "d", "1 x")])
+    def test_bad_species_value_names_file_and_line(self, tmp_path, capsys,
+                                                   block, key, value):
+        bad = tmp_path / "broken.species"
+        bad.write_text(f"[atom]\nZ = 1\nmass_amu = 1.0\nalpha_c = 0\n"
+                       f"{block}\n{key} = {value}\n")
+        rc, _ = run(tmp_path, "channels", cfg_lines=[f"atom.species = {bad}"])
+        assert rc == EXIT_CONFIG
+        assert f"broken.species:6: bad value for {key!r}" in \
+            capsys.readouterr().err
+
+    def test_grid_under_three_nodes_is_2(self, tmp_path, capsys):
+        # step 100 leaves the n = 60 grid two nodes, too few for Simpson
+        rc, _ = run(tmp_path, "rabi", cfg_lines=["compute.grid_step = 100"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "compute.grid_step" in err and "2 nodes" in err
+
     def test_validation_failure_is_2(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "channels", cfg_lines=["trap.N = -1"])
         assert rc == EXIT_CONFIG

@@ -648,3 +648,14 @@ class TestFactorTables:
                           "_angular_and_cg": 233,
                           "g_coeff": 220,
                           "c_product": 220}
+
+    def test_one_gaunt_per_distinct_key(self, monkeypatch):
+        # the same sweep: the two j_f of one l_f share their Gaunt
+        # integrals, so 117 distinct (factors, bra, ket) where the 233
+        # angular keys once made 233 calls
+        calls, plain = [], coupling.multi_gaunt
+        monkeypatch.setattr(coupling, "multi_gaunt",
+                            lambda fs, bra, ket: calls.append(
+                                (tuple(fs), bra, ket)) or plain(fs, bra, ket))
+        rb60_sweep(tuple(range(1, 9)), q_max=1)
+        assert len(calls) == len(set(calls)) == 117
