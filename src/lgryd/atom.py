@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
+from . import _lazy_numpy
 from .units import FINE_STRUCTURE, amu_to_au
+
+np = _lazy_numpy()
 
 __all__ = [
     "SpeciesParams",
@@ -134,7 +135,7 @@ class SpeciesParams:
             except KeyError as e:
                 raise ValueError(f"{path}: potential block l={l} missing {e}") from None
         try:
-            return cls(
+            params = cls(
                 name=atom.get("name", Path(path).stem),
                 Z=int(atom["Z"]),
                 mass=amu_to_au(float(atom["mass_amu"])),
@@ -145,6 +146,9 @@ class SpeciesParams:
             )
         except (KeyError, ValueError) as e:
             raise ValueError(f"{path}: bad atom block ({e})") from None
+        if not pot:               # potential_for needs at least one block
+            raise ValueError(f"{path}: no [potential l=...] block")
+        return params
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

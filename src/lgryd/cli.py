@@ -9,11 +9,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .atom import default_grid, load_species
-from .beam import BeamSpec
+from .beam import BeamSpec, f_coeff
 from .cm import CMState
 from .config import ConfigError, ScenarioConfig, parse_config
 from .coupling import StateLabel, StateSolver, compute_scenario, \
@@ -45,6 +46,24 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _check_beam_orders(cfg: ScenarioConfig, w0: float, w_r: float) -> None:
+    """g_coeff multiplies f_coeff, which falls as w0^-(2q+|l|), by
+    w_r^(2q+|l|): both must be normal finite floats at the largest order any
+    command reaches, or the weight comes out 0, short of digits, or raises."""
+    key, top = "compute.sweep_l", max(map(abs, cfg.sweep_l))
+    if abs(cfg.l) >= top:
+        key, top = "beam.l", abs(cfg.l)
+    order = 2 * cfg.q_max + top
+    try:
+        factors = (f_coeff(top, cfg.q_max, w0), w_r ** order)
+    except OverflowError:
+        factors = (math.inf,)
+    if not all(sys.float_info.min <= f <= sys.float_info.max for f in factors):
+        raise ConfigError(f"{key} = {top} with beam.q_max = {cfg.q_max}: the "
+                          f"beam weight of order 2q+|l| = {order} leaves the "
+                          "range of normal floats")
+
+
 def _channel_fields(ch):
     return (ch.l, ch.sigma, ch.q, ch.l1, ch.l2, ch.l3, ch.m1, ch.m2, ch.m3,
             ch.M_f, str(ch.final), ch.alpha, ch.beta)
@@ -65,6 +84,7 @@ class Runtime:
             default_grid(cfg.n, cfg.grid_step)
         except ValueError as exc:
             raise ConfigError(f"compute.grid_step: {exc}") from None
+        _check_beam_orders(cfg, self.beam.w0, self.cm_i.w_r)
         self.solver = StateSolver(self.species, cfg.grid_step)
 
     def initial_state(self):

@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
+from . import _lazy_numpy
 from .specfun import assoc_laguerre, log_factorial
+
+np = _lazy_numpy()
 
 __all__ = ["CMState", "cm_moment", "gauss_legendre"]
 

@@ -33,14 +33,15 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+from . import _lazy_numpy
 from .atom import (RydbergState, SpeciesParams, default_grid,
                    radial_matrix_element, solve_radial)
 from .beam import BeamSpec, g_coeff, solid_norm
 from .cm import CMState, cm_moment, gauss_legendre
 from .specfun import clebsch_gordan, multi_gaunt, spherical_bessel
 from .units import FINE_STRUCTURE, rabi_kHz as _to_kHz
+
+np = _lazy_numpy()
 
 __all__ = [
     "StateLabel",

@@ -20,7 +20,9 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
+from . import _lazy_numpy
+
+np = _lazy_numpy()
 
 __all__ = [
     "log_factorial",

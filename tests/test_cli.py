@@ -275,6 +275,38 @@ class TestExitCodes:
         assert f"broken.species:6: bad value for {key!r}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["channels", "rabi", "sweep", "wavefunction"])
+    def test_species_without_potential_block_is_2(self, tmp_path, capsys, cmd):
+        # potential_for has no block to fall back on, so the file is refused
+        # at load time rather than in the first solve
+        bad = tmp_path / "nopot.species"
+        bad.write_text("[atom]\nZ = 1\nmass_amu = 1.0\nalpha_c = 0\n"
+                       "[defect l=0 j=0.5]\nd = 0\n")
+        rc, _ = run(tmp_path, cmd, cfg_lines=[f"atom.species = {bad}"])
+        assert rc == EXIT_CONFIG
+        assert "nopot.species: no [potential" in capsys.readouterr().err
+
+    def test_beam_weight_out_of_range_is_2(self, tmp_path, capsys):
+        # at the rb60 widths and q_max = 1, f_coeff is normal up to
+        # 2q+|l| = 46 and subnormal from 47; it is exactly 0 from |l| = 47
+        rc, _ = run(tmp_path, "channels", cfg_lines=["beam.l = 44"])
+        assert rc == EXIT_OK
+        for line in ("beam.l = 45", "beam.l = 48", "beam.l = -66"):
+            rc, _ = run(tmp_path, "rabi", cfg_lines=[line])
+            assert rc == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"beam.l = {abs(int(line.split()[-1]))}" in err
+
+    def test_sweep_order_overflow_is_2(self, tmp_path, capsys):
+        # w_r ** (2q+|l|) overflows at |l| = 70; q_max = 40 overflows it at
+        # every l
+        rc, _ = run(tmp_path, "sweep", "--l", "1,70")
+        assert rc == EXIT_CONFIG
+        assert "compute.sweep_l = 70" in capsys.readouterr().err
+        rc, _ = run(tmp_path, "rabi", "--q-max", "40")
+        assert rc == EXIT_CONFIG
+        assert "beam.q_max = 40" in capsys.readouterr().err
+
     def test_grid_under_three_nodes_is_2(self, tmp_path, capsys):
         # step 100 leaves the n = 60 grid two nodes, too few for Simpson
         rc, _ = run(tmp_path, "rabi", cfg_lines=["compute.grid_step = 100"])
@@ -297,21 +329,56 @@ class TestExitCodes:
         assert "--format" in capsys.readouterr().err
 
 
+def fresh_python(code):
+    """stdout of `code` in a fresh interpreter, so modules loaded by other
+    tests do not count."""
+    src = str(Path(lgryd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 class TestImportCost:
     def test_cli_does_not_import_scipy(self):
-        # a fresh interpreter, so modules loaded by other tests do not count;
         # the verifier loads only for `lgryd verify`, and nothing needs
         # numpy.polynomial (the Gauss rules come from cm's eigenproblem)
-        src = str(Path(lgryd.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, lgryd.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m in ('scipy', 'lgryd.verify', 'numpy.polynomial') "
                 "or m.startswith('scipy.')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert fresh_python(code) == "[]"
+
+    def test_numpy_loads_on_first_array_use(self, tmp_path):
+        # setup, --help, channels and config errors stay numpy-free; rabi
+        # loads numpy at its first solve
+        cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
+        code = f"""
+import contextlib, io, sys
+def loaded():
+    return "numpy._core" in sys.modules or "numpy.core" in sys.modules
+from lgryd import cli
+from lgryd.config import parse_config
+steps = [loaded()]
+cli.Runtime(parse_config({str(cfg)!r}))
+steps.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.suppress(SystemExit):
+        cli.main(["--help"])
+    steps.append(loaded())
+    assert cli.main(["channels", "--config", {str(cfg)!r},
+                     "--out", {str(tmp_path)!r}]) == 0
+    steps.append(loaded())
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["channels", "--config", {str(tmp_path / "none.cfg")!r}]) == 2
+    steps.append(loaded())
+    assert cli.main(["rabi", "--config", {str(cfg)!r},
+                     "--out", {str(tmp_path)!r}]) == 0
+steps.append(loaded())
+print(steps)
+"""
+        assert fresh_python(code) == str([False] * 5 + [True])
 
 
 class TestUnitRoundTrip:

@@ -6,9 +6,13 @@ records a missing one as absent instead of failing, so a rename in the
 package would silently turn that target's per-layer metrics into zeros.
 """
 
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import lgryd
 import lgryd.cli  # noqa: F401  (load every module the benchmark loads)
 
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -28,6 +32,19 @@ def test_every_target_present():
         absent = list(t.absent)
     assert absent == []
     assert tracer._patched == []      # uninstalled again
+
+
+def test_cli_import_loads_every_target_module():
+    # the tracer patches only modules loaded when it installs, so a package
+    # module that loaded lazily would read 0 on every per-layer metric
+    src = str(Path(lgryd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, lgryd.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    wanted = {spec[0] for spec in load_tracer().TARGETS.values()}
+    assert wanted and wanted <= set(out.stdout.split())
 
 
 def test_traced_scenario_and_sweep():
