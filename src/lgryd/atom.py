@@ -11,7 +11,8 @@ chi = u / sqrt(xi) the radial equation becomes
 which Numerov handles at O(h^4).  Because E is not an exact eigenvalue of the
 model potential, high-l solutions can blow up under the inner centrifugal
 barrier; the blow-up is cut at the innermost |chi| minimum and flagged rather
-than hidden.
+than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
+misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
 The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
 potential are computed once per `RadialGrid` and cached on it, so a solve
@@ -51,6 +52,9 @@ __all__ = [
 # polarizability scale alpha_c^{1/3} instead silently loses ~4 nodes for Rb.
 R_MIN = 1e-3
 XI_STEP = 0.01
+# the most nodes a grid may have: each N-point array of a solve then stays
+# under 80 MB, and a step too small for that is refused before any is built
+MAX_GRID_NODES = 10_000_000
 # exp(-x) is exactly +0.0 for every x > _EXP_ZERO (model_potential)
 _EXP_ZERO = 746.0
 
@@ -188,6 +192,11 @@ class RadialGrid:
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        span = (math.sqrt(self.r_max) - math.sqrt(self.r_min)) / self.step
+        if span >= MAX_GRID_NODES:
+            raise ValueError(f"step {self.step:g} leaves the grid on "
+                             f"[{self.r_min:g}, {self.r_max:g}] more than "
+                             f"{MAX_GRID_NODES} nodes")
         if self.size < 3:
             # Simpson's rule and the Numerov step each need three nodes
             raise ValueError(f"step {self.step:g} leaves the grid on "

@@ -99,8 +99,8 @@ def cm_moment(f: CMState, i: CMState, beta: int) -> float:
     a = 0.5 * (abs(f.M) + abs(i.M) + beta)
     npts = f.n_minus + i.n_minus + 2
     u, w = _gauss_laguerre(npts, a)
-    lf = np.array([assoc_laguerre(f.n_minus, float(abs(f.M)), ui) for ui in u])
-    li = np.array([assoc_laguerre(i.n_minus, float(abs(i.M)), ui) for ui in u])
+    lf = assoc_laguerre(f.n_minus, float(abs(f.M)), u)
+    li = assoc_laguerre(i.n_minus, float(abs(i.M)), u)
     norm = math.exp(_log_norm(f) + _log_norm(i))
     return 0.5 * norm * float(np.dot(w, lf * li))
 

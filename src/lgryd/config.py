@@ -69,6 +69,8 @@ class ScenarioConfig:
             (self.n > self.l_i >= 0, "atom.n must exceed atom.l >= 0"),
             (abs(abs(self.j_i - self.l_i) - 0.5) < 1e-9, "atom.j must be atom.l +- 1/2"),
             (abs(self.m_j) <= self.j_i + 1e-9, "atom.m_j must satisfy |m_j| <= j"),
+            (abs((self.m_j - self.j_i) - round(self.m_j - self.j_i)) < 1e-9,
+             "atom.m_j must differ from atom.j by an integer"),
             (self.n_final is None or self.n_final >= 1, "atom.n_final must be >= 1"),
             (self.w_r_um > 0, "trap.w_r_um must be positive"),
             (self.N >= abs(self.M), "trap.N must be >= |trap.M|"),

@@ -46,13 +46,17 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
-def assoc_laguerre(n: int, a: float, x: float) -> float:
+def assoc_laguerre(n: int, a: float, x: float | np.ndarray) -> float | np.ndarray:
     """Generalized Laguerre polynomial L^a_n(x) by the stable three-term
-    upward recurrence  (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}."""
+    upward recurrence  (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}.
+
+    x is a number or a numpy array.  An array runs the same operations in
+    the same order elementwise, so each element is bit-identical to the
+    scalar result at that point; n = 0 gives ones shaped like x."""
     if n < 0:
         raise ValueError("Laguerre degree must be non-negative")
     if n == 0:
-        return 1.0
+        return 1.0 if isinstance(x, (int, float)) else np.ones_like(x, dtype=float)
     lm, lk = 1.0, 1.0 + a - x
     for k in range(1, n):
         lm, lk = lk, ((2 * k + 1 + a - x) * lk - (k + a) * lm) / (k + 1)

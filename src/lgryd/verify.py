@@ -233,7 +233,7 @@ def _hydrogen_u(n: int, l: int, r: np.ndarray) -> np.ndarray:
     rho = 2.0 * r / n
     log_norm = 0.5 * (math.log(2.0 / n) * 3 + math.lgamma(n - l)
                       - math.log(2.0 * n) - math.lgamma(n + l + 1))
-    lag = np.array([assoc_laguerre(n - l - 1, 2 * l + 1, x) for x in rho])
+    lag = assoc_laguerre(n - l - 1, 2 * l + 1, rho)
     return r * np.exp(log_norm - rho / 2.0 + l * np.log(rho)) * lag
 
 

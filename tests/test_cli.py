@@ -314,6 +314,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "compute.grid_step" in err and "2 nodes" in err
 
+    def test_grid_over_node_ceiling_is_2(self, tmp_path, capsys):
+        # a step so fine the grid would pass MAX_GRID_NODES is refused before
+        # numpy is asked for the array; the smallest subnormal step makes the
+        # node count itself overflow
+        for step in ("1e-300", "5e-324"):
+            for cmd in ("rabi", "sweep"):
+                rc, _ = run(tmp_path, cmd, cfg_lines=[f"compute.grid_step = {step}"])
+                assert rc == EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert "compute.grid_step" in err and "more than" in err
+
+    @pytest.mark.parametrize("cmd", ["channels", "rabi", "sweep"])
+    def test_m_j_off_the_ladder_is_2(self, tmp_path, capsys, cmd):
+        # |m_j| <= j holds, but m_j - j is not an integer, so no channel
+        # conserves m_j
+        rc, _ = run(tmp_path, cmd, cfg_lines=["atom.m_j = 0.25"])
+        assert rc == EXIT_CONFIG
+        assert "atom.m_j" in capsys.readouterr().err
+
     def test_validation_failure_is_2(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "channels", cfg_lines=["trap.N = -1"])
         assert rc == EXIT_CONFIG

@@ -123,6 +123,7 @@ class TestValidation:
         ("atom.n = 0", "atom.n"),
         ("atom.j = 5/2", "atom.j"),
         ("atom.m_j = -3/2", "m_j"),
+        ("atom.m_j = 1/4", "m_j must differ"),
         ("trap.N = 1", "trap.N"),          # N - |M| odd
         ("trap.M = 1", "trap.N"),
         ("compute.sweep_l =", "sweep_l"),

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 from lgryd import specfun, verify
+from lgryd.atom import default_grid
+from lgryd.cm import _gauss_laguerre
 from _oracles import laguerre_coeff_sum, sphere_integral_simpson, sympy_wigner3j
 
 
@@ -32,7 +34,10 @@ class TestAssocLaguerre:
                             rel_tol=1e-13)
 
     def test_degree_zero_and_one(self):
+        assert type(specfun.assoc_laguerre(0, 3.7, 2.2)) is float
         assert specfun.assoc_laguerre(0, 3.7, 2.2) == 1.0
+        x = np.linspace(0.0, 5.0, 6).reshape(2, 3)
+        assert np.array_equal(specfun.assoc_laguerre(0, 3.7, x), np.ones((2, 3)))
         assert math.isclose(specfun.assoc_laguerre(1, 0.5, 2.0), -0.5, rel_tol=1e-14)
 
     @given(n=st.integers(0, 20),
@@ -47,6 +52,21 @@ class TestAssocLaguerre:
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError):
             specfun.assoc_laguerre(-1, 0.0, 1.0)
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        # the array form runs the scalar recurrence's operations in order, so
+        # each element is the scalar value exactly: on the Gauss-Laguerre
+        # nodes cm_moment takes and on the rho = 2r/n of the n = 90 hydrogen
+        # closed form, for integer and fractional a, up to degree 89
+        rho = 2.0 * default_grid(90).r[::7] / 90.0
+        nodes = _gauss_laguerre(12, 1.5)[0]
+        for x in (rho, nodes):
+            for n in (0, 1, 2, 3, 11, 40, 89):
+                for a in (0.0, 1.5, 3, 179):
+                    got = specfun.assoc_laguerre(n, a, x)
+                    ref = [specfun.assoc_laguerre(n, a, v) for v in x.tolist()]
+                    assert got.shape == x.shape and got.dtype == float
+                    assert np.array_equal(got, ref), (n, a)
 
 
 class TestSphericalHarmonic:
