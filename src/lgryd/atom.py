@@ -77,6 +77,11 @@ class SpeciesParams:
             raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
         if self.alpha_c < 0:
             raise ValueError("core polarizability must be non-negative")
+        values = [self.mass, self.alpha_c, self.so_scale]
+        values += [v for block in self.potential.values() for v in block]
+        values += [v for series in self.defects.values() for v in series]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("every species value must be a finite number")
         for l, (a1, a2, a3, a4, rc) in self.potential.items():
             if rc <= 0:
                 raise ValueError(f"cutoff radius must be positive (l={l})")
@@ -128,7 +133,10 @@ class SpeciesParams:
                 if section[0] == "potential":
                     potential[section[1]][key] = float(val)
                 else:
-                    defects[section[1:]] = tuple(float(t) for t in val.split())
+                    series = tuple(float(t) for t in val.split())
+                    if not series:
+                        raise ValueError("empty series")
+                    defects[section[1:]] = series
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: "
                                  f"{val!r}") from None

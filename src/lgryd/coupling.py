@@ -261,7 +261,9 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState | StateLabel,
                     M_f = l - m1 - m2 - m3 + M_i
                     m_jf = m_ji + sigma + m1 + m2 + m3
                     parity = (l_i + 1 + l1 + l2 + l3) % 2
-                    for l_f in range(final_l_f_max + 1):
+                    # past l_i + 1 + l1 + l2 + l3 the triangle rule closes l_f
+                    top = min(final_l_f_max, l_i + 1 + l1 + l2 + l3)
+                    for l_f in range(top + 1):
                         if l_f % 2 != parity:
                             continue
                         if j_policy == "stretched":

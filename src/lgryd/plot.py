@@ -4,7 +4,8 @@ No plotting runtime: the figure is assembled as SVG text directly, so the
 artifact is self-contained and byte-stable for a given sweep.  Curves shown:
 the pure dipole group, the vortex-fed (via TC) group, the envelope-fed
 (via GT) route into the reference D label, and the coherent total into that
-label.
+label.  A sweep with no positive value (a zero field, say) gets a frame
+that says so.
 """
 
 from __future__ import annotations
@@ -53,8 +54,18 @@ def _series_from_rows(rows: Sequence[SweepRow]):
 def render_sweep_svg(rows: Sequence[SweepRow]) -> str:
     series = [(name, ser) for name, ser in _series_from_rows(rows) if ser]
     pts = [(l, v) for _, ser in series for l, v in ser.items() if v > 0.0]
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+           f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+           f'<rect width="{_W}" height="{_H}" fill="white"/>',
+           f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="26" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="15" fill="#222">{_TITLE}</text>']
     if not pts:
-        raise ValueError("nothing to plot: sweep produced no positive values")
+        out.append(f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H / 2:.1f}" '
+                   f'text-anchor="middle" font-family="sans-serif" '
+                   f'font-size="13" fill="#444">no positive Rabi frequency '
+                   f'to plot</text>')
+        out.append("</svg>")
+        return "\n".join(out) + "\n"
     ls = sorted({l for l, _ in pts})
     lo = math.floor(math.log10(min(v for _, v in pts)))
     hi = math.ceil(math.log10(max(v for _, v in pts)))
@@ -71,11 +82,6 @@ def render_sweep_svg(rows: Sequence[SweepRow]) -> str:
     def Y(v):
         return y0 + (y1 - y0) * (math.log10(v) - lo) / (hi - lo)
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
-           f'height="{_H}" viewBox="0 0 {_W} {_H}">',
-           f'<rect width="{_W}" height="{_H}" fill="white"/>',
-           f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="26" text-anchor="middle" '
-           f'font-family="sans-serif" font-size="15" fill="#222">{_TITLE}</text>']
     # frame
     out.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                f'fill="none" stroke="#222" stroke-width="1"/>')

@@ -10,6 +10,7 @@ drop to hydrogen n=4 to keep the suite quick.
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,11 @@ import pytest
 import lgryd
 from lgryd import coupling
 from lgryd.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from lgryd.config import _KEYS
 from lgryd.units import BOHR_RADIUS_M, um_to_au
 
 FAST = ["atom.species = hydrogen", "atom.n = 4", "compute.grid_step = 0.02"]
+RB60_CFG = Path(__file__).parent.parent / "configs" / "rb60.cfg"
 
 
 def run(tmp_path, cmd, *extra, cfg_lines=(), name="case.cfg"):
@@ -333,6 +336,24 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "atom.m_j" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["rabi", "sweep"])
+    def test_overflowing_field_is_2(self, tmp_path, capsys, cmd):
+        # rabi wrote inf rows and sweep overflowed |me| ** 2
+        rc, _ = run(tmp_path, cmd, cfg_lines=["beam.field_V_per_m = 1e300"])
+        assert rc == EXIT_CONFIG
+        assert "beam.field_V_per_m = 1e+300" in capsys.readouterr().err
+
+    def test_trap_state_past_cm_cap_is_2(self, tmp_path, capsys):
+        # n- = (N - |M|)/2 = 10 is the last one cm_moment computes to its
+        # digits; at trap.N = 400 rabi once wrote nan rows
+        rc, out = run(tmp_path, "rabi", cfg_lines=["trap.N = 20"])
+        assert rc == EXIT_OK and rows(out / "rabi.csv")
+        for N in (22, 400):
+            for cmd in ("rabi", "sweep"):
+                rc, _ = run(tmp_path, cmd, cfg_lines=[f"trap.N = {N}"])
+                assert rc == EXIT_CONFIG
+                assert f"trap.N = {N}" in capsys.readouterr().err
+
     def test_validation_failure_is_2(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "channels", cfg_lines=["trap.N = -1"])
         assert rc == EXIT_CONFIG
@@ -348,15 +369,115 @@ class TestExitCodes:
         assert "--format" in capsys.readouterr().err
 
 
+HOSTILE = ("0", "-1", "x", "", "1e-300", "1e300", "0.25", "1000000000")
+# (species-file key, value): the first line setting the key in rb.species
+SPECIES_MUTATIONS = (("Z", "0"), ("mass_amu", "nan"), ("alpha_c", "inf"),
+                     ("so_scale", "-1"), ("a1", "x"), ("a2", "1e300"),
+                     ("rc", "0"), ("d", ""), ("d", "1e300"))
+
+
+def finite_cells(path):
+    """False if any cell of the CSV reads as a float that is not finite."""
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+class TestHostileInput:
+    # every rb60 config key under each hostile value, and a few species-file
+    # mutations: rabi and sweep exit 0 with finite rows, or 2 with a message
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [("config", k, v) for k in _KEYS for v in HOSTILE]
+        + [("species", k, v) for k, v in SPECIES_MUTATIONS])
+    def test_exits_0_or_2(self, tmp_path, monkeypatch, capsys, where, key, value):
+        monkeypatch.chdir(tmp_path)         # output.dir lands in tmp_path
+        lines = RB60_CFG.read_text().splitlines()
+        if where == "config":
+            lines = [line for line in lines
+                     if line.partition("=")[0].strip() != key]
+            lines.append(f"{key} = {value}")
+        else:
+            rb = Path(lgryd.__file__).parent / "data" / "rb.species"
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", rb.read_text(),
+                          count=1, flags=re.M)
+            (tmp_path / "mutant.species").write_text(text)
+            lines.append(f"atom.species = {tmp_path / 'mutant.species'}")
+        (tmp_path / "case.cfg").write_text("\n".join(lines) + "\n")
+        out = tmp_path / (value if key == "output.dir" else "out")
+        for cmd in ("rabi", "sweep"):
+            rc = main([cmd, "--config", str(tmp_path / "case.cfg")])
+            err = capsys.readouterr().err
+            assert rc in (EXIT_OK, EXIT_CONFIG), cmd
+            if rc == EXIT_CONFIG:
+                assert err.startswith("config error: "), cmd
+            else:
+                assert finite_cells(out / f"{cmd}.csv"), cmd
+
+    def test_zero_field_sweep_writes_csv_and_svg(self, tmp_path):
+        # a valid config with no positive value to put on a log axis
+        rc, out = run(tmp_path, "sweep", cfg_lines=["beam.field_V_per_m = 0"])
+        assert rc == EXIT_OK
+        table = rows(out / "sweep.csv")
+        assert table and all(float(r["rabi_kHz"]) == 0.0 for r in table)
+        svg = (out / "sweep.svg").read_text()
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert "no positive Rabi frequency to plot" in svg
+
+
+def _env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(lgryd.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def fresh_python(code):
     """stdout of `code` in a fresh interpreter, so modules loaded by other
     tests do not count."""
-    src = str(Path(lgryd.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                         env=_env(), capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def lgryd_process(*args):
+    """`python -m lgryd` with stdout and stderr piped, so both are block
+    buffered and only run()'s flush gets them out before os._exit."""
+    return subprocess.run([sys.executable, "-m", "lgryd", *args], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestEntryPoint:
+    def test_channels_rb60(self, tmp_path):
+        proc = lgryd_process("channels", "--config", str(RB60_CFG),
+                             "--out", str(tmp_path))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == f"wrote {tmp_path / 'channels.csv'} (14 channels)\n"
+        assert hashlib.sha256((tmp_path / "channels.csv").read_bytes()).hexdigest() \
+            == "2ee79372a65886d36f984f645d41153f6a433bf8f7d571ba9841f60e9d99560c"
+
+    def test_config_error_is_2(self, tmp_path):
+        (tmp_path / "bad.cfg").write_text("beam.l = fish\n")
+        proc = lgryd_process("channels", "--config", str(tmp_path / "bad.cfg"),
+                             "--out", str(tmp_path))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("config error: ") and proc.stdout == ""
+
+    def test_help_is_0(self):
+        proc = lgryd_process("--help")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: lgryd")
+
+    def test_console_script_enters_through_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"lgryd": "lgryd.cli:run"}
 
 
 class TestImportCost:

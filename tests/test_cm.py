@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lgryd.cm import CMState, _gauss_laguerre, cm_moment, gauss_legendre
+from lgryd.cm import MAX_N_MINUS, CMState, _gauss_laguerre, cm_moment, \
+    gauss_legendre
 from _oracles import cm_amplitude, cm_moment_series
 
 
@@ -19,6 +20,14 @@ class TestCMState:
             CMState(N=0, M=0, w_r=0.0)
         s = CMState(N=4, M=-2, w_r=2.0)
         assert s.n_minus == 1 and s.n_plus == 3
+
+    def test_refuses_n_minus_past_the_cap(self):
+        # cm_moment holds its digits only up to n- = MAX_N_MINUS
+        top = 2 * MAX_N_MINUS
+        assert CMState(top + 3, -3, 1.0).n_minus == MAX_N_MINUS
+        for N, M in ((top + 2, 0), (top + 5, 3), (400, 0)):
+            with pytest.raises(ValueError, match="exceeds"):
+                CMState(N, M, 1.0)
 
 
 class TestAmplitude:
@@ -93,6 +102,40 @@ class TestMoment:
             got = cm_moment(CMState(Nf, Mf, 1.0), CMState(Ni, Mi, 1.0), beta)
             ref = cm_moment_series(Nf, Mf, Ni, Mi, beta)
             assert got == pytest.approx(ref, abs=1e-10), (Nf, Mf, Ni, Mi, beta)
+
+    def test_exact_at_every_n_minus_up_to_the_cap(self):
+        # against the Laguerre coefficient expansion in 100-digit arithmetic,
+        # on the moments a channel takes: both states share n-, and
+        # beta = M_f - M_i mod 2 (the worst case found is 1.6e-12, at n- = 10)
+        mp = pytest.importorskip("mpmath")
+
+        def exact(n, Mf, Mi, beta):
+            af, ai = abs(Mf), abs(Mi)
+            a = mp.mpf(af + ai + beta) / 2
+            cf = [(-1) ** j * mp.binomial(n + af, n - j) / mp.factorial(j)
+                  for j in range(n + 1)]
+            ci = [(-1) ** k * mp.binomial(n + ai, n - k) / mp.factorial(k)
+                  for k in range(n + 1)]
+            total = mp.fsum(x * y * mp.gamma(a + j + k + 1)
+                            for j, x in enumerate(cf) for k, y in enumerate(ci))
+            norm = mp.sqrt(4 * mp.factorial(n) ** 2
+                           / (mp.factorial(n + af) * mp.factorial(n + ai)))
+            return norm * total / 2
+
+        with mp.workdps(100):
+            for n in range(MAX_N_MINUS + 1):
+                for Mi in (0, 1):
+                    for Mf in range(Mi - 4, Mi + 5):
+                        for beta in (0, 1, 2, 3, 4, 5, 20, 46):
+                            if (beta - Mf + Mi) % 2:
+                                continue
+                            want = exact(n, Mf, Mi, beta)
+                            got = cm_moment(CMState(2 * n + abs(Mf), Mf, 1.0),
+                                            CMState(2 * n + abs(Mi), Mi, 1.0),
+                                            beta)
+                            # some are exact zeros (orthogonality)
+                            bound = 1e-10 * abs(want) if want else 1e-12
+                            assert abs(got - want) <= bound, (n, Mf, Mi, beta)
 
     def test_trap_mismatch_raises(self):
         with pytest.raises(ValueError):

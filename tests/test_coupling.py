@@ -278,6 +278,14 @@ class TestEnumerateChannels:
         assert len(chans) == 10
         assert all(c.final.l <= 2 for c in chans)
 
+    def test_cap_past_triangle_bound_changes_nothing(self):
+        # l_f above l_i + 1 + |l| + 2 q_max closes by the triangle rule, so a
+        # huge cap gives the same channels, and the loop stops at the bound
+        beam = beam_for(2, 1, q_max=1)
+        want = enumerate_channels(beam, S_INIT, CM0, 5)
+        assert want and max(c.final.l for c in want) == 5
+        assert enumerate_channels(beam, S_INIT, CM0, 10**9) == want
+
     def test_lexicographic_order(self):
         # hydrogen 4S, and rb60 at l = -2..4, q_max = 2, both j, l_f <= 10
         cases = [(beam_for(1, 1, q_max=2), S_INIT, CM0, 3, "stretched")]
@@ -625,8 +633,9 @@ class TestFactorTables:
 
     def test_each_factor_once_per_key(self, monkeypatch):
         # the benchmark's heavy sweep: 606 channels, 39 final (state, alpha)
-        # pairs, 20 (M_f, beta) pairs, 233 angular keys, 220 coefficient
-        # keys (l, q, l1, l2, l3)
+        # pairs, 20 (M_f, beta) pairs, 105 angular keys (l_f stops at the
+        # triangle bound l_i + 1 + l1 + l2 + l3), 220 coefficient keys
+        # (l, q, l1, l2, l3)
         counts = dict.fromkeys(("assemble", "radial_matrix_element",
                                 "cm_moment", "lambda_integral_oracle",
                                 "_angular_and_cg", "g_coeff", "c_product"), 0)
@@ -645,17 +654,17 @@ class TestFactorTables:
                           "radial_matrix_element": 39 + 1,   # + <i|r|i>
                           "cm_moment": 20,
                           "lambda_integral_oracle": 39,
-                          "_angular_and_cg": 233,
+                          "_angular_and_cg": 105,
                           "g_coeff": 220,
                           "c_product": 220}
 
     def test_one_gaunt_per_distinct_key(self, monkeypatch):
         # the same sweep: the two j_f of one l_f share their Gaunt
-        # integrals, so 117 distinct (factors, bra, ket) where the 233
-        # angular keys once made 233 calls
+        # integrals, so 53 distinct (factors, bra, ket) for the 105 angular
+        # keys
         calls, plain = [], coupling.multi_gaunt
         monkeypatch.setattr(coupling, "multi_gaunt",
                             lambda fs, bra, ket: calls.append(
                                 (tuple(fs), bra, ket)) or plain(fs, bra, ket))
         rb60_sweep(tuple(range(1, 9)), q_max=1)
-        assert len(calls) == len(set(calls)) == 117
+        assert len(calls) == len(set(calls)) == 53
