@@ -5,10 +5,12 @@ only radial moments of A are computed here -- the azimuthal quantum number enter
 the coupling module through a Kronecker delta, and the phi integral is part
 of the angular algebra there.  Radial moments are evaluated by Gauss-Laguerre
 quadrature after u = x^2, where the integrand is exactly (polynomial) x
-u^{a} e^{-u} and the rule is exact at modest node counts; the nodes and
-weights come from the Golub-Welsch eigenproblem in numpy.  The same
-eigenproblem gives the Gauss-Legendre rule of the lambda audit and of the
-verifier's sphere quadrature, so no module needs numpy.polynomial.
+u^{a} e^{-u} and the rule is exact at modest node counts.  This module also
+gives the Gauss-Legendre rule of the lambda audit and of the verifier's
+sphere quadrature.  Both rules come from their polynomials' three-term
+recurrences in plain Python, so no module needs numpy.polynomial or
+numpy.linalg: LAPACK's first call costs a process about 1.3 MB of peak
+memory.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ np = _lazy_numpy()
 
 __all__ = ["CMState", "MAX_N_MINUS", "cm_moment", "gauss_legendre"]
 
-# Largest radial quantum number n- = (N - |M|)/2 a CMState may have: the
-# Golub-Welsch weights carry absolute, not relative, accuracy, and the tiny
-# ones sit where the Laguerre product is huge.  Against exact arithmetic,
-# at |M_f - M_i| <= 4, cm_moment's worst relative error is 1.6e-12 at
-# n- = 10 and 2.7e-5 at n- = 12 (docs/AUDIT.md).
+# Largest radial quantum number n- = (N - |M|)/2 a CMState may have.  The
+# Christoffel weights keep their relative accuracy, so against exact
+# arithmetic cm_moment's worst relative error at |M_f - M_i| <= 4 is 5e-14 at
+# n- = 10 and under 1e-12 up to n- = 18 (docs/AUDIT.md); the cap could rise,
+# but it decides which trap.N a config may take.
 MAX_N_MINUS = 10
 
 
@@ -65,42 +67,98 @@ def _log_norm(s: CMState) -> float:
     return 0.5 * (math.log(2.0) + log_factorial(s.n_minus) - log_factorial(s.n_plus))
 
 
-def _golub_welsch(diag: np.ndarray, off: np.ndarray,
-                  mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule of the orthogonal polynomials whose symmetric tridiagonal
-    Jacobi matrix has diagonal `diag` and off-diagonal `off`: nodes are its
-    eigenvalues, weights mu0 (the weight's total integral) times the squared
-    first eigenvector components (Golub & Welsch, Math. Comp. 23, 221 (1969))."""
-    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    x, v = np.linalg.eigh(jacobi)
-    return x, mu0 * v[0] ** 2
-
-
 @cache
-def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Laguerre rule for the weight u^a e^{-u} on [0, inf);
-    cached per (n, a), so the arrays are read-only."""
-    k = np.arange(n, dtype=float)
-    rule = _golub_welsch(2.0 * k + a + 1.0, np.sqrt(k[1:] * (k[1:] + a)),
-                         math.gamma(a + 1.0))
+def _gauss_laguerre_unit(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the unit-mass weight u^a e^{-u}/Gamma(a+1) on
+    [0, inf), nodes ascending; cached per (n, a), so the arrays are read-only.
+
+    Sturm bisection isolates each node, bracketed Newton steps on the
+    orthonormal polynomial p_n polish it, and its weight is the Christoffel
+    number 1/sum_{k<n} p_k(u)^2, a sum of positive terms."""
+    alpha = [2.0 * k + a + 1.0 for k in range(n)]
+    beta = [math.sqrt(k * (k + a)) for k in range(n + 1)]
+
+    def recurrence(x: float) -> tuple[float, float, float, int]:
+        # p_n(x), p_n'(x), sum_{k<n} p_k(x)^2 and the nodes below x, which
+        # are the sign agreements along p_0(x), ..., p_n(x) (Sturm)
+        p0, p1, d0, d1, ss, count = 0.0, 1.0, 0.0, 0.0, 0.0, 0
+        for al, b, b1 in zip(alpha, beta, beta[1:]):
+            ss += p1 * p1
+            p0, p1, d0, d1 = (p1, ((x - al) * p1 - b * p0) / b1,
+                              d1, (p1 + (x - al) * d1 - b * d0) / b1)
+            count += (p0 < 0.0) == (p1 < 0.0)
+        return p1, d1, ss, count
+
+    nodes, weights, next_lo = [], [], 0.0
+    upper = [alpha[-1] + beta[n - 1] + beta[n]] * n    # above every node (Gershgorin)
+    for k in range(n):
+        lo, hi = next_lo, upper[k]
+        while True:            # until [lo, hi] holds node k alone
+            x = 0.5 * (lo + hi)
+            p, dp, ss, count = recurrence(x)
+            if count <= k:
+                lo = x
+            else:              # x is above nodes k, ..., count - 1
+                hi = x
+                upper[k + 1:count] = [x] * (count - k - 1)
+            if count == k + 1:
+                break
+        next_lo, small = hi, False
+        while not small:       # Newton steps that stay in [lo, hi], else bisection
+            step = p / dp if dp else math.inf
+            small = abs(step) <= 1e-10 * x
+            x = x - step if small or lo < x - step < hi else 0.5 * (lo + hi)
+            p, dp, ss, count = recurrence(x)
+            lo, hi = (x, hi) if count <= k else (lo, x)
+        nodes.append(x)
+        weights.append(1.0 / ss)
+    rule = np.array(nodes), np.array(weights)
     for arr in rule:
         arr.setflags(write=False)
     return rule
 
 
+@cache
+def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The same rule for the weight u^a e^{-u}, read-only; Gamma(a+1)
+    overflows from a = 171 on, so cm_moment carries it in log space."""
+    u, w = _gauss_laguerre_unit(n, a)
+    w = w * math.gamma(a + 1.0)
+    w.setflags(write=False)
+    return u, w
+
+
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [-1, 1], nodes ascending."""
-    k = np.arange(1, n, dtype=float)
-    return _golub_welsch(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), 2.0)
+    """n-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton's
+    method on P_n from Tricomi's guesses for the nodes x >= 0 (the rule is
+    symmetric), weights 2(1 - x^2)/(n (P_{n-1} - x P_n))^2."""
+    nodes, weights = [], []
+    for i in range((n + 1) // 2, 0, -1):
+        x = (1.0 - (n - 1) / (8.0 * n ** 3)) * math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        step = math.inf
+        while True:
+            p0, p1 = 1.0, x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+            dp = n * (p0 - x * p1)          # (1 - x^2) P_n'(x)
+            if abs(step) <= 1e-10:
+                break
+            step = (1.0 - x * x) * p1 / dp
+            x -= step
+        nodes.append(x)
+        weights.append(2.0 * (1.0 - x * x) / (dp * dp))
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate((-x[::-1], x[n % 2:])), np.concatenate((w[::-1], w[n % 2:]))
 
 
 def cm_moment(f: CMState, i: CMState, beta: int) -> float:
     """<f| x^beta |i> over the radial measure x dx (dimensionless; the caller
     owns the azimuthal delta).
 
-    After u = x^2 the integrand is u^{(|Mf|+|Mi|+beta)/2} L_{nf} L_{ni} e^{-u}/2,
-    handled exactly by generalized Gauss-Laguerre with the fractional part of
-    the power as the weight exponent.
+    After u = x^2 the integrand is u^a L_{nf} L_{ni} e^{-u}/2 with
+    a = (|Mf|+|Mi|+beta)/2, handled exactly by the unit-mass Gauss-Laguerre
+    rule of u^a e^{-u}.  Its mass Gamma(a+1) and the two norms go in through
+    one exp of their logs, so no factorial overflows at large |M|.
     """
     if beta < 0:
         raise ValueError("moment order must be non-negative")
@@ -108,9 +166,9 @@ def cm_moment(f: CMState, i: CMState, beta: int) -> float:
         raise ValueError(f"trap lengths differ: {f.w_r} vs {i.w_r}")
     a = 0.5 * (abs(f.M) + abs(i.M) + beta)
     npts = f.n_minus + i.n_minus + 2
-    u, w = _gauss_laguerre(npts, a)
+    u, w = _gauss_laguerre_unit(npts, a)
     lf = assoc_laguerre(f.n_minus, float(abs(f.M)), u)
     li = assoc_laguerre(i.n_minus, float(abs(i.M)), u)
-    norm = math.exp(_log_norm(f) + _log_norm(i))
-    return 0.5 * norm * float(np.dot(w, lf * li))
+    scale = math.exp(math.lgamma(a + 1.0) + _log_norm(f) + _log_norm(i))
+    return 0.5 * scale * float(np.dot(w, lf * li))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import lgryd
-from lgryd import coupling
+from lgryd import cm, coupling
 from lgryd.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from lgryd.config import _KEYS
 from lgryd.units import BOHR_RADIUS_M, um_to_au
@@ -200,7 +200,7 @@ class TestDeterminism:
             "sweep.csv": "ea4a5aadb2a0582638ceaea6cca318a3e0fb23321076aa9278268f6f4f56899e",
             "sweep.svg": "64f3b2ec9616d6c0b758dbf51b10f5b3a78369365586877874b072c6ac174a9a",
             "wavefunction.csv": "9baba59cea4b165396036608f33d8b832cc5bd24203174a586b4d4720c6c4c06",
-            "verify.txt": "d1039e4fdd10be05ceb3653ae2b62331fcdf074fba8426337d724a67bd23106c",
+            "verify.txt": "f373c9569d6b2f71daa03adc739d4367af80fa2094cb9557432cbc0e275cbc64",
         }
 
     def test_10_sig_digit_format(self, tmp_path):
@@ -224,6 +224,42 @@ class TestNFinal:
             table = rows(out / name)
             assert len(table) == count, cmd
             assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
+
+
+class TestLargeTrapLevel:
+    def test_rabi_and_sweep_run(self, tmp_path):
+        # trap.N = trap.M = 200 takes CM moments at a >= 200, where Gamma(a+1)
+        # alone leaves the float range: rabi once died on an OverflowError,
+        # and sweep exited 2 blaming beam.field_V_per_m
+        text, subs = re.subn(r"^trap\.([NM]) = 0$", r"trap.\1 = 200",
+                             RB60_CFG.read_text(), flags=re.M)
+        assert subs == 2
+        for cmd, name, count in (("rabi", "rabi.csv", 14),
+                                 ("sweep", "sweep.csv", 208)):
+            rc, out = run(tmp_path, cmd, cfg_lines=text.splitlines())
+            assert rc == EXIT_OK
+            table = rows(out / name)
+            assert len(table) == count, cmd
+            assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
+
+
+class TestNoLapack:
+    def test_rb60_without_eigensolvers(self, tmp_path, monkeypatch):
+        # the Gauss rules come from recurrences, so no command calls LAPACK,
+        # whose first call costs a process about 1.3 MB of peak memory
+        import numpy as np
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg eigensolver called")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for cached in (cm._gauss_laguerre_unit, cm._gauss_laguerre,
+                       coupling._gauss_legendre_unit, coupling._lambda_powers):
+            cached.cache_clear()
+        for cmd in ("rabi", "sweep", "wavefunction", "verify"):
+            assert main([cmd, "--config", str(RB60_CFG),
+                         "--out", str(tmp_path)]) == EXIT_OK, cmd
 
 
 def write_fast(tmp_path):
@@ -483,7 +519,7 @@ class TestEntryPoint:
 class TestImportCost:
     def test_cli_does_not_import_scipy(self):
         # the verifier loads only for `lgryd verify`, and nothing needs
-        # numpy.polynomial (the Gauss rules come from cm's eigenproblem)
+        # numpy.polynomial (the Gauss rules come from cm's recurrences)
         code = ("import sys, lgryd.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m in ('scipy', 'lgryd.verify', 'numpy.polynomial') "

@@ -1,12 +1,14 @@
 """2-D trap CM states: normalization, moments, energies."""
 
 import math
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 
-from lgryd.cm import MAX_N_MINUS, CMState, _gauss_laguerre, cm_moment, \
-    gauss_legendre
+from lgryd.cm import MAX_N_MINUS, CMState, _gauss_laguerre, \
+    _gauss_laguerre_unit, cm_moment, gauss_legendre
 from _oracles import cm_amplitude, cm_moment_series
 
 
@@ -106,36 +108,64 @@ class TestMoment:
     def test_exact_at_every_n_minus_up_to_the_cap(self):
         # against the Laguerre coefficient expansion in 100-digit arithmetic,
         # on the moments a channel takes: both states share n-, and
-        # beta = M_f - M_i mod 2 (the worst case found is 1.6e-12, at n- = 10)
+        # beta = M_f - M_i mod 2.  The first region holds |M_f - M_i| <= 4 at
+        # every n-; the second every |M_f - M_i| <= 46 with beta = |M_f - M_i|
+        # + 2k, k <= 2 (a channel has beta >= |M_f - M_i|), where a rule whose
+        # nodes miss a root (Newton from the standard guesses) is off by 0.16
+        # at n- = 0.  The worst case found is 4.1e-11, at n- = 10.
         mp = pytest.importorskip("mpmath")
+
+        @cache
+        def coeffs(n, af, ai):
+            # u^s coefficients of L_n^{|M_f|} L_n^{|M_i|}, exact
+            lf, li = ([Fraction((-1) ** j * math.comb(n + am, n - j),
+                                math.factorial(j)) for j in range(n + 1)]
+                      for am in (af, ai))
+            conv = (sum(lf[j] * li[s - j]
+                        for j in range(max(0, s - n), min(s, n) + 1))
+                    for s in range(2 * n + 1))
+            return [mp.mpf(c.numerator) / c.denominator for c in conv]
 
         def exact(n, Mf, Mi, beta):
             af, ai = abs(Mf), abs(Mi)
             a = mp.mpf(af + ai + beta) / 2
-            cf = [(-1) ** j * mp.binomial(n + af, n - j) / mp.factorial(j)
-                  for j in range(n + 1)]
-            ci = [(-1) ** k * mp.binomial(n + ai, n - k) / mp.factorial(k)
-                  for k in range(n + 1)]
-            total = mp.fsum(x * y * mp.gamma(a + j + k + 1)
-                            for j, x in enumerate(cf) for k, y in enumerate(ci))
+            total, gam = 0, mp.gamma(a + 1)  # gam = Gamma(a + s + 1)
+            for s, c in enumerate(coeffs(n, af, ai)):
+                total += c * gam
+                gam *= a + s + 1
             norm = mp.sqrt(4 * mp.factorial(n) ** 2
                            / (mp.factorial(n + af) * mp.factorial(n + ai)))
             return norm * total / 2
 
+        cases = [(n, Mi, Mf, beta)
+                 for n in range(MAX_N_MINUS + 1) for Mi in (0, 1)
+                 for Mf in range(Mi - 4, Mi + 5)
+                 for beta in (0, 1, 2, 3, 4, 5, 20, 46)
+                 if (beta - Mf + Mi) % 2 == 0]
+        cases += [(n, Mi, Mf, d + 2 * k)
+                  for n in (0, 3, 6, 8, MAX_N_MINUS) for Mi in (0, 1)
+                  for d in range(47) for Mf in {Mi - d, Mi + d} for k in range(3)]
         with mp.workdps(100):
-            for n in range(MAX_N_MINUS + 1):
-                for Mi in (0, 1):
-                    for Mf in range(Mi - 4, Mi + 5):
-                        for beta in (0, 1, 2, 3, 4, 5, 20, 46):
-                            if (beta - Mf + Mi) % 2:
-                                continue
-                            want = exact(n, Mf, Mi, beta)
-                            got = cm_moment(CMState(2 * n + abs(Mf), Mf, 1.0),
-                                            CMState(2 * n + abs(Mi), Mi, 1.0),
-                                            beta)
-                            # some are exact zeros (orthogonality)
-                            bound = 1e-10 * abs(want) if want else 1e-12
-                            assert abs(got - want) <= bound, (n, Mf, Mi, beta)
+            for n, Mi, Mf, beta in cases:
+                want = exact(n, Mf, Mi, beta)
+                got = cm_moment(CMState(2 * n + abs(Mf), Mf, 1.0),
+                                CMState(2 * n + abs(Mi), Mi, 1.0), beta)
+                # some are exact zeros (orthogonality)
+                bound = 1e-10 * abs(want) if want else 1e-12
+                assert abs(got - want) <= bound, (n, Mf, Mi, beta)
+
+    def test_finite_and_exact_at_large_M(self):
+        # trap.N = trap.M = 200 and an l = 1 beam: the moments of every
+        # channel, <|M_f|, M_f| x^beta |200, 200> with n- = 0, are
+        # Gamma(a + 1)/sqrt(|M_f|! 200!); Gamma(a + 1) alone overflows
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(100):
+            for Mf, beta in ((199, 1), (200, 0), (200, 2), (201, 1), (201, 3),
+                             (202, 2)):
+                a = mp.mpf(Mf + 200 + beta) / 2
+                want = mp.gamma(a + 1) / mp.sqrt(mp.factorial(Mf) * mp.factorial(200))
+                got = cm_moment(CMState(Mf, Mf, 1.0), CMState(200, 200, 1.0), beta)
+                assert abs(got - want) <= 1e-12 * want, (Mf, beta)
 
     def test_trap_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -161,8 +191,24 @@ class TestGaussLaguerre:
             assert np.allclose(w, w_ref, rtol=0.0,
                                atol=1e-14 * math.gamma(a + 1.0)), (n, a)
 
+    def test_exact_on_polynomials(self):
+        # the unit-mass rule integrates u^k, k < 2n, to Gamma(a+k+1)/Gamma(a+1)
+        # at every node count cm_moment takes, for every half-integer a <= 60
+        # and at a = 200, past where Gamma(a+1) overflows
+        mp = pytest.importorskip("mpmath")
+        for a in [0.5 * t for t in range(121)] + [200.0]:
+            with mp.workdps(30):
+                ref = np.array([float(mp.gamma(a + k + 1) / mp.gamma(a + 1))
+                                for k in range(4 * MAX_N_MINUS + 4)])
+            for n in range(1, 2 * MAX_N_MINUS + 3):
+                u, w = _gauss_laguerre_unit(n, a)
+                assert u[0] > 0.0 and np.all(np.diff(u) > 0.0), (n, a)
+                # all terms positive: the float sum is good to ~50 ulp
+                got = w @ u[:, None] ** np.arange(2 * n)
+                assert np.allclose(got, ref[:2 * n], rtol=1e-13, atol=0.0), (n, a)
+
     def test_cached_and_read_only(self):
-        # one eigen-solve per (n, a); the shared arrays cannot be edited
+        # one rule build per (n, a); the shared arrays cannot be edited
         u, w = _gauss_laguerre(5, 1.5)
         assert _gauss_laguerre(5, 1.5)[0] is u
         for arr in (u, w):
