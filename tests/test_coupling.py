@@ -12,6 +12,8 @@ the package's own multi_gaunt:
     <Y_3^1 | Y_1^1 (Y_0^0)^4 | Y_0^0>                =  0
 """
 
+import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -668,3 +670,57 @@ class TestFactorTables:
                                 (tuple(fs), bra, ket)) or plain(fs, bra, ket))
         rb60_sweep(tuple(range(1, 9)), q_max=1)
         assert len(calls) == len(set(calls)) == 53
+
+
+# ------------------------------------------ rb60 away from m_j = -1/2, N = 0
+
+def rb60_variant(**changes):
+    """rb60 with `changes`: the config, a fresh solver, the beam and the
+    initial CM state, built as the CLI builds them."""
+    cfg = dataclasses.replace(RB60, **changes).validate()
+    beam = BeamSpec(l=cfg.l, w0=um_to_au(cfg.waist_um),
+                    E0=field_vpm_to_au(cfg.field_V_per_m), sigma=cfg.sigma,
+                    q_max=cfg.q_max, mass_ratio=cfg.mass_ratio)
+    cm_i = CMState(cfg.N, cfg.M, um_to_au(cfg.w_r_um))
+    return cfg, StateSolver(RB, cfg.grid_step), beam, cm_i
+
+
+def digest(records) -> str:
+    """sha256 over the exact repr of every field of every record."""
+    text = "\n".join(repr(dataclasses.astuple(r) if dataclasses.is_dataclass(r)
+                          else tuple(r)) for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedVariants:
+    # every ChannelResult field, bit for bit, where rb60's own pins do not
+    # reach: the other initial projection, excited trap levels, both j and
+    # another final n; and the sweep rows, N_f included, at trap N = 2
+    @pytest.mark.parametrize("changes, want", [
+        ({"m_j": 0.5},
+         "e88e3e2b1df4c1d649647c0beba2b059880c1a707ae0f4e7cad3a69bcb8e3280"),
+        ({"N": 2, "M": 0},
+         "20a079a6370e7b176bde79f8df433bfc3eb2fa8e5857af79a38526b62ec1bb6e"),
+        ({"N": 3, "M": -1},
+         "027ca314e96984e68dacf425e2d0c09565abdfdabc466622981380c9ff1814e1"),
+        ({"j_policy": "all"},
+         "f09c75191d9405cd42e6b519d4811a46fac4a51e5d7d61f67268f3010c7d5107"),
+        ({"n_final": 61},
+         "2ed8beec64be391f87f237515ed3f587856cbeeb84ab7a291e23941f6cb11543"),
+    ])
+    def test_scenario_fields(self, changes, want):
+        cfg, solver, beam, cm_i = rb60_variant(**changes)
+        res = compute_scenario(solver, beam, cfg.n, cfg.l_i, cfg.j_i, cfg.m_j,
+                               cm_i, final_l_f_max=cfg.final_l_f_max,
+                               n_final=cfg.n_final, j_policy=cfg.j_policy)
+        assert res and digest(res) == want
+
+    def test_sweep_rows_at_excited_trap_level(self):
+        cfg, solver, beam, cm_i = rb60_variant(N=2, M=0)
+        rows = sweep_topological_charge(cfg.sweep_l, solver, beam, cfg.n,
+                                        cfg.l_i, cfg.j_i, cfg.m_j, cm_i,
+                                        final_l_f_max=cfg.final_l_f_max,
+                                        j_policy=cfg.j_policy)
+        assert {r.N_f for r in rows} >= {2, 3}
+        assert digest(rows) == \
+            "e9c075eda5a62926ab26abcecfb9656a408bb480b98a861d449e0813733f2045"
