@@ -30,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import _lazy_numpy
-from .units import FINE_STRUCTURE, amu_to_au
+from .units import FINE_STRUCTURE
 
 np = _lazy_numpy()
 
@@ -62,11 +62,10 @@ _EXP_ZERO = 746.0
 @dataclass(frozen=True)
 class SpeciesParams:
     """Per-species inputs: nuclear charge, core-potential constants per l,
-    Rydberg-Ritz defect series per (l, j), mass."""
+    Rydberg-Ritz defect series per (l, j)."""
 
     name: str
     Z: int
-    mass: float                       # atomic units (electron masses)
     alpha_c: float
     so_scale: float
     potential: dict                   # l -> (a1, a2, a3, a4, rc)
@@ -77,7 +76,7 @@ class SpeciesParams:
             raise ValueError(f"nuclear charge must be >= 1, got {self.Z}")
         if self.alpha_c < 0:
             raise ValueError("core polarizability must be non-negative")
-        values = [self.mass, self.alpha_c, self.so_scale]
+        values = [self.alpha_c, self.so_scale]
         values += [v for block in self.potential.values() for v in block]
         values += [v for series in self.defects.values() for v in series]
         if not all(map(math.isfinite, values)):
@@ -150,7 +149,6 @@ class SpeciesParams:
             params = cls(
                 name=atom.get("name", Path(path).stem),
                 Z=int(atom["Z"]),
-                mass=amu_to_au(float(atom["mass_amu"])),
                 alpha_c=float(atom["alpha_c"]),
                 so_scale=float(atom.get("so_scale", "1.0")),
                 potential=pot,
@@ -244,7 +242,7 @@ def default_grid(n: int, step: float = XI_STEP) -> RadialGrid:
 
 @dataclass(frozen=True, eq=False)
 class RydbergState:
-    """One solved |n l j (m_j)> level: energy, chi on the grid, diagnostics."""
+    """One solved |n l j> level: energy, chi on the grid, diagnostics."""
 
     n: int
     l: int
@@ -254,20 +252,13 @@ class RydbergState:
     chi: np.ndarray                   # chi = r psi / xi^(1/2), normalized
     nodes: int
     flags: tuple = ()
-    m_j: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.l < self.n:
             raise ValueError(f"need 0 <= l < n, got l={self.l}, n={self.n}")
         if abs(abs(self.j - self.l) - 0.5) > 1e-9:
             raise ValueError(f"|j - l| must be 1/2, got l={self.l}, j={self.j}")
-        if self.m_j is not None and abs(self.m_j) > self.j + 1e-9:
-            raise ValueError(f"|m_j| <= j violated: {self.m_j} > {self.j}")
         self.chi.setflags(write=False)
-
-    def with_m_j(self, m_j: float) -> "RydbergState":
-        return RydbergState(self.n, self.l, self.j, self.energy, self.grid,
-                            self.chi, self.nodes, self.flags, m_j)
 
     def u_of_r(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, u = r psi) for plotting/inspection."""
@@ -458,7 +449,9 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
 
     Returns the normalized state with node count and diagnostic flags:
     'divergent-core' when the inner solution regrew under the barrier and was
-    truncated, 'node-count' when the count disagrees with n - l - 1.
+    truncated, 'node-count' when the count disagrees with n - l - 1,
+    'non-finite' when chi or its norm left the range of floats (chi is then
+    NaN, or 0 from an infinite norm).
     """
     if grid is None:
         grid = default_grid(n)
@@ -505,6 +498,8 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     work *= xi
     work *= xi
     norm2 = 2.0 * _simpson(work, h)
+    if not math.isfinite(norm2):
+        flags.append("non-finite")
     chi /= math.sqrt(norm2)
     return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
                         nodes=nodes, flags=tuple(flags))

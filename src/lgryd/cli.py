@@ -67,11 +67,19 @@ def _check_beam_orders(cfg: ScenarioConfig, w0: float, w_r: float) -> None:
                           "range of normal floats")
 
 
-def _field_overflow(cfg: ScenarioConfig) -> ConfigError:
-    """Every Rabi frequency is linear in the field amplitude, so one that
-    leaves the float range names it."""
-    return ConfigError("the Rabi frequencies at beam.field_V_per_m = "
-                       f"{cfg.field_V_per_m:g} leave the range of floats")
+def _check_finite(rt: Runtime, rates) -> None:
+    """Refuse Rabi frequencies outside the float range, naming the cause: a
+    radial state flagged non-finite (the species data), or else the field
+    amplitude, which every Rabi frequency is linear in."""
+    if all(map(math.isfinite, rates)):
+        return
+    for st in rt.solver._cache.values():
+        if "non-finite" in st.flags:
+            raise ConfigError(f"atom.species = {rt.cfg.species}: the radial "
+                              f"state n={st.n} l={st.l} j={st.j:g} is not "
+                              "finite")
+    raise ConfigError("the Rabi frequencies at beam.field_V_per_m = "
+                      f"{rt.cfg.field_V_per_m:g} leave the range of floats")
 
 
 def _channel_fields(ch):
@@ -103,10 +111,6 @@ class Runtime:
         _check_beam_orders(cfg, self.beam.w0, self.cm_i.w_r)
         self.solver = StateSolver(self.species, cfg.grid_step)
 
-    def initial_state(self):
-        return self.solver.get(self.cfg.n, self.cfg.l_i,
-                               self.cfg.j_i).with_m_j(self.cfg.m_j)
-
     def scenario(self, beam=None):
         cfg = self.cfg
         return compute_scenario(self.solver, beam or self.beam, cfg.n,
@@ -127,8 +131,7 @@ def cmd_channels(rt: Runtime, out: Path) -> int:
 
 def cmd_rabi(rt: Runtime, out: Path) -> int:
     results = rt.scenario()
-    if not all(math.isfinite(r.rabi_kHz) for r in results):
-        raise _field_overflow(rt.cfg)
+    _check_finite(rt, (r.rabi_kHz for r in results))
     rows = [_channel_fields(r.channel)
             + (r.coeff, r.radial_e, r.radial_cm, r.angular, r.cg_weight,
                r.rabi_kHz, r.lambda_audit) for r in results]
@@ -139,17 +142,11 @@ def cmd_rabi(rt: Runtime, out: Path) -> int:
 
 def cmd_sweep(rt: Runtime, out: Path) -> int:
     cfg = rt.cfg
-    try:
-        rows = sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam,
-                                        cfg.n, cfg.l_i, cfg.j_i, cfg.m_j,
-                                        rt.cm_i,
-                                        final_l_f_max=cfg.final_l_f_max,
-                                        n_final=cfg.n_final,
-                                        j_policy=cfg.j_policy)
-    except OverflowError:         # |me| ** 2 of a finite |me| over 1e154
-        raise _field_overflow(cfg) from None
-    if not all(math.isfinite(r.rabi_kHz) for r in rows):
-        raise _field_overflow(cfg)
+    rows = sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam, cfg.n,
+                                    cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
+                                    final_l_f_max=cfg.final_l_f_max,
+                                    n_final=cfg.n_final, j_policy=cfg.j_policy)
+    _check_finite(rt, (r.rabi_kHz for r in rows))
     write_csv(out / "sweep.csv", SWEEP_COLS,
               [(r.l, r.kind, r.group, r.final_state, r.M_f, r.N_f, r.q,
                 r.rabi_kHz) for r in rows])
@@ -160,7 +157,7 @@ def cmd_sweep(rt: Runtime, out: Path) -> int:
 
 
 def cmd_wavefunction(rt: Runtime, out: Path) -> int:
-    st = rt.initial_state()
+    st = rt.solver.get(rt.cfg.n, rt.cfg.l_i, rt.cfg.j_i)
     r, u = st.u_of_r()          # grid never touches r = 0
     write_csv(out / "wavefunction.csv", ("r", "u", "psi"),
               zip(r, u, u / r))
@@ -232,7 +229,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return handler(target, out)
-    except ConfigError as exc:    # a field that overflows the Rabi frequencies
+    except ConfigError as exc:    # Rabi frequencies out of the float range
         return _config_error(exc)
 
 

@@ -118,16 +118,6 @@ def _gauss_laguerre_unit(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-@cache
-def _gauss_laguerre(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """The same rule for the weight u^a e^{-u}, read-only; Gamma(a+1)
-    overflows from a = 171 on, so cm_moment carries it in log space."""
-    u, w = _gauss_laguerre_unit(n, a)
-    w = w * math.gamma(a + 1.0)
-    w.setflags(write=False)
-    return u, w
-
-
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton's
     method on P_n from Tricomi's guesses for the nodes x >= 0 (the rule is

@@ -68,7 +68,7 @@ def _half(x: float, signed: bool = False) -> str:
 
 @dataclass(frozen=True, order=True)
 class StateLabel:
-    """Electronic final-state label (l, j, m_j); prints like D5/2(+3/2)."""
+    """Electronic state label (l, j, m_j); prints like D5/2(+3/2)."""
 
     l: int
     j: float
@@ -190,11 +190,11 @@ def fine_structure_weight(initial: tuple, final: tuple, orbital_bra_ket: tuple) 
 
 def _angular_and_cg(tables: dict, sigma: int, l1: int, m1: int, l2: int,
                     l3: int, l_f: int, j_f: float, m_jf: float,
-                    l_i: int, j_i: float, m_ji: float):
+                    l_i: int, j_i: float):
     """(angular, cg_weight) for the channel (sigma, l1, m1, l2, l3) feeding
-    the final label (l_f, j_f, m_jf) from |l_i j_i m_ji>; m2 = l2, m3 = -l3.
-    Each Gaunt integral is memoised in `tables`: both j_f of one l_f take
-    the same ones.
+    the final label (l_f, j_f, m_jf) from |l_i j_i m_jf - dm>, where dm =
+    sigma + m1 + m2 + m3, m2 = l2, m3 = -l3.  Each Gaunt integral is memoised
+    in `tables`: both j_f of one l_f take the same ones.
 
     General case: sum over the initial m_l decomposition of |j_i m_ji>, each
     term weighted by both Clebsch-Gordan brackets.  When a single m_li
@@ -205,6 +205,7 @@ def _angular_and_cg(tables: dict, sigma: int, l1: int, m1: int, l2: int,
     # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
     fs = [(1, sigma), (0, 0), (l1, m1), (l2, l2), (l3, -l3)]
     dm = sigma + m1 + l2 - l3
+    m_ji = m_jf - dm
     terms = []
     for twice_mli in range(-2 * l_i, 2 * l_i + 1, 2):
         m_li = twice_mli / 2.0
@@ -234,22 +235,20 @@ def _memo(tables: dict, key, fn, *args):
     return tables[key]
 
 
-def enumerate_channels(beam: BeamSpec, initial_e: RydbergState | StateLabel,
+def enumerate_channels(beam: BeamSpec, initial: StateLabel,
                        initial_cm: CMState, final_l_f_max: int = 3,
                        j_policy: str = "stretched", include_elastic: bool = False,
                        tables: dict | None = None) -> list[Channel]:
-    """All index tuples compatible with the selection deltas, paired with
-    every angular-reachable final electronic label, in the lexicographic
-    order (q, l1, l2, l3, sigma, l_f, j_f) the loops run in (sigma is the
-    beam's); only l, j and m_j of `initial_e` are read, so a label will do;
-    `tables` as in `assemble`."""
+    """All index tuples compatible with the selection deltas from the
+    initial label, each paired with every angular-reachable final label, in
+    the lexicographic order (q, l1, l2, l3, sigma, l_f, j_f) the loops run
+    in (sigma is the beam's).  A channel fixes the initial m_j and the final
+    CM state that `assemble` takes; `tables` as there."""
     tables = {} if tables is None else tables
-    if initial_e.m_j is None:
-        raise ValueError("initial state needs m_j for channel enumeration")
     if j_policy not in ("stretched", "all"):
         raise ValueError(f"unknown j_policy {j_policy!r}")
     l, sigma = beam.l, beam.sigma
-    l_i, j_i, m_ji = initial_e.l, initial_e.j, initial_e.m_j
+    l_i, j_i, m_ji = initial.l, initial.j, initial.m_j
     M_i = initial_cm.M
     sign_l = (l > 0) - (l < 0)
     out = []
@@ -276,7 +275,7 @@ def enumerate_channels(beam: BeamSpec, initial_e: RydbergState | StateLabel,
                             key = ("angular", sigma, l1, m1, l2, l3,
                                    l_f, j_f, m_jf)
                             if _memo(tables, key, _angular_and_cg, tables,
-                                     *key[1:], l_i, j_i, m_ji)[0] == 0.0:
+                                     *key[1:], l_i, j_i)[0] == 0.0:
                                 continue   # angular selection closes this l_f
                             if not include_elastic and l_f == l_i and \
                                     abs(j_f - j_i) < 1e-9 and \
@@ -329,23 +328,21 @@ def _coeff(ch: Channel, beam: BeamSpec, w_r: float) -> float:
 
 
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
-             psi_f: RydbergState, cm_i: CMState, cm_f: CMState,
+             psi_f: RydbergState, cm_i: CMState,
              tables: dict | None = None) -> ChannelResult:
     """Literal per-channel matrix element and Rabi frequency.
 
-    The reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix
-    element in hartree times E_h/h, in kHz.  `tables` memoises the factors:
-    coeff per (l, q, l1, l2, l3), which fixes the m's and alpha,
-    angular x CG per (sigma, l1, m1, l2, l3, l_f, j_f, m_jf), <f|r^alpha|i>
-    and the lambda integral per (final state, alpha), <CM_f|x^beta|CM_i> per
-    (N_f, M_f, beta), <i|r|i> once.  Calls may share it only if they share
+    The channel fixes the projections: m_ji = m_jf - sigma - m1 - m2 - m3
+    by its deltas, and the final CM state by M_f (`_minimal_final_cm`).  The
+    reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix element
+    in hartree times E_h/h, in kHz.  `tables` memoises the factors: coeff
+    per (l, q, l1, l2, l3), which fixes the m's and alpha, angular x CG per
+    (sigma, l1, m1, l2, l3, l_f, j_f, m_jf), <f|r^alpha|i> and the lambda
+    integral per (final state, alpha), CM_f per M_f and <CM_f|x^beta|CM_i>
+    per (M_f, beta), <i|r|i> once.  Calls may share it only if they share
     psi_i, cm_i and the beam up to its l; without one a call fills its own.
     """
     tables = {} if tables is None else tables
-    if cm_f.M != channel.M_f:
-        raise ValueError(f"final CM projection {cm_f.M} != channel M_f {channel.M_f}")
-    if psi_i.m_j is None:
-        raise ValueError("initial state needs m_j")
     eps = 1.0 if channel.sigma == beam.sigma else 0.0
     w_r = cm_i.w_r
     al = channel.alpha
@@ -355,13 +352,15 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     f_key = (psi_f.n, psi_f.l, round(2 * psi_f.j))
     radial_e = _memo(tables, ("radial", f_key, al), radial_matrix_element,
                      psi_f, psi_i, al, w_r)
-    radial_cm = _memo(tables, ("cm", cm_f.N, cm_f.M, channel.beta),
+    cm_f = _memo(tables, ("cm_f", channel.M_f), _minimal_final_cm, cm_i,
+                 channel.M_f)
+    radial_cm = _memo(tables, ("cm", channel.M_f, channel.beta),
                       cm_moment, cm_f, cm_i, channel.beta)
     fin = channel.final
     key = ("angular", channel.sigma, channel.l1, channel.m1, channel.l2,
            channel.l3, fin.l, fin.j, fin.m_j)
     angular, cg = _memo(tables, key, _angular_and_cg, tables, *key[1:],
-                        psi_i.l, psi_i.j, psi_i.m_j)
+                        psi_i.l, psi_i.j)
 
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
@@ -414,25 +413,24 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      cm_i: CMState, *, final_l_f_max: int = 3,
                      n_final: int | None = None, j_policy: str = "stretched",
                      tables: dict | None = None) -> list[ChannelResult]:
-    """Solve, enumerate and assemble every channel of one beam scenario;
-    `tables` as in `assemble`, plus the final CM state per M_f.  All states
-    are solved on the grid of max(n, n_final), the one grid
-    `radial_matrix_element` requires of its two states."""
+    """Solve, enumerate and assemble every channel of one beam scenario from
+    |n l_i j_i m_ji>; `tables` as in `assemble`.  All states are solved on
+    the grid of max(n, n_final), the one grid `radial_matrix_element`
+    requires of its two states."""
     tables = {} if tables is None else tables
     nf = n if n_final is None else n_final
     grid_n = max(n, nf)
-    psi_i = solver.get(n, l_i, j_i, grid_n).with_m_j(m_ji)
+    psi_i = solver.get(n, l_i, j_i, grid_n)
     # the label-level diagonal is only truly elastic if n does not change
-    channels = enumerate_channels(beam, psi_i, cm_i, final_l_f_max,
-                                  j_policy=j_policy,
+    channels = enumerate_channels(beam, StateLabel(l_i, j_i, m_ji), cm_i,
+                                  final_l_f_max, j_policy=j_policy,
                                   include_elastic=nf != n, tables=tables)
     out = []
     for ch in channels:
         if ch.final.l >= nf:
             continue   # no bound final state under the centrifugal wall
         psi_f = solver.get(nf, ch.final.l, ch.final.j, grid_n)
-        cm_f = _memo(tables, ("cm_f", ch.M_f), _minimal_final_cm, cm_i, ch.M_f)
-        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, cm_f, tables))
+        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, tables))
     return out
 
 
@@ -473,7 +471,7 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
         totals: dict = {}
         for res in results:
             ch = res.channel
-            N_f = abs(ch.M_f) + (cm_i.N - abs(cm_i.M))
+            N_f = tables[("cm_f", ch.M_f)].N
             label = str(ch.final)
             rows.append(SweepRow(l, "channel", ch.group, label,
                                  ch.M_f, N_f, ch.q, res.rabi_kHz))
@@ -489,7 +487,11 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
             rows.append(SweepRow(l, "total", "-", label, M_f, N_f, None,
                                  _to_kHz(abs(me))))
             species_label = label.split("(")[0]
-            agg[species_label] = agg.get(species_label, 0.0) + abs(me) ** 2
+            try:
+                sq = abs(me) ** 2
+            except OverflowError:     # a finite |me| over 1e154
+                sq = math.inf
+            agg[species_label] = agg.get(species_label, 0.0) + sq
         for label, sq in sorted(agg.items()):
             rows.append(SweepRow(l, "aggregate", "-", label, None, None, None,
                                  _to_kHz(math.sqrt(sq))))

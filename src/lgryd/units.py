@@ -5,7 +5,6 @@ BOHR_RADIUS_M = 5.29177210903e-11        # a_0 in metres
 EFIELD_AU_V_PER_M = 5.14220674763e11     # atomic unit of electric field
 HARTREE_HZ = 6.579683920502e15           # E_h / h
 FINE_STRUCTURE = 7.2973525693e-3
-AMU_TO_ME = 1822.888486209               # u -> electron masses
 
 _UM_TO_AU = 1e-6 / BOHR_RADIUS_M
 
@@ -16,10 +15,6 @@ def um_to_au(x_um: float) -> float:
 
 def field_vpm_to_au(e_vpm: float) -> float:
     return e_vpm / EFIELD_AU_V_PER_M
-
-
-def amu_to_au(m_amu: float) -> float:
-    return m_amu * AMU_TO_ME
 
 
 # Rabi convention used throughout: nu = |<f|H_int|i>| / h, reported in kHz.

@@ -22,8 +22,8 @@ import pytest
 from lgryd.atom import load_species
 from lgryd.beam import BeamSpec
 from lgryd.cm import CMState, cm_moment
-from lgryd.coupling import (StateSolver, compute_scenario, enumerate_channels,
-                            sweep_topological_charge)
+from lgryd.coupling import (StateLabel, StateSolver, compute_scenario,
+                            enumerate_channels, sweep_topological_charge)
 from lgryd.specfun import clebsch_gordan
 from lgryd.units import field_vpm_to_au, um_to_au
 from lgryd import verify
@@ -71,8 +71,8 @@ def rb60(rb_solver, cm0):
 class TestA1ChannelInventory:
     """q=0 channel tables for all four (l, sigma) sign combinations."""
 
-    def combos(self, rb_solver, cm0):
-        psi = rb_solver.get(60, 0, 0.5).with_m_j(-0.5)
+    def combos(self, cm0):
+        psi = StateLabel(0, 0.5, -0.5)
         out = {}
         for l in (1, -1):
             for sigma in (1, -1):
@@ -80,19 +80,19 @@ class TestA1ChannelInventory:
                 out[(l, sigma)] = [(str(c.final), c.M_f) for c in chans]
         return out
 
-    def test_sign_consistent_rows(self, rb_solver, cm0):
+    def test_sign_consistent_rows(self, cm0):
         t0 = time.perf_counter()
-        got = self.combos(rb_solver, cm0)
+        got = self.combos(cm0)
         assert got[(1, 1)] == [("P3/2(+1/2)", 1), ("D5/2(+3/2)", 0)]
         assert got[(1, -1)][1] == ("D5/2(-1/2)", 0)
         assert got[(-1, 1)][1] == ("D5/2(-1/2)", 0)
         assert got[(-1, -1)] == [("P3/2(-3/2)", -1), ("D5/2(-5/2)", 0)]
         assert time.perf_counter() - t0 < 1.0
 
-    def test_flagged_rows_follow_the_deltas(self, rb_solver, cm0):
+    def test_flagged_rows_follow_the_deltas(self, cm0):
         # the published variants of these two rows (D letter, opposite M_f)
         # break m_jf - m_ji + M_f - M_i = l + sigma; emitted per the deltas
-        got = self.combos(rb_solver, cm0)
+        got = self.combos(cm0)
         assert got[(1, -1)][0] == ("P3/2(-3/2)", 1)
         assert got[(-1, 1)][0] == ("P3/2(+1/2)", -1)
         published = {(1, -1): ("D5/2(-3/2)", -1), (-1, 1): ("D5/2(+1/2)", 1)}
@@ -338,7 +338,6 @@ class TestA9Conservation:
     def test_identity_across_randomized_configs(self, rb_solver, cm0):
         t0 = time.perf_counter()
         rng = np.random.default_rng(99)
-        hy = StateSolver(load_species("hydrogen"), 0.02)
         checked = 0
         for _ in range(40):
             l = int(rng.integers(-3, 4))
@@ -350,7 +349,7 @@ class TestA9Conservation:
             N_i = int(rng.integers(0, 3))
             M_i = int(rng.choice(np.arange(-N_i, N_i + 0.1, 2.0))) \
                 if N_i else 0
-            psi = hy.get(3, l_i, j_i).with_m_j(m_ji)
+            psi = StateLabel(l_i, j_i, m_ji)
             cm_i = CMState(N_i, M_i, W_R)
             bm = BeamSpec(l=l, w0=W0, E0=E0, sigma=sigma, q_max=q_max,
                           mass_ratio=0.9)

@@ -42,7 +42,6 @@ class TestSpeciesFile:
     def test_rb_header_values(self, rb):
         assert rb.Z == 37
         assert rb.alpha_c == pytest.approx(9.0760)
-        assert rb.mass == pytest.approx(86.909180527 * 1822.888486209, rel=1e-9)
         assert rb.potential_for(0)[4] == pytest.approx(1.66242117)
         # l beyond the table reuses the last block
         assert rb.potential_for(7) == rb.potential_for(3)
@@ -247,9 +246,6 @@ class TestRydbergState:
             RydbergState(2, 2, 2.5, -0.1, st.grid, st.chi.copy(), 0)
         with pytest.raises(ValueError):
             RydbergState(2, 1, 0.4, -0.1, st.grid, st.chi.copy(), 0)
-        with pytest.raises(ValueError):
-            st.with_m_j(2.5)
-        assert st.with_m_j(1.5).m_j == 1.5
 
     def test_chi_immutable(self, hyd_states):
         st = hyd_states[(1, 0)]

@@ -254,8 +254,8 @@ class TestNoLapack:
 
         for name in ("eigh", "eigvalsh", "eig"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        for cached in (cm._gauss_laguerre_unit, cm._gauss_laguerre,
-                       coupling._gauss_legendre_unit, coupling._lambda_powers):
+        for cached in (cm._gauss_laguerre_unit, coupling._gauss_legendre_unit,
+                       coupling._lambda_powers):
             cached.cache_clear()
         for cmd in ("rabi", "sweep", "wavefunction", "verify"):
             assert main([cmd, "--config", str(RB60_CFG),
@@ -378,6 +378,34 @@ class TestExitCodes:
         rc, _ = run(tmp_path, cmd, cfg_lines=["beam.field_V_per_m = 1e300"])
         assert rc == EXIT_CONFIG
         assert "beam.field_V_per_m = 1e+300" in capsys.readouterr().err
+
+    def test_other_overflow_is_not_the_field(self, tmp_path, capsys,
+                                             monkeypatch):
+        # only |me| ** 2 in the sweep's aggregate overflows on a finite |me|;
+        # an OverflowError anywhere else is a fault, not the field's doing
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(coupling, "cm_moment", overflow)
+        with pytest.raises(OverflowError):
+            run(tmp_path, "sweep", cfg_lines=FAST)
+        assert "beam.field_V_per_m" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["rabi", "sweep"])
+    @pytest.mark.parametrize("key", ["so_scale", "alpha_c"])
+    def test_species_value_that_breaks_states_is_2(self, tmp_path, capsys,
+                                                   cmd, key):
+        # the radial states come out NaN and flagged non-finite: the message
+        # names the species file and a state, not the field
+        rb = Path(lgryd.__file__).parent / "data" / "rb.species"
+        mutant = tmp_path / "mutant.species"
+        mutant.write_text(re.sub(rf"^{key} = .*$", f"{key} = 1e300",
+                                 rb.read_text(), count=1, flags=re.M))
+        rc, _ = run(tmp_path, cmd, cfg_lines=[f"atom.species = {mutant}"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert f"atom.species = {mutant}: the radial state n=60" in err
+        assert "beam.field_V_per_m" not in err
 
     def test_trap_state_past_cm_cap_is_2(self, tmp_path, capsys):
         # n- = (N - |M|)/2 = 10 is the last one cm_moment computes to its

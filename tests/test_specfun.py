@@ -9,7 +9,7 @@ from scipy.special import sph_harm_y
 
 from lgryd import specfun, verify
 from lgryd.atom import default_grid
-from lgryd.cm import _gauss_laguerre
+from lgryd.cm import _gauss_laguerre_unit
 from _oracles import laguerre_coeff_sum, sphere_integral_simpson, sympy_wigner3j
 
 
@@ -59,7 +59,7 @@ class TestAssocLaguerre:
         # nodes cm_moment takes and on the rho = 2r/n of the n = 90 hydrogen
         # closed form, for integer and fractional a, up to degree 89
         rho = 2.0 * default_grid(90).r[::7] / 90.0
-        nodes = _gauss_laguerre(12, 1.5)[0]
+        nodes = _gauss_laguerre_unit(12, 1.5)[0]
         for x in (rho, nodes):
             for n in (0, 1, 2, 3, 11, 40, 89):
                 for a in (0.0, 1.5, 3, 179):
