@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .specfun import log_factorial
 
@@ -59,6 +60,7 @@ class BeamSpec:
             raise ValueError(f"mass ratio out of (0, 1]: {self.mass_ratio}")
 
 
+@cache
 def solid_norm(l: int, m: int) -> float:
     """C^m_l = sqrt(4 pi (l-m)! (l+m)! / (2l+1))."""
     if abs(m) > l:

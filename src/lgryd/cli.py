@@ -73,7 +73,7 @@ def _check_finite(rt: Runtime, rates) -> None:
     amplitude, which every Rabi frequency is linear in."""
     if all(map(math.isfinite, rates)):
         return
-    for st in rt.solver._cache.values():
+    for st in rt.solver.states:
         if "non-finite" in st.flags:
             raise ConfigError(f"atom.species = {rt.cfg.species}: the radial "
                               f"state n={st.n} l={st.l} j={st.j:g} is not "

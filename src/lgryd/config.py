@@ -33,6 +33,8 @@ def _parse_int_list(s):
 
 @dataclass
 class ScenarioConfig:
+    """One scenario as a config file gives it, in the file's units."""
+
     # beam
     l: int = 1
     waist_um: float = 2.7

@@ -15,8 +15,10 @@ with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
 formula states it.  Every result carries an audit of that constant against
 the exact integral int_0^1 lambda^{alpha-1} j_0(k lambda r) dlambda at the
 resonant k (see docs/AUDIT.md for what that ratio reveals).
-Each factor is computed once per distinct key (see `assemble`) in a table
-that lives for one scenario or sweep call.
+Each factor is computed once per distinct key in a table that lives for one
+scenario or sweep call (entries listed under `assemble`), <f|r^alpha|i> and
+its audit in one entry per (final state, alpha); the table also lists each
+channel block's open final labels once, as shared `StateLabel` objects.
 
 The six normalization constants of c_product follow the coordinate split:
 the printed index pairs are used in the form that matches the CM-side
@@ -43,20 +45,10 @@ from .units import FINE_STRUCTURE, rabi_kHz as _to_kHz
 
 np = _lazy_numpy()
 
-__all__ = [
-    "StateLabel",
-    "Channel",
-    "ChannelResult",
-    "SweepRow",
-    "StateSolver",
-    "c_product",
-    "enumerate_channels",
-    "fine_structure_weight",
-    "assemble",
-    "lambda_integral_oracle",
-    "compute_scenario",
-    "sweep_topological_charge",
-]
+__all__ = ["StateLabel", "Channel", "ChannelResult", "SweepRow", "StateSolver",
+           "c_product", "enumerate_channels", "fine_structure_weight",
+           "assemble", "lambda_integral_oracle", "compute_scenario",
+           "sweep_topological_charge"]
 
 _SPECT = "SPDFGHIKLMNOQRTUV"
 
@@ -80,12 +72,9 @@ class StateLabel:
         if abs(self.m_j) > self.j + 1e-9:
             raise ValueError(f"|m_j| <= j violated: {self.m_j} > {self.j}")
 
-    @property
-    def letter(self) -> str:
-        return _SPECT[self.l] if self.l < len(_SPECT) else f"(l={self.l})"
-
     def __str__(self) -> str:
-        return f"{self.letter}{_half(self.j)}({_half(self.m_j, signed=True)})"
+        letter = _SPECT[self.l] if self.l < len(_SPECT) else f"(l={self.l})"
+        return f"{letter}{_half(self.j)}({_half(self.m_j, signed=True)})"
 
 
 @dataclass(frozen=True)
@@ -144,6 +133,8 @@ class Channel:
 
 @dataclass(frozen=True)
 class ChannelResult:
+    """One assembled channel: its factors, matrix element and audit."""
+
     channel: Channel
     coeff: float          # g(l,q) * Gamma(alpha/2) * C-product * lambda^(alpha-1)
     radial_e: float
@@ -161,11 +152,8 @@ def c_product(l: int, q: int, l1: int, l2: int, l3: int,
               m1: int, m2: int, m3: int) -> float:
     """Product of the six solid-harmonic normalization constants attached to
     one channel; 0 when any (rank, projection) pair is out of domain."""
-    pairs = (
-        (l1, m1), (abs(l) - l1, l - m1),
-        (l2, m2), (q - l2, q - m2),
-        (l3, m3), (q - l3, -q - m3),
-    )
+    pairs = ((l1, m1), (abs(l) - l1, l - m1), (l2, m2), (q - l2, q - m2),
+             (l3, m3), (q - l3, -q - m3))
     log_total = 0.0
     for rank, proj in pairs:
         if rank < 0 or abs(proj) > rank:
@@ -235,6 +223,31 @@ def _memo(tables: dict, key, fn, *args):
     return tables[key]
 
 
+def _open_finals(tables: dict, sigma: int, l1: int, m1: int, l2: int,
+                 l3: int, m_jf: float, final_l_f_max: int, j_policy: str,
+                 l_i: int, j_i: float) -> list[StateLabel]:
+    """The final labels (l_f, j_f, m_jf) that the block (sigma, l1, m1, l2,
+    l3) reaches with a non-zero angular factor, as shared table objects."""
+    parity = (l_i + 1 + l1 + l2 + l3) % 2
+    # past l_i + 1 + l1 + l2 + l3 the triangle rule closes l_f
+    top = min(final_l_f_max, l_i + 1 + l1 + l2 + l3)
+    out = []
+    for l_f in range(top + 1):
+        if l_f % 2 != parity:
+            continue
+        j_fs = (l_f - 0.5, l_f + 0.5) if j_policy == "all" and l_f else (l_f + 0.5,)
+        for j_f in j_fs:
+            if abs(m_jf) > j_f + 1e-9:
+                continue
+            key = ("angular", sigma, l1, m1, l2, l3, l_f, j_f, m_jf)
+            if _memo(tables, key, _angular_and_cg, tables, *key[1:],
+                     l_i, j_i)[0] == 0.0:
+                continue   # angular selection closes this l_f
+            out.append(_memo(tables, ("label", l_f, j_f, m_jf), StateLabel,
+                             l_f, j_f, m_jf))
+    return out
+
+
 def enumerate_channels(beam: BeamSpec, initial: StateLabel,
                        initial_cm: CMState, final_l_f_max: int = 3,
                        j_policy: str = "stretched", include_elastic: bool = False,
@@ -243,7 +256,8 @@ def enumerate_channels(beam: BeamSpec, initial: StateLabel,
     initial label, each paired with every angular-reachable final label, in
     the lexicographic order (q, l1, l2, l3, sigma, l_f, j_f) the loops run
     in (sigma is the beam's).  A channel fixes the initial m_j and the final
-    CM state that `assemble` takes; `tables` as there."""
+    CM state that `assemble` takes; `tables` as there, where each block's
+    open finals are listed once for every charge l that reaches it."""
     tables = {} if tables is None else tables
     if j_policy not in ("stretched", "all"):
         raise ValueError(f"unknown j_policy {j_policy!r}")
@@ -259,32 +273,17 @@ def enumerate_channels(beam: BeamSpec, initial: StateLabel,
                     m1, m2, m3 = sign_l * l1, l2, -l3
                     M_f = l - m1 - m2 - m3 + M_i
                     m_jf = m_ji + sigma + m1 + m2 + m3
-                    parity = (l_i + 1 + l1 + l2 + l3) % 2
-                    # past l_i + 1 + l1 + l2 + l3 the triangle rule closes l_f
-                    top = min(final_l_f_max, l_i + 1 + l1 + l2 + l3)
-                    for l_f in range(top + 1):
-                        if l_f % 2 != parity:
+                    key = ("finals", sigma, l1, m1, l2, l3, m_jf,
+                           final_l_f_max, j_policy)
+                    finals = _memo(tables, key, _open_finals, tables,
+                                   *key[1:], l_i, j_i)
+                    elastic = not include_elastic and \
+                        abs(m_jf - m_ji) < 1e-9 and M_f == M_i
+                    for fin in finals:
+                        if elastic and fin.l == l_i and abs(fin.j - j_i) < 1e-9:
                             continue
-                        if j_policy == "stretched":
-                            j_fs = (l_f + 0.5,)
-                        else:
-                            j_fs = tuple(j for j in (l_f - 0.5, l_f + 0.5) if j > 0)
-                        for j_f in j_fs:
-                            if abs(m_jf) > j_f + 1e-9:
-                                continue
-                            key = ("angular", sigma, l1, m1, l2, l3,
-                                   l_f, j_f, m_jf)
-                            if _memo(tables, key, _angular_and_cg, tables,
-                                     *key[1:], l_i, j_i)[0] == 0.0:
-                                continue   # angular selection closes this l_f
-                            if not include_elastic and l_f == l_i and \
-                                    abs(j_f - j_i) < 1e-9 and \
-                                    abs(m_jf - m_ji) < 1e-9 and M_f == M_i:
-                                continue
-                            out.append(Channel(
-                                l=l, sigma=sigma, q=q, l1=l1, l2=l2, l3=l3,
-                                m1=m1, m2=m2, m3=m3, M_i=M_i, M_f=M_f,
-                                final=StateLabel(l_f, j_f, m_jf)))
+                        out.append(Channel(l, sigma, q, l1, l2, l3, m1, m2,
+                                           m3, M_i, M_f, fin))
     return out
 
 
@@ -327,6 +326,19 @@ def _coeff(ch: Channel, beam: BeamSpec, w_r: float) -> float:
             * beam.mass_ratio ** (al - 1))
 
 
+def _radial_and_audit(tables: dict, psi_f: RydbergState, psi_i: RydbergState,
+                      al: int, w_r: float) -> tuple[float, float, float]:
+    """(<f|r^alpha|i>, resonant k, audit) of one (final state, alpha): the
+    audit sets the assembled constant Gamma(alpha/2) against the exact
+    lambda-integral at the resonant k and <r> of the initial state."""
+    radial_e = radial_matrix_element(psi_f, psi_i, al, w_r)
+    k_au = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
+    r_char = _memo(tables, "r_char", radial_matrix_element, psi_i, psi_i, 1, w_r)
+    exact = lambda_integral_oracle(al - 1, k_au, r_char)
+    audit = math.exp(math.lgamma(al / 2.0)) / exact if exact else math.inf
+    return radial_e, k_au, audit
+
+
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
              psi_f: RydbergState, cm_i: CMState,
              tables: dict | None = None) -> ChannelResult:
@@ -335,49 +347,48 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     The channel fixes the projections: m_ji = m_jf - sigma - m1 - m2 - m3
     by its deltas, and the final CM state by M_f (`_minimal_final_cm`).  The
     reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix element
-    in hartree times E_h/h, in kHz.  `tables` memoises the factors: coeff
-    per (l, q, l1, l2, l3), which fixes the m's and alpha, angular x CG per
-    (sigma, l1, m1, l2, l3, l_f, j_f, m_jf), <f|r^alpha|i> and the lambda
-    integral per (final state, alpha), CM_f per M_f and <CM_f|x^beta|CM_i>
-    per (M_f, beta), <i|r|i> once.  Calls may share it only if they share
-    psi_i, cm_i and the beam up to its l; without one a call fills its own.
+    in hartree times E_h/h, in kHz.  `tables` memoises the factors, each
+    read with one lookup: coeff per (l, q, l1, l2, l3), which fixes the m's
+    and alpha; angular x CG per (sigma, l1, m1, l2, l3, l_f, j_f, m_jf);
+    <f|r^alpha|i>, k and the lambda audit per (final state, alpha); CM_f per
+    M_f; <CM_f|x^beta|CM_i> per (M_f, beta); <i|r|i> once; and, from
+    `enumerate_channels`, each block's open final labels per (sigma, l1, m1,
+    l2, l3, m_jf, final_l_f_max, j_policy) and one shared `StateLabel` per
+    (l_f, j_f, m_jf).  Calls may share it only if they share psi_i, cm_i and
+    the beam up to its l; without one a call fills its own.
     """
     tables = {} if tables is None else tables
-    eps = 1.0 if channel.sigma == beam.sigma else 0.0
+    ch, fin = channel, channel.final
+    eps = 1.0 if ch.sigma == beam.sigma else 0.0
     w_r = cm_i.w_r
-    al = channel.alpha
+    al = ch.alpha
 
-    coeff = _memo(tables, ("coeff", channel.l, channel.q, channel.l1,
-                           channel.l2, channel.l3), _coeff, channel, beam, w_r)
-    f_key = (psi_f.n, psi_f.l, round(2 * psi_f.j))
-    radial_e = _memo(tables, ("radial", f_key, al), radial_matrix_element,
-                     psi_f, psi_i, al, w_r)
-    cm_f = _memo(tables, ("cm_f", channel.M_f), _minimal_final_cm, cm_i,
-                 channel.M_f)
-    radial_cm = _memo(tables, ("cm", channel.M_f, channel.beta),
-                      cm_moment, cm_f, cm_i, channel.beta)
-    fin = channel.final
-    key = ("angular", channel.sigma, channel.l1, channel.m1, channel.l2,
-           channel.l3, fin.l, fin.j, fin.m_j)
-    angular, cg = _memo(tables, key, _angular_and_cg, tables, *key[1:],
-                        psi_i.l, psi_i.j)
+    key = ("coeff", ch.l, ch.q, ch.l1, ch.l2, ch.l3)
+    coeff = tables.get(key)
+    if coeff is None:
+        coeff = tables[key] = _coeff(ch, beam, w_r)
+    key = ("radial", (psi_f.n, psi_f.l, round(2 * psi_f.j)), al)
+    radial = tables.get(key)
+    if radial is None:
+        radial = tables[key] = _radial_and_audit(tables, psi_f, psi_i, al, w_r)
+    radial_e, k_au, audit = radial
+    key = ("cm", ch.M_f, ch.beta)
+    radial_cm = tables.get(key)
+    if radial_cm is None:
+        cm_f = _memo(tables, ("cm_f", ch.M_f), _minimal_final_cm, cm_i, ch.M_f)
+        radial_cm = tables[key] = cm_moment(cm_f, cm_i, ch.beta)
+    key = ("angular", ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3, fin.l, fin.j, fin.m_j)
+    angular = tables.get(key)
+    if angular is None:
+        angular = tables[key] = _angular_and_cg(tables, *key[1:], psi_i.l, psi_i.j)
+    angular, cg = angular
 
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
         or radial_cm == 0.0
-
-    # dipole-limit audit: the assembled constant Gamma(alpha/2) against the
-    # exact lambda-integral at the resonant wavenumber and <r> of the bra/ket
-    k_au = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
-    r_char = _memo(tables, "r_char", radial_matrix_element, psi_i, psi_i, 1, w_r)
-    exact = _memo(tables, ("lambda", f_key, al), lambda_integral_oracle,
-                  al - 1, k_au, r_char)
-    audit = math.exp(math.lgamma(al / 2.0)) / exact if exact else math.inf
-
-    return ChannelResult(channel=channel, coeff=coeff, radial_e=radial_e,
-                         radial_cm=radial_cm, angular=angular, cg_weight=cg,
-                         matrix_element=me, rabi_kHz=_to_kHz(abs(me)),
-                         lambda_audit=audit, k_au=k_au, closed=closed)
+    # positional, in field order: keywords cost a third of the build
+    return ChannelResult(ch, coeff, radial_e, radial_cm, angular, cg, me,
+                         _to_kHz(abs(me)), audit, k_au, closed)
 
 
 class StateSolver:
@@ -396,10 +407,16 @@ class StateSolver:
             grid_n: int | None = None) -> RydbergState:
         grid_n = n if grid_n is None else grid_n
         key = (n, l, round(2 * j), grid_n)
-        if key not in self._cache:
+        state = self._cache.get(key)
+        if state is None:
             grid = _memo(self._grids, grid_n, default_grid, grid_n, self.step)
-            self._cache[key] = solve_radial(self.species, n, l, j, grid=grid)
-        return self._cache[key]
+            state = self._cache[key] = solve_radial(self.species, n, l, j, grid=grid)
+        return state
+
+    @property
+    def states(self):
+        """Read-only view of the states solved so far."""
+        return self._cache.values()
 
 
 def _minimal_final_cm(cm_i: CMState, M_f: int) -> CMState:
@@ -463,6 +480,7 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
         raise ValueError("sweep needs at least one l")
     rows: list[SweepRow] = []
     tables: dict = {}      # the factors do not depend on l
+    texts: dict = {}       # final label -> its text, formatted once
     for l in l_values:
         beam = dataclasses.replace(beam_template, l=l)
         results = compute_scenario(solver, beam, n, l_i, j_i, m_ji, cm_i,
@@ -471,14 +489,17 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
         totals: dict = {}
         for res in results:
             ch = res.channel
-            N_f = tables[("cm_f", ch.M_f)].N
-            label = str(ch.final)
-            rows.append(SweepRow(l, "channel", ch.group, label,
-                                 ch.M_f, N_f, ch.q, res.rabi_kHz))
-            gkey = (ch.group, label, ch.M_f, N_f)
-            groups[gkey] = groups.get(gkey, 0j) + res.matrix_element
-            tkey = (label, ch.M_f, N_f)
-            totals[tkey] = totals.get(tkey, 0j) + res.matrix_element
+            fin, M_f, group, me = ch.final, ch.M_f, ch.group, res.matrix_element
+            N_f = tables[("cm_f", M_f)].N
+            label = texts.get(fin)
+            if label is None:
+                label = texts[fin] = str(fin)
+            rows.append(SweepRow(l, "channel", group, label, M_f, N_f, ch.q,
+                                 res.rabi_kHz))
+            gkey = (group, label, M_f, N_f)
+            groups[gkey] = groups.get(gkey, 0j) + me
+            tkey = (label, M_f, N_f)
+            totals[tkey] = totals.get(tkey, 0j) + me
         for (grp, label, M_f, N_f), me in sorted(groups.items()):
             rows.append(SweepRow(l, "group", grp, label, M_f, N_f, None,
                                  _to_kHz(abs(me))))

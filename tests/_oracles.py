@@ -2,7 +2,8 @@
 
 Everything here is deliberately implemented by a *different* route than the
 package code it checks: brute-force coefficient sums, direct quadrature,
-closed-form hydrogen states, and sympy's exact angular momentum algebra.
+closed-form hydrogen states, sympy's exact angular momentum algebra, and
+the nested-loop channel enumerator the package used to run.
 Slow is fine; these only run under pytest.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from lgryd.coupling import Channel, StateLabel, _angular_and_cg, _memo
 
 
 def laguerre_coeff_sum(n: int, a: float, x: float) -> float:
@@ -129,3 +132,60 @@ def sympy_wigner3j(j1, j2, j3, m1, m2, m3) -> float:
         return Rational(int(round(2 * x)), 2)
 
     return float(wigner_3j(q(j1), q(j2), q(j3), q(m1), q(m2), q(m3)))
+
+
+# The channel enumerator as it was before the open final labels of each
+# channel block went into the factor tables: every (l_f, j_f) of every block
+# is rebuilt and angular-checked for each charge l.
+def enumerate_channels_nested(beam: BeamSpec, initial: StateLabel,
+                              initial_cm: CMState, final_l_f_max: int = 3,
+                              j_policy: str = "stretched",
+                              include_elastic: bool = False,
+                              tables: dict | None = None) -> list[Channel]:
+    """All index tuples compatible with the selection deltas from the
+    initial label, each paired with every angular-reachable final label, in
+    the lexicographic order (q, l1, l2, l3, sigma, l_f, j_f) the loops run
+    in (sigma is the beam's).  A channel fixes the initial m_j and the final
+    CM state that `assemble` takes; `tables` as there."""
+    tables = {} if tables is None else tables
+    if j_policy not in ("stretched", "all"):
+        raise ValueError(f"unknown j_policy {j_policy!r}")
+    l, sigma = beam.l, beam.sigma
+    l_i, j_i, m_ji = initial.l, initial.j, initial.m_j
+    M_i = initial_cm.M
+    sign_l = (l > 0) - (l < 0)
+    out = []
+    for q in range(beam.q_max + 1):
+        for l1 in range(abs(l) + 1):
+            for l2 in range(q + 1):
+                for l3 in range(q + 1):
+                    m1, m2, m3 = sign_l * l1, l2, -l3
+                    M_f = l - m1 - m2 - m3 + M_i
+                    m_jf = m_ji + sigma + m1 + m2 + m3
+                    parity = (l_i + 1 + l1 + l2 + l3) % 2
+                    # past l_i + 1 + l1 + l2 + l3 the triangle rule closes l_f
+                    top = min(final_l_f_max, l_i + 1 + l1 + l2 + l3)
+                    for l_f in range(top + 1):
+                        if l_f % 2 != parity:
+                            continue
+                        if j_policy == "stretched":
+                            j_fs = (l_f + 0.5,)
+                        else:
+                            j_fs = tuple(j for j in (l_f - 0.5, l_f + 0.5) if j > 0)
+                        for j_f in j_fs:
+                            if abs(m_jf) > j_f + 1e-9:
+                                continue
+                            key = ("angular", sigma, l1, m1, l2, l3,
+                                   l_f, j_f, m_jf)
+                            if _memo(tables, key, _angular_and_cg, tables,
+                                     *key[1:], l_i, j_i)[0] == 0.0:
+                                continue   # angular selection closes this l_f
+                            if not include_elastic and l_f == l_i and \
+                                    abs(j_f - j_i) < 1e-9 and \
+                                    abs(m_jf - m_ji) < 1e-9 and M_f == M_i:
+                                continue
+                            out.append(Channel(
+                                l=l, sigma=sigma, q=q, l1=l1, l2=l2, l3=l3,
+                                m1=m1, m2=m2, m3=m3, M_i=M_i, M_f=M_f,
+                                final=StateLabel(l_f, j_f, m_jf)))
+    return out

@@ -435,7 +435,7 @@ class TestExitCodes:
 
 HOSTILE = ("0", "-1", "x", "", "1e-300", "1e300", "0.25", "1000000000")
 # (species-file key, value): the first line setting the key in rb.species
-SPECIES_MUTATIONS = (("Z", "0"), ("mass_amu", "nan"), ("alpha_c", "inf"),
+SPECIES_MUTATIONS = (("Z", "0"), ("so_scale", "1e300"), ("alpha_c", "inf"),
                      ("so_scale", "-1"), ("a1", "x"), ("a2", "1e300"),
                      ("rc", "0"), ("d", ""), ("d", "1e300"))
 
@@ -552,6 +552,16 @@ class TestImportCost:
                 "print(sorted(m for m in sys.modules "
                 "if m in ('scipy', 'lgryd.verify', 'numpy.polynomial') "
                 "or m.startswith('scipy.')))")
+        assert fresh_python(code) == "[]"
+
+    def test_dataclasses_have_own_docstrings(self):
+        # @dataclass builds a missing docstring from inspect.signature while
+        # it creates the class, in every process that imports the module
+        code = ("import dataclasses, sys, lgryd.cli; "
+                "print(sorted(c.__name__ for n, m in list(sys.modules.items()) "
+                "if n.startswith('lgryd') for c in vars(m).values() "
+                "if isinstance(c, type) and dataclasses.is_dataclass(c) "
+                "and c.__doc__.startswith(c.__name__ + '(')))")
         assert fresh_python(code) == "[]"
 
     def test_numpy_loads_on_first_array_use(self, tmp_path):

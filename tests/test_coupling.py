@@ -14,12 +14,14 @@ the package's own multi_gaunt:
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _oracles import enumerate_channels_nested
 from lgryd import coupling
 from lgryd.atom import (_simpson, default_grid, load_species,
                         radial_matrix_element)
@@ -329,6 +331,30 @@ class TestEnumerateChannels:
         with pytest.raises(ValueError):
             enumerate_channels(beam_for(1, 1), S_INIT, CM0, 3, j_policy="frobnicate")
 
+    def test_matches_nested_loop_enumerator(self):
+        # the per-block open-final lists against the nested loops they
+        # replaced: the same channels, in order, every field equal (Channel
+        # compares all of them), with a fresh table per call, and with one
+        # table per (initial l, j, trap state, q_max) shared across l as a
+        # sweep shares it, and across m_j, j_policy and the l_f cap, which
+        # its keys must tell apart; from P3/2 the elastic filter also needs j
+        groups = [((0, 0.5), q_max, M_i) for q_max in (0, 1, 2)
+                  for M_i in (0, -1, 2)]
+        groups += [((1, 1.5), q_max, 0) for q_max in (0, 1)]
+        for (l_i, j_i), q_max, M_i in groups:
+            cm_i = CMState(abs(M_i), M_i, CM0.w_r)
+            shared_new, shared_old = {}, {}
+            for j_policy, elastic, m_j, cap, l in itertools.product(
+                    ("stretched", "all"), (False, True), (0.5, -0.5), (3, 10),
+                    range(-4, 9)):
+                args = (beam_for(l, 1, q_max=q_max), StateLabel(l_i, j_i, m_j),
+                        cm_i, cap, j_policy, elastic)
+                want = enumerate_channels_nested(*args, tables=shared_old)
+                case = (l_i, j_i, q_max, M_i, j_policy, elastic, m_j, cap, l)
+                assert want, case
+                assert enumerate_channels(*args) == want, case
+                assert enumerate_channels(*args, tables=shared_new) == want, case
+
 
 # -------------------------------------------------------------- assemble
 
@@ -418,6 +444,15 @@ class TestScenario:
                                -0.5, CM0)
         assert len(res) == 13
         assert all(r.channel.final.l < 4 for r in res)
+
+    def test_states_view(self):
+        # the solved states, live and read-only, without the private cache
+        solver = StateSolver(HY)
+        view = solver.states
+        st = solver.get(4, 0, 0.5)
+        assert list(view) == [st] and not hasattr(view, "__setitem__")
+        solver.get(4, 0, 0.5)
+        assert len(view) == 1
 
     def test_final_cm_built_once_per_projection(self, monkeypatch):
         # the final CM state depends on M_f alone, so it sits in the tables
