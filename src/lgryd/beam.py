@@ -16,7 +16,9 @@ which is the (unique) reading of the mixed-notation normalization that makes
 the expansion and the translation theorem close as identities; the
 cylindrical monomials it produces are R^{+1}_1 = -(x+iy), R^{-1}_1 = x-iy,
 R^0_1 = z.  The expansion itself and the translation theorem are evaluated
-only by the oracles in :mod:`lgryd.verify`.
+only by the oracles in :mod:`lgryd.verify`.  BeamSpec carries no k: e^{ikz}
+enters the coupling only as its p = 0 plane-wave harmonic, and the lambda
+audit takes k at resonance.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class BeamSpec:
     w0: float
     E0: float
     sigma: int
-    k: float = 0.0
     q_max: int = 1
     mass_ratio: float = 1.0
 

@@ -111,9 +111,9 @@ class Runtime:
         _check_beam_orders(cfg, self.beam.w0, self.cm_i.w_r)
         self.solver = StateSolver(self.species, cfg.grid_step)
 
-    def scenario(self, beam=None):
+    def scenario(self):
         cfg = self.cfg
-        return compute_scenario(self.solver, beam or self.beam, cfg.n,
+        return compute_scenario(self.solver, self.beam, cfg.n,
                                 cfg.l_i, cfg.j_i, cfg.m_j, self.cm_i,
                                 final_l_f_max=cfg.final_l_f_max,
                                 n_final=cfg.n_final, j_policy=cfg.j_policy)
@@ -147,9 +147,7 @@ def cmd_sweep(rt: Runtime, out: Path) -> int:
                                     final_l_f_max=cfg.final_l_f_max,
                                     n_final=cfg.n_final, j_policy=cfg.j_policy)
     _check_finite(rt, (r.rabi_kHz for r in rows))
-    write_csv(out / "sweep.csv", SWEEP_COLS,
-              [(r.l, r.kind, r.group, r.final_state, r.M_f, r.N_f, r.q,
-                r.rabi_kHz) for r in rows])
+    write_csv(out / "sweep.csv", SWEEP_COLS, rows)
     (out / "sweep.svg").write_text(render_sweep_svg(rows))
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows) and "
           f"{out / 'sweep.svg'}")

@@ -15,10 +15,10 @@ with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
 formula states it.  Every result carries an audit of that constant against
 the exact integral int_0^1 lambda^{alpha-1} j_0(k lambda r) dlambda at the
 resonant k (see docs/AUDIT.md for what that ratio reveals).
-Each factor is computed once per distinct key in a table that lives for one
-scenario or sweep call (entries listed under `assemble`), <f|r^alpha|i> and
-its audit in one entry per (final state, alpha); the table also lists each
-channel block's open final labels once, as shared `StateLabel` objects.
+Factors of quantum numbers alone (Gaunt integrals, angular x CG, each
+channel block's open final labels) are cached per process; those of the
+beam, the trap or a solved state are computed once per distinct key in a
+table that lives for one scenario or sweep call (listed under `assemble`).
 
 The six normalization constants of c_product follow the coordinate split:
 the printed index pairs are used in the form that matches the CM-side
@@ -176,13 +176,20 @@ def fine_structure_weight(initial: tuple, final: tuple, orbital_bra_ket: tuple) 
     return total
 
 
-def _angular_and_cg(tables: dict, sigma: int, l1: int, m1: int, l2: int,
-                    l3: int, l_f: int, j_f: float, m_jf: float,
-                    l_i: int, j_i: float):
+@cache
+def _gaunt(sigma: int, l1: int, m1: int, l2: int, l3: int, bra, ket):
+    # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
+    return multi_gaunt([(1, sigma), (0, 0), (l1, m1), (l2, l2), (l3, -l3)],
+                       bra, ket)
+
+
+@cache
+def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
+                    l_f: int, j_f: float, m_jf: float, l_i: int, j_i: float):
     """(angular, cg_weight) for the channel (sigma, l1, m1, l2, l3) feeding
     the final label (l_f, j_f, m_jf) from |l_i j_i m_jf - dm>, where dm =
-    sigma + m1 + m2 + m3, m2 = l2, m3 = -l3.  Each Gaunt integral is memoised
-    in `tables`: both j_f of one l_f take the same ones.
+    sigma + m1 + m2 + m3, m2 = l2, m3 = -l3.  Both j_f of one l_f take the
+    same cached Gaunt integrals.
 
     General case: sum over the initial m_l decomposition of |j_i m_ji>, each
     term weighted by both Clebsch-Gordan brackets.  When a single m_li
@@ -190,8 +197,6 @@ def _angular_and_cg(tables: dict, sigma: int, l1: int, m1: int, l2: int,
     are reported apart; otherwise the contraction lands in `angular` and
     cg_weight is 1 by convention.
     """
-    # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
-    fs = [(1, sigma), (0, 0), (l1, m1), (l2, l2), (l3, -l3)]
     dm = sigma + m1 + l2 - l3
     m_ji = m_jf - dm
     terms = []
@@ -204,9 +209,7 @@ def _angular_and_cg(tables: dict, sigma: int, l1: int, m1: int, l2: int,
                                   (m_li, m_lf))
         if w == 0.0:
             continue
-        bra, ket = (l_f, round(m_lf)), (l_i, round(m_li))
-        g = _memo(tables, ("gaunt", sigma, l1, m1, l2, l3, bra, ket),
-                  multi_gaunt, fs, bra, ket)
+        g = _gaunt(sigma, l1, m1, l2, l3, (l_f, round(m_lf)), (l_i, round(m_li)))
         terms.append((w, g))
     if not terms:
         return 0.0, 0.0
@@ -223,11 +226,12 @@ def _memo(tables: dict, key, fn, *args):
     return tables[key]
 
 
-def _open_finals(tables: dict, sigma: int, l1: int, m1: int, l2: int,
-                 l3: int, m_jf: float, final_l_f_max: int, j_policy: str,
-                 l_i: int, j_i: float) -> list[StateLabel]:
+@cache
+def _open_finals(sigma: int, l1: int, m1: int, l2: int, l3: int,
+                 m_jf: float, final_l_f_max: int, j_policy: str,
+                 l_i: int, j_i: float) -> tuple[StateLabel, ...]:
     """The final labels (l_f, j_f, m_jf) that the block (sigma, l1, m1, l2,
-    l3) reaches with a non-zero angular factor, as shared table objects."""
+    l3) reaches with a non-zero angular factor."""
     parity = (l_i + 1 + l1 + l2 + l3) % 2
     # past l_i + 1 + l1 + l2 + l3 the triangle rule closes l_f
     top = min(final_l_f_max, l_i + 1 + l1 + l2 + l3)
@@ -239,26 +243,23 @@ def _open_finals(tables: dict, sigma: int, l1: int, m1: int, l2: int,
         for j_f in j_fs:
             if abs(m_jf) > j_f + 1e-9:
                 continue
-            key = ("angular", sigma, l1, m1, l2, l3, l_f, j_f, m_jf)
-            if _memo(tables, key, _angular_and_cg, tables, *key[1:],
-                     l_i, j_i)[0] == 0.0:
+            if _angular_and_cg(sigma, l1, m1, l2, l3, l_f, j_f, m_jf,
+                               l_i, j_i)[0] == 0.0:
                 continue   # angular selection closes this l_f
-            out.append(_memo(tables, ("label", l_f, j_f, m_jf), StateLabel,
-                             l_f, j_f, m_jf))
-    return out
+            out.append(StateLabel(l_f, j_f, m_jf))
+    return tuple(out)
 
 
 def enumerate_channels(beam: BeamSpec, initial: StateLabel,
                        initial_cm: CMState, final_l_f_max: int = 3,
-                       j_policy: str = "stretched", include_elastic: bool = False,
-                       tables: dict | None = None) -> list[Channel]:
+                       j_policy: str = "stretched",
+                       include_elastic: bool = False) -> list[Channel]:
     """All index tuples compatible with the selection deltas from the
     initial label, each paired with every angular-reachable final label, in
     the lexicographic order (q, l1, l2, l3, sigma, l_f, j_f) the loops run
     in (sigma is the beam's).  A channel fixes the initial m_j and the final
-    CM state that `assemble` takes; `tables` as there, where each block's
-    open finals are listed once for every charge l that reaches it."""
-    tables = {} if tables is None else tables
+    CM state that `assemble` takes; each block's open finals come from a
+    process cache, so every charge l that reaches a block shares them."""
     if j_policy not in ("stretched", "all"):
         raise ValueError(f"unknown j_policy {j_policy!r}")
     l, sigma = beam.l, beam.sigma
@@ -273,10 +274,8 @@ def enumerate_channels(beam: BeamSpec, initial: StateLabel,
                     m1, m2, m3 = sign_l * l1, l2, -l3
                     M_f = l - m1 - m2 - m3 + M_i
                     m_jf = m_ji + sigma + m1 + m2 + m3
-                    key = ("finals", sigma, l1, m1, l2, l3, m_jf,
-                           final_l_f_max, j_policy)
-                    finals = _memo(tables, key, _open_finals, tables,
-                                   *key[1:], l_i, j_i)
+                    finals = _open_finals(sigma, l1, m1, l2, l3, m_jf,
+                                          final_l_f_max, j_policy, l_i, j_i)
                     elastic = not include_elastic and \
                         abs(m_jf - m_ji) < 1e-9 and M_f == M_i
                     for fin in finals:
@@ -347,15 +346,13 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     The channel fixes the projections: m_ji = m_jf - sigma - m1 - m2 - m3
     by its deltas, and the final CM state by M_f (`_minimal_final_cm`).  The
     reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix element
-    in hartree times E_h/h, in kHz.  `tables` memoises the factors, each
-    read with one lookup: coeff per (l, q, l1, l2, l3), which fixes the m's
-    and alpha; angular x CG per (sigma, l1, m1, l2, l3, l_f, j_f, m_jf);
+    in hartree times E_h/h, in kHz.  Angular x CG comes from one process
+    cache call.  `tables` memoises the other factors, each read with one
+    lookup: coeff per (l, q, l1, l2, l3), which fixes the m's and alpha;
     <f|r^alpha|i>, k and the lambda audit per (final state, alpha); CM_f per
-    M_f; <CM_f|x^beta|CM_i> per (M_f, beta); <i|r|i> once; and, from
-    `enumerate_channels`, each block's open final labels per (sigma, l1, m1,
-    l2, l3, m_jf, final_l_f_max, j_policy) and one shared `StateLabel` per
-    (l_f, j_f, m_jf).  Calls may share it only if they share psi_i, cm_i and
-    the beam up to its l; without one a call fills its own.
+    M_f; <CM_f|x^beta|CM_i> per (M_f, beta); and <i|r|i> once.  Calls may
+    share it only if they share psi_i, cm_i and the beam up to its l;
+    without one a call fills its own.
     """
     tables = {} if tables is None else tables
     ch, fin = channel, channel.final
@@ -377,11 +374,8 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     if radial_cm is None:
         cm_f = _memo(tables, ("cm_f", ch.M_f), _minimal_final_cm, cm_i, ch.M_f)
         radial_cm = tables[key] = cm_moment(cm_f, cm_i, ch.beta)
-    key = ("angular", ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3, fin.l, fin.j, fin.m_j)
-    angular = tables.get(key)
-    if angular is None:
-        angular = tables[key] = _angular_and_cg(tables, *key[1:], psi_i.l, psi_i.j)
-    angular, cg = angular
+    angular, cg = _angular_and_cg(ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3,
+                                  fin.l, fin.j, fin.m_j, psi_i.l, psi_i.j)
 
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
@@ -441,7 +435,7 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
     # the label-level diagonal is only truly elastic if n does not change
     channels = enumerate_channels(beam, StateLabel(l_i, j_i, m_ji), cm_i,
                                   final_l_f_max, j_policy=j_policy,
-                                  include_elastic=nf != n, tables=tables)
+                                  include_elastic=nf != n)
     out = []
     for ch in channels:
         if ch.final.l >= nf:

@@ -99,13 +99,13 @@ def solid_harmonic(l: int, m: int, vec: Sequence[float]) -> complex:
 
 
 def lg_amplitude(spec: BeamSpec, rho: float, phi: float, z: float) -> complex:
-    """Waist-plane LG profile times the propagation phase e^{ikz}."""
+    """Waist-plane LG profile."""
     al = abs(spec.l)
     if rho == 0.0 and al > 0:
         return 0.0j
     pre = math.sqrt(2.0 / math.pi * math.exp(-log_factorial(al)))
     radial = (rho * math.sqrt(2.0) / spec.w0) ** al * math.exp(-(rho / spec.w0) ** 2)
-    return spec.E0 * pre * radial * cmath.exp(1j * (spec.l * phi + spec.k * z))
+    return spec.E0 * pre * radial * cmath.exp(1j * spec.l * phi)
 
 
 def expand_field(spec: BeamSpec) -> tuple[ExpansionTerm, ...]:
@@ -131,8 +131,7 @@ def expand_field(spec: BeamSpec) -> tuple[ExpansionTerm, ...]:
 
 
 def evaluate_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> complex:
-    """Numeric value of the truncated series at a spherical point, with the
-    same e^{ikz} propagation factor as lg_amplitude."""
+    """Numeric value of the truncated series at a spherical point."""
     vec = (r * math.sin(theta) * math.cos(phi),
            r * math.sin(theta) * math.sin(phi),
            r * math.cos(theta))
@@ -142,7 +141,7 @@ def evaluate_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> co
         for t in harms:
             prod *= t.coefficient * solid_harmonic(t.l, t.m, vec)
         total += prod
-    return spec.E0 * total * cmath.exp(1j * spec.k * r * math.cos(theta))
+    return spec.E0 * total
 
 
 def verify_expansion(spec: BeamSpec, r: float, theta: float, phi: float) -> ExpansionCheck:
@@ -380,8 +379,8 @@ ALL_SUITES = [suite_expansion_identity, suite_addition_theorem,
               suite_cm_orthonormality, suite_lambda_audit]
 
 
-def run_all(suites=None) -> tuple[bool, str]:
-    reports = [fn() for fn in (suites or ALL_SUITES)]
+def run_all() -> tuple[bool, str]:
+    reports = [fn() for fn in ALL_SUITES]
     text = "".join(r.render() for r in reports)
     n_ok = sum(r.passed for r in reports)
     text += f"{n_ok}/{len(reports)} suites passed\n"

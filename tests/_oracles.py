@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from lgryd.coupling import Channel, StateLabel, _angular_and_cg, _memo
+from lgryd.coupling import Channel, StateLabel, _angular_and_cg
 
 
 def laguerre_coeff_sum(n: int, a: float, x: float) -> float:
@@ -134,20 +134,18 @@ def sympy_wigner3j(j1, j2, j3, m1, m2, m3) -> float:
     return float(wigner_3j(q(j1), q(j2), q(j3), q(m1), q(m2), q(m3)))
 
 
-# The channel enumerator as it was before the open final labels of each
-# channel block went into the factor tables: every (l_f, j_f) of every block
-# is rebuilt and angular-checked for each charge l.
+# The channel enumerator as it was before each channel block listed its open
+# final labels once: every (l_f, j_f) of every block is rebuilt and
+# angular-checked for each charge l, through the uncached angular factor.
 def enumerate_channels_nested(beam: BeamSpec, initial: StateLabel,
                               initial_cm: CMState, final_l_f_max: int = 3,
                               j_policy: str = "stretched",
-                              include_elastic: bool = False,
-                              tables: dict | None = None) -> list[Channel]:
+                              include_elastic: bool = False) -> list[Channel]:
     """All index tuples compatible with the selection deltas from the
     initial label, each paired with every angular-reachable final label, in
     the lexicographic order (q, l1, l2, l3, sigma, l_f, j_f) the loops run
     in (sigma is the beam's).  A channel fixes the initial m_j and the final
-    CM state that `assemble` takes; `tables` as there."""
-    tables = {} if tables is None else tables
+    CM state that `assemble` takes."""
     if j_policy not in ("stretched", "all"):
         raise ValueError(f"unknown j_policy {j_policy!r}")
     l, sigma = beam.l, beam.sigma
@@ -175,10 +173,9 @@ def enumerate_channels_nested(beam: BeamSpec, initial: StateLabel,
                         for j_f in j_fs:
                             if abs(m_jf) > j_f + 1e-9:
                                 continue
-                            key = ("angular", sigma, l1, m1, l2, l3,
-                                   l_f, j_f, m_jf)
-                            if _memo(tables, key, _angular_and_cg, tables,
-                                     *key[1:], l_i, j_i)[0] == 0.0:
+                            if _angular_and_cg.__wrapped__(
+                                    sigma, l1, m1, l2, l3, l_f, j_f, m_jf,
+                                    l_i, j_i)[0] == 0.0:
                                 continue   # angular selection closes this l_f
                             if not include_elastic and l_f == l_i and \
                                     abs(j_f - j_i) < 1e-9 and \

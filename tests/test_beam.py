@@ -15,8 +15,8 @@ from lgryd.beam import BeamSpec
 from lgryd.verify import SolidHarmonicTerm
 
 
-def _spec(l=1, w0=1.0, E0=1.0, sigma=1, k=0.0, q_max=1):
-    return BeamSpec(l=l, w0=w0, E0=E0, sigma=sigma, k=k, q_max=q_max)
+def _spec(l=1, w0=1.0, E0=1.0, sigma=1, q_max=1):
+    return BeamSpec(l=l, w0=w0, E0=E0, sigma=sigma, q_max=q_max)
 
 
 class TestBeamSpec:
@@ -78,13 +78,6 @@ class TestLGAmplitude:
         w0 = 3.2
         got = verify.lg_amplitude(_spec(l=1, w0=w0), w0 / math.sqrt(2.0), 0.0, 0.0)
         assert got == pytest.approx(math.sqrt(2.0 / math.pi) * math.exp(-0.5))
-
-    def test_propagation_phase(self):
-        s = _spec(l=0, k=0.8)
-        a = verify.lg_amplitude(s, 0.5, 0.0, 0.0)
-        b = verify.lg_amplitude(s, 0.5, 0.0, 2.0)
-        assert abs(b / a) == pytest.approx(1.0)
-        assert cmath.phase(b / a) == pytest.approx(0.8 * 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("l", [-2, -1, 0, 1, 3])
     def test_phase_winding(self, l):
@@ -184,7 +177,7 @@ class TestVerifyExpansion:
 
     def test_hundred_random_probes(self):
         rng = np.random.default_rng(7)
-        s = _spec(l=2, q_max=8, w0=1.3, k=0.05)
+        s = _spec(l=2, q_max=8, w0=1.3)
         for _ in range(100):
             r = rng.uniform(0.05, 0.5) * s.w0
             th = rng.uniform(0.1, math.pi - 0.1)

@@ -13,9 +13,11 @@ the package's own multi_gaunt:
 """
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from lgryd import coupling
 from lgryd.atom import (_simpson, default_grid, load_species,
                         radial_matrix_element)
 from lgryd.beam import BeamSpec, g_coeff, solid_norm
+from lgryd.cli import Runtime
 from lgryd.cm import CMState, cm_moment
 from lgryd.config import parse_config
 from lgryd.coupling import (Channel, StateLabel, StateSolver, assemble,
@@ -334,26 +337,24 @@ class TestEnumerateChannels:
     def test_matches_nested_loop_enumerator(self):
         # the per-block open-final lists against the nested loops they
         # replaced: the same channels, in order, every field equal (Channel
-        # compares all of them), with a fresh table per call, and with one
-        # table per (initial l, j, trap state, q_max) shared across l as a
-        # sweep shares it, and across m_j, j_policy and the l_f cap, which
-        # its keys must tell apart; from P3/2 the elastic filter also needs j
+        # compares all of them), with one process cache shared across l as a
+        # sweep shares it, and across initial states, trap states, m_j,
+        # j_policy and the l_f cap, which its keys must tell apart; from P3/2
+        # the elastic filter also needs j
         groups = [((0, 0.5), q_max, M_i) for q_max in (0, 1, 2)
                   for M_i in (0, -1, 2)]
         groups += [((1, 1.5), q_max, 0) for q_max in (0, 1)]
         for (l_i, j_i), q_max, M_i in groups:
             cm_i = CMState(abs(M_i), M_i, CM0.w_r)
-            shared_new, shared_old = {}, {}
             for j_policy, elastic, m_j, cap, l in itertools.product(
                     ("stretched", "all"), (False, True), (0.5, -0.5), (3, 10),
                     range(-4, 9)):
                 args = (beam_for(l, 1, q_max=q_max), StateLabel(l_i, j_i, m_j),
                         cm_i, cap, j_policy, elastic)
-                want = enumerate_channels_nested(*args, tables=shared_old)
+                want = enumerate_channels_nested(*args)
                 case = (l_i, j_i, q_max, M_i, j_policy, elastic, m_j, cap, l)
                 assert want, case
                 assert enumerate_channels(*args) == want, case
-                assert enumerate_channels(*args, tables=shared_new) == want, case
 
 
 # -------------------------------------------------------------- assemble
@@ -622,6 +623,17 @@ RESULT_FIELDS = ("coeff", "radial_e", "radial_cm", "angular", "cg_weight",
                  "matrix_element", "rabi_kHz", "lambda_audit", "k_au", "closed")
 
 
+def clear_angular_caches():
+    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals):
+        fn.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the per-process angular caches, so a test sees every miss."""
+    clear_angular_caches()
+
+
 def rb60_sweep(l_values, q_max):
     """The rb60 sweep at j_policy=all, l_f <= 10 with a fresh state cache."""
     cfg = RB60
@@ -660,14 +672,14 @@ class TestFactorTables:
                 assert getattr(shared, name) == getattr(alone, name), \
                     (shared.channel, name)
 
-    def test_each_factor_once_per_key(self, monkeypatch):
+    def test_each_factor_once_per_key(self, monkeypatch, cold_caches):
         # the benchmark's heavy sweep: 606 channels, 39 final (state, alpha)
         # pairs, 20 (M_f, beta) pairs, 105 angular keys (l_f stops at the
         # triangle bound l_i + 1 + l1 + l2 + l3), 220 coefficient keys
         # (l, q, l1, l2, l3)
         counts = dict.fromkeys(("assemble", "radial_matrix_element",
                                 "cm_moment", "lambda_integral_oracle",
-                                "_angular_and_cg", "g_coeff", "c_product"), 0)
+                                "g_coeff", "c_product"), 0)
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -683,20 +695,41 @@ class TestFactorTables:
                           "radial_matrix_element": 39 + 1,   # + <i|r|i>
                           "cm_moment": 20,
                           "lambda_integral_oracle": 39,
-                          "_angular_and_cg": 105,
                           "g_coeff": 220,
                           "c_product": 220}
+        assert coupling._angular_and_cg.cache_info().misses == 105
 
-    def test_one_gaunt_per_distinct_key(self, monkeypatch):
+    def test_one_gaunt_per_distinct_key(self, cold_caches):
         # the same sweep: the two j_f of one l_f share their Gaunt
         # integrals, so 53 distinct (factors, bra, ket) for the 105 angular
         # keys
-        calls, plain = [], coupling.multi_gaunt
-        monkeypatch.setattr(coupling, "multi_gaunt",
-                            lambda fs, bra, ket: calls.append(
-                                (tuple(fs), bra, ket)) or plain(fs, bra, ket))
         rb60_sweep(tuple(range(1, 9)), q_max=1)
-        assert len(calls) == len(set(calls)) == 53
+        assert coupling._gaunt.cache_info().misses == 53
+
+    def test_angular_caches_key_by_scenario(self, cold_caches):
+        # rb60 alone on cold caches, and again after scenarios from D5/2
+        # (whose l_f parity and m_jf meet rb60's keys) and P3/2 initial
+        # states, at the other m_j, both j, l_f <= 10 and trap (2, 0) filled
+        # them: every field equal.  Then no process cache keeps a solved
+        # state (or its grid arrays) alive once the runtimes are gone
+        runtimes = [Runtime(RB60)]
+        cold = runtimes[0].scenario()
+        clear_angular_caches()
+        for changes in ({"l_i": 2, "j_i": 2.5}, {"l_i": 1, "j_i": 1.5},
+                        {"m_j": 0.5},
+                        {"j_policy": "all"}, {"final_l_f_max": 10},
+                        {"N": 2, "M": 0}):
+            runtimes.append(Runtime(dataclasses.replace(RB60, **changes)
+                                    .validate()))
+            runtimes[-1].scenario()
+        runtimes.append(Runtime(RB60))
+        warm = runtimes[-1].scenario()
+        assert [dataclasses.astuple(r) for r in warm] == \
+            [dataclasses.astuple(r) for r in cold]
+        states = [weakref.ref(st) for rt in runtimes for st in rt.solver.states]
+        del runtimes, cold, warm
+        gc.collect()
+        assert states and all(ref() is None for ref in states)
 
 
 # ------------------------------------------ rb60 away from m_j = -1/2, N = 0
