@@ -15,10 +15,10 @@ with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
 formula states it.  Every result carries an audit of that constant against
 the exact integral int_0^1 lambda^{alpha-1} j_0(k lambda r) dlambda at the
 resonant k (see docs/AUDIT.md for what that ratio reveals).
-Factors of quantum numbers alone (Gaunt integrals, angular x CG, each
-channel block's open final labels) are cached per process; those of the
-beam, the trap or a solved state are computed once per distinct key in a
-table that lives for one scenario or sweep call (listed under `assemble`).
+Factors of plain numbers (Gaunt integrals, angular x CG, each block's open
+final labels, the coefficient, the final trap state, the CM moment) are
+cached per process; factors of solved states (<f|r^alpha|i> with its audit,
+<i|r|i>) are kept by the `StateSolver` that solved them.
 
 The six normalization constants of c_product follow the coordinate split:
 the printed index pairs are used in the form that matches the CM-side
@@ -219,13 +219,6 @@ def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
     return sum(w * g for w, g in terms), 1.0
 
 
-def _memo(tables: dict, key, fn, *args):
-    """tables[key], filled by fn(*args) on first use."""
-    if key not in tables:
-        tables[key] = fn(*args)
-    return tables[key]
-
-
 @cache
 def _open_finals(sigma: int, l1: int, m1: int, l2: int, l3: int,
                  m_jf: float, final_l_f_max: int, j_policy: str,
@@ -317,22 +310,37 @@ def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
     return 0.5 * float(np.dot(w, vals))
 
 
-def _coeff(ch: Channel, beam: BeamSpec, w_r: float) -> float:
-    al = ch.alpha
-    return (g_coeff(ch.l, ch.q, w_r, beam.w0)
+@cache
+def _coeff(l: int, q: int, l1: int, l2: int, l3: int, m1: int, m2: int,
+           m3: int, w_r: float, w0: float, mass_ratio: float) -> float:
+    al = l1 + l2 + l3 + 1
+    return (g_coeff(l, q, w_r, w0)
             * math.exp(math.lgamma(al / 2.0))
-            * c_product(ch.l, ch.q, ch.l1, ch.l2, ch.l3, ch.m1, ch.m2, ch.m3)
-            * beam.mass_ratio ** (al - 1))
+            * c_product(l, q, l1, l2, l3, m1, m2, m3)
+            * mass_ratio ** (al - 1))
 
 
-def _radial_and_audit(tables: dict, psi_f: RydbergState, psi_i: RydbergState,
+@cache
+def _final_cm(cm_i: CMState, M_f: int) -> CMState:
+    # lowest N compatible with M_f, preserving the initial radial excitation
+    return CMState(abs(M_f) + cm_i.N - abs(cm_i.M), M_f, cm_i.w_r)
+
+
+@cache
+def _cm_moment(cm_i: CMState, M_f: int, beta: int) -> float:
+    return cm_moment(_final_cm(cm_i, M_f), cm_i, beta)
+
+
+def _radial_and_audit(memo: dict, psi_f: RydbergState, psi_i: RydbergState,
                       al: int, w_r: float) -> tuple[float, float, float]:
     """(<f|r^alpha|i>, resonant k, audit) of one (final state, alpha): the
     audit sets the assembled constant Gamma(alpha/2) against the exact
     lambda-integral at the resonant k and <r> of the initial state."""
     radial_e = radial_matrix_element(psi_f, psi_i, al, w_r)
     k_au = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
-    r_char = _memo(tables, "r_char", radial_matrix_element, psi_i, psi_i, 1, w_r)
+    r_char = memo.get((psi_i, w_r))
+    if r_char is None:
+        r_char = memo[psi_i, w_r] = radial_matrix_element(psi_i, psi_i, 1, w_r)
     exact = lambda_integral_oracle(al - 1, k_au, r_char)
     audit = math.exp(math.lgamma(al / 2.0)) / exact if exact else math.inf
     return radial_e, k_au, audit
@@ -340,40 +348,32 @@ def _radial_and_audit(tables: dict, psi_f: RydbergState, psi_i: RydbergState,
 
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
              psi_f: RydbergState, cm_i: CMState,
-             tables: dict | None = None) -> ChannelResult:
+             memo: dict | None = None) -> ChannelResult:
     """Literal per-channel matrix element and Rabi frequency.
 
     The channel fixes the projections: m_ji = m_jf - sigma - m1 - m2 - m3
-    by its deltas, and the final CM state by M_f (`_minimal_final_cm`).  The
+    by its deltas, and the final CM state by M_f (`_final_cm`).  The
     reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix element
-    in hartree times E_h/h, in kHz.  Angular x CG comes from one process
-    cache call.  `tables` memoises the other factors, each read with one
-    lookup: coeff per (l, q, l1, l2, l3), which fixes the m's and alpha;
-    <f|r^alpha|i>, k and the lambda audit per (final state, alpha); CM_f per
-    M_f; <CM_f|x^beta|CM_i> per (M_f, beta); and <i|r|i> once.  Calls may
-    share it only if they share psi_i, cm_i and the beam up to its l;
-    without one a call fills its own.
+    in hartree times E_h/h, in kHz.  Angular x CG, the coefficient and the
+    CM moment come from process caches keyed by plain numbers.  `memo`
+    keeps <f|r^alpha|i>, k and the lambda audit per (psi_f, psi_i, alpha,
+    w_r), and <i|r|i> per (psi_i, w_r); `compute_scenario` passes its
+    solver's `factors`, and a standalone call without one fills its own.
     """
-    tables = {} if tables is None else tables
+    memo = {} if memo is None else memo
     ch, fin = channel, channel.final
     eps = 1.0 if ch.sigma == beam.sigma else 0.0
     w_r = cm_i.w_r
     al = ch.alpha
 
-    key = ("coeff", ch.l, ch.q, ch.l1, ch.l2, ch.l3)
-    coeff = tables.get(key)
-    if coeff is None:
-        coeff = tables[key] = _coeff(ch, beam, w_r)
-    key = ("radial", (psi_f.n, psi_f.l, round(2 * psi_f.j)), al)
-    radial = tables.get(key)
+    coeff = _coeff(ch.l, ch.q, ch.l1, ch.l2, ch.l3, ch.m1, ch.m2, ch.m3,
+                   w_r, beam.w0, beam.mass_ratio)
+    key = (psi_f, psi_i, al, w_r)
+    radial = memo.get(key)
     if radial is None:
-        radial = tables[key] = _radial_and_audit(tables, psi_f, psi_i, al, w_r)
+        radial = memo[key] = _radial_and_audit(memo, psi_f, psi_i, al, w_r)
     radial_e, k_au, audit = radial
-    key = ("cm", ch.M_f, ch.beta)
-    radial_cm = tables.get(key)
-    if radial_cm is None:
-        cm_f = _memo(tables, ("cm_f", ch.M_f), _minimal_final_cm, cm_i, ch.M_f)
-        radial_cm = tables[key] = cm_moment(cm_f, cm_i, ch.beta)
+    radial_cm = _cm_moment(cm_i, ch.M_f, ch.beta)
     angular, cg = _angular_and_cg(ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3,
                                   fin.l, fin.j, fin.m_j, psi_i.l, psi_i.j)
 
@@ -389,11 +389,13 @@ class StateSolver:
     """Memoizing wrapper around solve_radial for one species/grid step; a
     state is solved on default_grid(grid_n), grid_n defaulting to n, and
     every state with the same grid_n gets the same grid object, so its
-    cached node arrays are built once."""
+    cached node arrays are built once.  `factors` keeps the factors of its
+    states for every scenario on this solver (`assemble`'s `memo`)."""
 
     def __init__(self, species: SpeciesParams, step: float = 0.01):
         self.species = species
         self.step = step
+        self.factors: dict = {}
         self._cache: dict = {}
         self._grids: dict = {}
 
@@ -403,7 +405,9 @@ class StateSolver:
         key = (n, l, round(2 * j), grid_n)
         state = self._cache.get(key)
         if state is None:
-            grid = _memo(self._grids, grid_n, default_grid, grid_n, self.step)
+            if grid_n not in self._grids:
+                self._grids[grid_n] = default_grid(grid_n, self.step)
+            grid = self._grids[grid_n]
             state = self._cache[key] = solve_radial(self.species, n, l, j, grid=grid)
         return state
 
@@ -413,22 +417,15 @@ class StateSolver:
         return self._cache.values()
 
 
-def _minimal_final_cm(cm_i: CMState, M_f: int) -> CMState:
-    # lowest N compatible with M_f, preserving the initial radial excitation
-    N_f = abs(M_f) + (cm_i.N - abs(cm_i.M))
-    return CMState(N_f, M_f, cm_i.w_r)
-
-
 def compute_scenario(solver: StateSolver, beam: BeamSpec,
                      n: int, l_i: int, j_i: float, m_ji: float,
                      cm_i: CMState, *, final_l_f_max: int = 3,
-                     n_final: int | None = None, j_policy: str = "stretched",
-                     tables: dict | None = None) -> list[ChannelResult]:
+                     n_final: int | None = None,
+                     j_policy: str = "stretched") -> list[ChannelResult]:
     """Solve, enumerate and assemble every channel of one beam scenario from
-    |n l_i j_i m_ji>; `tables` as in `assemble`.  All states are solved on
-    the grid of max(n, n_final), the one grid `radial_matrix_element`
-    requires of its two states."""
-    tables = {} if tables is None else tables
+    |n l_i j_i m_ji>, keeping the factors of its states in `solver.factors`.
+    All states are solved on the grid of max(n, n_final), the one grid
+    `radial_matrix_element` requires of its two states."""
     nf = n if n_final is None else n_final
     grid_n = max(n, nf)
     psi_i = solver.get(n, l_i, j_i, grid_n)
@@ -441,7 +438,7 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
         if ch.final.l >= nf:
             continue   # no bound final state under the centrifugal wall
         psi_f = solver.get(nf, ch.final.l, ch.final.j, grid_n)
-        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, tables))
+        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, solver.factors))
     return out
 
 
@@ -473,18 +470,17 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
     if not l_values:
         raise ValueError("sweep needs at least one l")
     rows: list[SweepRow] = []
-    tables: dict = {}      # the factors do not depend on l
     texts: dict = {}       # final label -> its text, formatted once
     for l in l_values:
         beam = dataclasses.replace(beam_template, l=l)
         results = compute_scenario(solver, beam, n, l_i, j_i, m_ji, cm_i,
-                                   tables=tables, **scenario_kwargs)
+                                   **scenario_kwargs)
         groups: dict = {}
         totals: dict = {}
         for res in results:
             ch = res.channel
             fin, M_f, group, me = ch.final, ch.M_f, ch.group, res.matrix_element
-            N_f = tables[("cm_f", M_f)].N
+            N_f = _final_cm(cm_i, M_f).N
             label = texts.get(fin)
             if label is None:
                 label = texts[fin] = str(fin)

@@ -386,7 +386,7 @@ class TestExitCodes:
         def overflow(*args):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(coupling, "cm_moment", overflow)
+        monkeypatch.setattr(coupling, "radial_matrix_element", overflow)
         with pytest.raises(OverflowError):
             run(tmp_path, "sweep", cfg_lines=FAST)
         assert "beam.field_V_per_m" not in capsys.readouterr().err

@@ -36,7 +36,7 @@ from lgryd.coupling import (Channel, StateLabel, StateSolver, assemble,
                             fine_structure_weight, lambda_integral_oracle,
                             sweep_topological_charge)
 from lgryd.specfun import clebsch_gordan, multi_gaunt
-from lgryd.units import field_vpm_to_au, rabi_kHz as to_kHz, um_to_au
+from lgryd.units import rabi_kHz as to_kHz, um_to_au
 from lgryd.verify import _hydrogen_u
 
 FOUR_PI = 4.0 * math.pi
@@ -455,15 +455,14 @@ class TestScenario:
         solver.get(4, 0, 0.5)
         assert len(view) == 1
 
-    def test_final_cm_built_once_per_projection(self, monkeypatch):
-        # the final CM state depends on M_f alone, so it sits in the tables
-        built, make = [], coupling._minimal_final_cm
-        monkeypatch.setattr(coupling, "_minimal_final_cm",
-                            lambda cm_i, M_f: built.append(M_f) or make(cm_i, M_f))
+    def test_final_cm_built_once_per_projection(self, cold_caches):
+        # the final CM state depends on the initial one and M_f alone, so
+        # its process cache builds it once per M_f
         res = compute_scenario(StateSolver(HY), beam_for(1, 1, q_max=1), 4, 0,
                                0.5, -0.5, CM0)
-        assert sorted(built) == sorted({r.channel.M_f for r in res})
-        assert len(res) > len(built)
+        built = coupling._final_cm.cache_info().misses
+        assert built == len({r.channel.M_f for r in res})
+        assert len(res) > built
 
     def test_mirror_scenario_matches(self):
         # flipping beam OAM, polarization and both initial projections must
@@ -616,34 +615,33 @@ class TestRb60Smoke:
         assert abs(pure.matrix_element) == pytest.approx(abs(want), rel=1e-10)
 
 
-# ------------------------------------------------- factor tables of a sweep
+# ------------------------------------------------------ factors of a sweep
 
 RB60 = parse_config(Path(__file__).parent.parent / "configs" / "rb60.cfg")
 RESULT_FIELDS = ("coeff", "radial_e", "radial_cm", "angular", "cg_weight",
                  "matrix_element", "rabi_kHz", "lambda_audit", "k_au", "closed")
 
 
-def clear_angular_caches():
-    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals):
+def clear_process_caches():
+    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals,
+               coupling._coeff, coupling._final_cm, coupling._cm_moment):
         fn.cache_clear()
 
 
 @pytest.fixture
 def cold_caches():
-    """Empty the per-process angular caches, so a test sees every miss."""
-    clear_angular_caches()
+    """Empty the per-process factor caches, so a test sees every miss."""
+    clear_process_caches()
 
 
 def rb60_sweep(l_values, q_max):
     """The rb60 sweep at j_policy=all, l_f <= 10 with a fresh state cache."""
-    cfg = RB60
-    cm_i = CMState(cfg.N, cfg.M, um_to_au(cfg.w_r_um))
-    beam = BeamSpec(l=cfg.l, w0=um_to_au(cfg.waist_um),
-                    E0=field_vpm_to_au(cfg.field_V_per_m), sigma=cfg.sigma,
-                    q_max=q_max, mass_ratio=cfg.mass_ratio)
-    return sweep_topological_charge(l_values, StateSolver(RB, cfg.grid_step),
-                                    beam, cfg.n, cfg.l_i, cfg.j_i, cfg.m_j,
-                                    cm_i, final_l_f_max=10, j_policy="all")
+    rt = rb60_variant(q_max=q_max, final_l_f_max=10, j_policy="all")
+    cfg = rt.cfg
+    return sweep_topological_charge(l_values, rt.solver, rt.beam, cfg.n,
+                                    cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
+                                    final_l_f_max=cfg.final_l_f_max,
+                                    j_policy=cfg.j_policy)
 
 
 class TestFactorTables:
@@ -651,9 +649,9 @@ class TestFactorTables:
                                                  ((-2, 2), 1)])
     def test_sweep_equals_untabulated_assemble(self, monkeypatch, l_values,
                                                q_max):
-        # every channel of a table-sharing sweep, field by field, against an
-        # assemble call that fills a table of its own; the second sweep shares
-        # one table across both signs of the charge
+        # every channel of a sweep, which shares its solver's factors, field
+        # by field, against an assemble call that fills a memo of its own;
+        # the second sweep shares them across both signs of the charge
         calls = []
         plain = coupling.assemble
 
@@ -664,7 +662,7 @@ class TestFactorTables:
 
         monkeypatch.setattr(coupling, "assemble", recording)
         rb60_sweep(l_values, q_max)
-        assert len({id(args[5]) for args, _ in calls}) == 1   # one table
+        assert len({id(args[5]) for args, _ in calls}) == 1   # one store
         assert {args[1].l for args, _ in calls} == set(l_values)
         for args, shared in calls:
             alone = plain(*args[:5])
@@ -706,43 +704,64 @@ class TestFactorTables:
         rb60_sweep(tuple(range(1, 9)), q_max=1)
         assert coupling._gaunt.cache_info().misses == 53
 
-    def test_angular_caches_key_by_scenario(self, cold_caches):
-        # rb60 alone on cold caches, and again after scenarios from D5/2
-        # (whose l_f parity and m_jf meet rb60's keys) and P3/2 initial
-        # states, at the other m_j, both j, l_f <= 10 and trap (2, 0) filled
-        # them: every field equal.  Then no process cache keeps a solved
-        # state (or its grid arrays) alive once the runtimes are gone
-        runtimes = [Runtime(RB60)]
-        cold = runtimes[0].scenario()
-        clear_angular_caches()
-        for changes in ({"l_i": 2, "j_i": 2.5}, {"l_i": 1, "j_i": 1.5},
-                        {"m_j": 0.5},
-                        {"j_policy": "all"}, {"final_l_f_max": 10},
-                        {"N": 2, "M": 0}):
-            runtimes.append(Runtime(dataclasses.replace(RB60, **changes)
-                                    .validate()))
-            runtimes[-1].scenario()
-        runtimes.append(Runtime(RB60))
-        warm = runtimes[-1].scenario()
-        assert [dataclasses.astuple(r) for r in warm] == \
-            [dataclasses.astuple(r) for r in cold]
+    def test_angular_caches_key_by_scenario(self):
+        # each scenario alone on cold caches, and again after the ones before
+        # it filled them: every field equal.  Beside rb60 they differ from it
+        # in one input each of the coefficient (waist, trap width, mass
+        # ratio), the CM moment (trap level) or the angular factors: D5/2
+        # (whose l_f parity and m_jf meet rb60's keys), P3/2 then P1/2 (which
+        # meet each other's keys but for j_i) initial states, the other m_j,
+        # both j and l_f <= 10.  Then no process cache keeps a solved state
+        # (or its grid arrays) alive once the runtimes are gone
+        variants = ({}, {"waist_um": 5.0}, {"w_r_um": 3.1},
+                    {"mass_ratio": 0.9}, {"N": 2, "M": 0},
+                    {"l_i": 2, "j_i": 2.5}, {"l_i": 1, "j_i": 1.5},
+                    {"l_i": 1, "j_i": 0.5}, {"m_j": 0.5},
+                    {"j_policy": "all"}, {"final_l_f_max": 10})
+        runtimes, cold = [], []
+        for changes in variants:
+            clear_process_caches()
+            runtimes.append(rb60_variant(**changes))
+            cold.append(runtimes[-1].scenario())
+        clear_process_caches()
+        for changes, want in zip(variants, cold):
+            runtimes.append(rb60_variant(**changes))
+            warm = runtimes[-1].scenario()
+            assert [dataclasses.astuple(r) for r in warm] == \
+                [dataclasses.astuple(r) for r in want], changes
         states = [weakref.ref(st) for rt in runtimes for st in rt.solver.states]
-        del runtimes, cold, warm
+        del runtimes, cold, want, warm
         gc.collect()
         assert states and all(ref() is None for ref in states)
+
+    def test_one_solver_across_waists_and_traps(self, cold_caches):
+        # rb60 at two waists, two trap widths and from D5/2 (whose finals
+        # meet rb60's at the same alpha), in turn through one solver whose
+        # factors they share, against each on a fresh solver and cold
+        # caches: every field equal
+        variants = ({}, {"waist_um": 5.0}, {"w_r_um": 3.1},
+                    {"waist_um": 5.0, "w_r_um": 3.1}, {"l_i": 2, "j_i": 2.5})
+        shared, got = rb60_variant().solver, []
+        for changes in variants:
+            rt = rb60_variant(**changes)
+            cfg = rt.cfg
+            got.append(compute_scenario(shared, rt.beam, cfg.n, cfg.l_i,
+                                        cfg.j_i, cfg.m_j, rt.cm_i,
+                                        final_l_f_max=cfg.final_l_f_max,
+                                        j_policy=cfg.j_policy))
+        for changes, res in zip(variants, got):
+            clear_process_caches()
+            want = rb60_variant(**changes).scenario()
+            assert [dataclasses.astuple(r) for r in res] == \
+                [dataclasses.astuple(r) for r in want], changes
 
 
 # ------------------------------------------ rb60 away from m_j = -1/2, N = 0
 
 def rb60_variant(**changes):
-    """rb60 with `changes`: the config, a fresh solver, the beam and the
-    initial CM state, built as the CLI builds them."""
-    cfg = dataclasses.replace(RB60, **changes).validate()
-    beam = BeamSpec(l=cfg.l, w0=um_to_au(cfg.waist_um),
-                    E0=field_vpm_to_au(cfg.field_V_per_m), sigma=cfg.sigma,
-                    q_max=cfg.q_max, mass_ratio=cfg.mass_ratio)
-    cm_i = CMState(cfg.N, cfg.M, um_to_au(cfg.w_r_um))
-    return cfg, StateSolver(RB, cfg.grid_step), beam, cm_i
+    """The `Runtime` of rb60 with `changes`: the config, a fresh solver, the
+    beam and the initial CM state, as the CLI builds them."""
+    return Runtime(dataclasses.replace(RB60, **changes).validate())
 
 
 def digest(records) -> str:
@@ -769,16 +788,14 @@ class TestPinnedVariants:
          "2ed8beec64be391f87f237515ed3f587856cbeeb84ab7a291e23941f6cb11543"),
     ])
     def test_scenario_fields(self, changes, want):
-        cfg, solver, beam, cm_i = rb60_variant(**changes)
-        res = compute_scenario(solver, beam, cfg.n, cfg.l_i, cfg.j_i, cfg.m_j,
-                               cm_i, final_l_f_max=cfg.final_l_f_max,
-                               n_final=cfg.n_final, j_policy=cfg.j_policy)
+        res = rb60_variant(**changes).scenario()
         assert res and digest(res) == want
 
     def test_sweep_rows_at_excited_trap_level(self):
-        cfg, solver, beam, cm_i = rb60_variant(N=2, M=0)
-        rows = sweep_topological_charge(cfg.sweep_l, solver, beam, cfg.n,
-                                        cfg.l_i, cfg.j_i, cfg.m_j, cm_i,
+        rt = rb60_variant(N=2, M=0)
+        cfg = rt.cfg
+        rows = sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam, cfg.n,
+                                        cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
                                         final_l_f_max=cfg.final_l_f_max,
                                         j_policy=cfg.j_policy)
         assert {r.N_f for r in rows} >= {2, 3}

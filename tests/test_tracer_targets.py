@@ -58,9 +58,10 @@ def test_traced_scenario_and_sweep():
     from lgryd.config import parse_config
 
     cfg = dataclasses.replace(parse_config(CONFIG), q_max=0)
-    # angular factors are cached per process: empty them, so the angular
-    # algebra runs under the tracer
-    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals):
+    # factors of plain numbers are cached per process: empty them, so the
+    # angular algebra and the CM moments run under the tracer
+    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals,
+               coupling._coeff, coupling._final_cm, coupling._cm_moment):
         fn.cache_clear()
     tracer = load_tracer().Tracer()
     with tracer.installed():
