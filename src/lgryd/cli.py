@@ -20,8 +20,8 @@ from .atom import default_grid, load_species
 from .beam import BeamSpec, f_coeff
 from .cm import CMState
 from .config import ConfigError, ScenarioConfig, parse_config
-from .coupling import StateLabel, StateSolver, compute_scenario, \
-    enumerate_channels, sweep_topological_charge
+from .coupling import StateSolver, compute_scenario, scenario_channels, \
+    sweep_topological_charge
 from .plot import render_sweep_svg
 from .units import field_vpm_to_au, um_to_au
 
@@ -68,18 +68,17 @@ def _check_beam_orders(cfg: ScenarioConfig, w0: float, w_r: float) -> None:
 
 
 def _check_finite(rt: Runtime, rates) -> None:
-    """Refuse Rabi frequencies outside the float range, naming the cause: a
-    radial state flagged non-finite (the species data), or else the field
-    amplitude, which every Rabi frequency is linear in."""
-    if all(map(math.isfinite, rates)):
-        return
+    """Refuse a run that solved a radial state flagged non-finite (bad species
+    data, or a final n far below the grid's), then Rabi frequencies outside
+    the float range, which are linear in the field amplitude."""
     for st in rt.solver.states:
         if "non-finite" in st.flags:
             raise ConfigError(f"atom.species = {rt.cfg.species}: the radial "
-                              f"state n={st.n} l={st.l} j={st.j:g} is not "
-                              "finite")
-    raise ConfigError("the Rabi frequencies at beam.field_V_per_m = "
-                      f"{rt.cfg.field_V_per_m:g} leave the range of floats")
+                              f"state n={st.n} l={st.l} j={st.j:g} on the "
+                              f"grid of n={rt.grid_n} is not finite")
+    if not all(map(math.isfinite, rates)):
+        raise ConfigError("the Rabi frequencies at beam.field_V_per_m = "
+                          f"{rt.cfg.field_V_per_m:g} leave the range of floats")
 
 
 def _channel_fields(ch):
@@ -103,26 +102,28 @@ class Runtime:
             raise ConfigError(f"trap.N = {cfg.N}: {exc}") from None
         # wavefunction solves on n's grid, the other commands on the grid of
         # max(n, n_final): both must be grids a solve can use
+        self.grid_n = max(cfg.n, cfg.n_final or 0)
         try:
-            for n in {cfg.n, max(cfg.n, cfg.n_final or 0)}:
+            for n in {cfg.n, self.grid_n}:
                 default_grid(n, cfg.grid_step)
         except ValueError as exc:
             raise ConfigError(f"compute.grid_step: {exc}") from None
         _check_beam_orders(cfg, self.beam.w0, self.cm_i.w_r)
         self.solver = StateSolver(self.species, cfg.grid_step)
+        self.scenario_kwargs = dict(final_l_f_max=cfg.final_l_f_max,
+                                    n_final=cfg.n_final, j_policy=cfg.j_policy)
 
     def scenario(self):
         cfg = self.cfg
-        return compute_scenario(self.solver, self.beam, cfg.n,
-                                cfg.l_i, cfg.j_i, cfg.m_j, self.cm_i,
-                                final_l_f_max=cfg.final_l_f_max,
-                                n_final=cfg.n_final, j_policy=cfg.j_policy)
+        return compute_scenario(self.solver, self.beam, cfg.n, cfg.l_i,
+                                cfg.j_i, cfg.m_j, self.cm_i,
+                                **self.scenario_kwargs)
 
 
 def cmd_channels(rt: Runtime, out: Path) -> int:
     cfg = rt.cfg                  # the channels need the label, not a solve
-    chans = enumerate_channels(rt.beam, StateLabel(cfg.l_i, cfg.j_i, cfg.m_j),
-                               rt.cm_i, cfg.final_l_f_max, j_policy=cfg.j_policy)
+    chans = scenario_channels(rt.beam, cfg.n, cfg.l_i, cfg.j_i, cfg.m_j,
+                              rt.cm_i, **rt.scenario_kwargs)
     write_csv(out / "channels.csv", CHANNEL_COLS,
               [_channel_fields(c) for c in chans])
     print(f"wrote {out / 'channels.csv'} ({len(chans)} channels)")
@@ -144,8 +145,7 @@ def cmd_sweep(rt: Runtime, out: Path) -> int:
     cfg = rt.cfg
     rows = sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam, cfg.n,
                                     cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
-                                    final_l_f_max=cfg.final_l_f_max,
-                                    n_final=cfg.n_final, j_policy=cfg.j_policy)
+                                    **rt.scenario_kwargs)
     _check_finite(rt, (r.rabi_kHz for r in rows))
     write_csv(out / "sweep.csv", SWEEP_COLS, rows)
     (out / "sweep.svg").write_text(render_sweep_svg(rows))

@@ -5,8 +5,9 @@ expanding the beam profile in solid harmonics and translating each one to
 CM + electron coordinates: the projections are then pinned by Kronecker
 deltas (m1 = sign(l) l1, m2 = l2, m3 = -l3, and M_f taking up the remainder
 of the beam OAM), and the radial powers follow as alpha = l1+l2+l3+1 on the
-electron and beta = |l|+2q-(l1+l2+l3) on the CM.  The matrix element is
-assembled literally as
+electron and beta = |l|+2q-(l1+l2+l3) on the CM.  So a `Channel` holds only
+its free indices (l, sigma, q, l1, l2, l3, M_i, final label) and derives the
+rest.  The matrix element is assembled literally as
 
     E0 * g(l,q) * Gamma(alpha/2) * C-product * <f| r (r/w_r)^{alpha-1} |i>
        * <CM_f| x^beta |CM_i> * (angular bracket) * (fine-structure weight),
@@ -32,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
 from . import _lazy_numpy
@@ -46,9 +47,9 @@ from .units import FINE_STRUCTURE, rabi_kHz as _to_kHz
 np = _lazy_numpy()
 
 __all__ = ["StateLabel", "Channel", "ChannelResult", "SweepRow", "StateSolver",
-           "c_product", "enumerate_channels", "fine_structure_weight",
-           "assemble", "lambda_integral_oracle", "compute_scenario",
-           "sweep_topological_charge"]
+           "c_product", "enumerate_channels", "scenario_channels",
+           "fine_structure_weight", "assemble", "lambda_integral_oracle",
+           "compute_scenario", "sweep_topological_charge"]
 
 _SPECT = "SPDFGHIKLMNOQRTUV"
 
@@ -77,10 +78,9 @@ class StateLabel:
         return f"{letter}{_half(self.j)}({_half(self.m_j, signed=True)})"
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One (sigma, q, l1, l2, l3) term with its pinned projections and the
-    final electronic label it feeds."""
+class Channel(NamedTuple):
+    """One (sigma, q, l1, l2, l3) term and the final electronic label it
+    feeds; the deltas give the projections m1, m2, m3 and M_f."""
 
     l: int
     sigma: int
@@ -88,28 +88,24 @@ class Channel:
     l1: int
     l2: int
     l3: int
-    m1: int
-    m2: int
-    m3: int
     M_i: int
-    M_f: int
     final: StateLabel
 
-    def __post_init__(self):
-        al = abs(self.l)
-        if not (0 <= self.l1 <= al):
-            raise ValueError(f"l1 out of range: {self.l1} (|l|={al})")
-        if not (0 <= self.l2 <= self.q and 0 <= self.l3 <= self.q):
-            raise ValueError(f"l2/l3 out of range: {self.l2},{self.l3} (q={self.q})")
-        sign_l = (self.l > 0) - (self.l < 0)
-        if self.m1 != sign_l * self.l1:
-            raise ValueError(f"m1 must be sign(l)*l1, got {self.m1}")
-        if self.m2 != self.l2 or self.m3 != -self.l3:
-            raise ValueError(f"(m2, m3) must be (l2, -l3), got ({self.m2}, {self.m3})")
-        if self.M_f != self.l - self.m1 - self.m2 - self.m3 + self.M_i:
-            raise ValueError("M_f does not close the OAM bookkeeping")
-        if self.sigma not in (-1, 0, 1):
-            raise ValueError(f"sigma must be -1, 0 or +1, got {self.sigma}")
+    @property
+    def m1(self) -> int:
+        return self.l1 if self.l > 0 else -self.l1
+
+    @property
+    def m2(self) -> int:
+        return self.l2
+
+    @property
+    def m3(self) -> int:
+        return -self.l3
+
+    @property
+    def M_f(self) -> int:
+        return self.l - self.m1 - self.m2 - self.m3 + self.M_i
 
     @property
     def alpha(self) -> int:
@@ -131,8 +127,7 @@ class Channel:
         return "other"
 
 
-@dataclass(frozen=True)
-class ChannelResult:
+class ChannelResult(NamedTuple):
     """One assembled channel: its factors, matrix element and audit."""
 
     channel: Channel
@@ -256,27 +251,36 @@ def enumerate_channels(beam: BeamSpec, initial: StateLabel,
     if j_policy not in ("stretched", "all"):
         raise ValueError(f"unknown j_policy {j_policy!r}")
     l, sigma = beam.l, beam.sigma
-    l_i, j_i, m_ji = initial.l, initial.j, initial.m_j
-    M_i = initial_cm.M
-    sign_l = (l > 0) - (l < 0)
+    l_i, j_i, m_ji, M_i = initial.l, initial.j, initial.m_j, initial_cm.M
     out = []
     for q in range(beam.q_max + 1):
         for l1 in range(abs(l) + 1):
             for l2 in range(q + 1):
                 for l3 in range(q + 1):
-                    m1, m2, m3 = sign_l * l1, l2, -l3
-                    M_f = l - m1 - m2 - m3 + M_i
-                    m_jf = m_ji + sigma + m1 + m2 + m3
-                    finals = _open_finals(sigma, l1, m1, l2, l3, m_jf,
-                                          final_l_f_max, j_policy, l_i, j_i)
-                    elastic = not include_elastic and \
-                        abs(m_jf - m_ji) < 1e-9 and M_f == M_i
+                    m1 = l1 if l > 0 else -l1
+                    dm = m1 + l2 - l3                  # m1 + m2 + m3
+                    finals = _open_finals(sigma, l1, m1, l2, l3,
+                                          m_ji + sigma + dm, final_l_f_max,
+                                          j_policy, l_i, j_i)
+                    # elastic: m_jf = m_ji and M_f = M_i
+                    elastic = not include_elastic and sigma + dm == 0 and dm == l
                     for fin in finals:
                         if elastic and fin.l == l_i and abs(fin.j - j_i) < 1e-9:
                             continue
-                        out.append(Channel(l, sigma, q, l1, l2, l3, m1, m2,
-                                           m3, M_i, M_f, fin))
+                        out.append(Channel(l, sigma, q, l1, l2, l3, M_i, fin))
     return out
+
+
+def scenario_channels(beam: BeamSpec, n: int, l_i: int, j_i: float,
+                      m_ji: float, cm_i: CMState, final_l_f_max: int,
+                      n_final: int | None, j_policy: str) -> list[Channel]:
+    """The channels `compute_scenario` assembles from |n l_i j_i m_ji>: no
+    bound final state has l_f >= n_final, and only at n_final = n is the
+    label-diagonal channel elastic."""
+    nf = n if n_final is None else n_final
+    return enumerate_channels(beam, StateLabel(l_i, j_i, m_ji), cm_i,
+                              min(final_l_f_max, nf - 1), j_policy=j_policy,
+                              include_elastic=nf != n)
 
 
 @cache
@@ -310,23 +314,24 @@ def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
     return 0.5 * float(np.dot(w, vals))
 
 
-@cache
-def _coeff(l: int, q: int, l1: int, l2: int, l3: int, m1: int, m2: int,
-           m3: int, w_r: float, w0: float, mass_ratio: float) -> float:
+# bounds above a q_max = 4 rb60 sweep's working set; width scans add keys
+@lru_cache(maxsize=4096)
+def _coeff(l: int, q: int, l1: int, l2: int, l3: int, w_r: float, w0: float,
+           mass_ratio: float) -> float:
     al = l1 + l2 + l3 + 1
     return (g_coeff(l, q, w_r, w0)
             * math.exp(math.lgamma(al / 2.0))
-            * c_product(l, q, l1, l2, l3, m1, m2, m3)
+            * c_product(l, q, l1, l2, l3, l1 if l > 0 else -l1, l2, -l3)
             * mass_ratio ** (al - 1))
 
 
-@cache
+@lru_cache(maxsize=256)
 def _final_cm(cm_i: CMState, M_f: int) -> CMState:
     # lowest N compatible with M_f, preserving the initial radial excitation
     return CMState(abs(M_f) + cm_i.N - abs(cm_i.M), M_f, cm_i.w_r)
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _cm_moment(cm_i: CMState, M_f: int, beta: int) -> float:
     return cm_moment(_final_cm(cm_i, M_f), cm_i, beta)
 
@@ -366,8 +371,8 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     w_r = cm_i.w_r
     al = ch.alpha
 
-    coeff = _coeff(ch.l, ch.q, ch.l1, ch.l2, ch.l3, ch.m1, ch.m2, ch.m3,
-                   w_r, beam.w0, beam.mass_ratio)
+    coeff = _coeff(ch.l, ch.q, ch.l1, ch.l2, ch.l3, w_r, beam.w0,
+                   beam.mass_ratio)
     key = (psi_f, psi_i, al, w_r)
     radial = memo.get(key)
     if radial is None:
@@ -380,7 +385,7 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
         or radial_cm == 0.0
-    # positional, in field order: keywords cost a third of the build
+    # positional, in field order: keywords double the cost of the build
     return ChannelResult(ch, coeff, radial_e, radial_cm, angular, cg, me,
                          _to_kHz(abs(me)), audit, k_au, closed)
 
@@ -429,17 +434,11 @@ def compute_scenario(solver: StateSolver, beam: BeamSpec,
     nf = n if n_final is None else n_final
     grid_n = max(n, nf)
     psi_i = solver.get(n, l_i, j_i, grid_n)
-    # the label-level diagonal is only truly elastic if n does not change
-    channels = enumerate_channels(beam, StateLabel(l_i, j_i, m_ji), cm_i,
-                                  final_l_f_max, j_policy=j_policy,
-                                  include_elastic=nf != n)
-    out = []
-    for ch in channels:
-        if ch.final.l >= nf:
-            continue   # no bound final state under the centrifugal wall
-        psi_f = solver.get(nf, ch.final.l, ch.final.j, grid_n)
-        out.append(assemble(ch, beam, psi_i, psi_f, cm_i, solver.factors))
-    return out
+    channels = scenario_channels(beam, n, l_i, j_i, m_ji, cm_i,
+                                 final_l_f_max, n_final, j_policy)
+    return [assemble(ch, beam, psi_i,
+                     solver.get(nf, ch.final.l, ch.final.j, grid_n), cm_i,
+                     solver.factors) for ch in channels]
 
 
 class SweepRow(NamedTuple):

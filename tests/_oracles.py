@@ -183,6 +183,5 @@ def enumerate_channels_nested(beam: BeamSpec, initial: StateLabel,
                                 continue
                             out.append(Channel(
                                 l=l, sigma=sigma, q=q, l1=l1, l2=l2, l3=l3,
-                                m1=m1, m2=m2, m3=m3, M_i=M_i, M_f=M_f,
-                                final=StateLabel(l_f, j_f, m_jf)))
+                                M_i=M_i, final=StateLabel(l_f, j_f, m_jf)))
     return out

@@ -43,7 +43,31 @@ def rows(path):
     return [dict(zip(cols, line.split(","))) for line in body]
 
 
+def rb60_lines(**changes):
+    """configs/rb60.cfg with each `section__key` in `changes` set anew."""
+    keys = {k.replace("__", "."): v for k, v in changes.items()}
+    lines = [line for line in RB60_CFG.read_text().splitlines()
+             if line.partition("=")[0].strip() not in keys]
+    return lines + [f"{k} = {v}" for k, v in keys.items()]
+
+
 class TestChannelsCommand:
+    @pytest.mark.parametrize("changes", [
+        {}, {"beam__l": -1, "atom__n_final": 61},
+        {"atom__species": "hydrogen", "atom__n": 6, "atom__n_final": 4}])
+    def test_lists_what_rabi_assembles(self, tmp_path, changes):
+        # the elastic channel is kept when n changes, and no final state
+        # has l_f >= n_final, in both commands
+        lines = rb60_lines(**changes)
+        assert run(tmp_path, "channels", cfg_lines=lines)[0] == EXIT_OK
+        rc, out = run(tmp_path, "rabi", cfg_lines=lines)
+        assert rc == EXIT_OK
+        rabi = [line.split(",")[:13]
+                for line in (out / "rabi.csv").read_text().splitlines()]
+        assert [line.split(",") for line in
+                (out / "channels.csv").read_text().splitlines()] == rabi
+        assert len(rabi) > 1
+
     def test_default_scenario_13_channels(self, tmp_path):
         rc, out = run(tmp_path, "channels")
         assert rc == EXIT_OK
@@ -224,6 +248,17 @@ class TestNFinal:
             table = rows(out / name)
             assert len(table) == count, cmd
             assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
+
+    def test_states_that_do_not_fit_the_grid_are_2(self, tmp_path, capsys):
+        # n = 20 states solved on the n = 60 grid overflow and are flagged
+        # non-finite: they once became rows of zero Rabi frequency
+        lines = rb60_lines(atom__n_final=20)
+        for cmd in ("rabi", "sweep"):
+            rc, _ = run(tmp_path, cmd, cfg_lines=lines)
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG, cmd
+            assert re.search(r"the radial state n=20 l=\d+ j=[\d.]+ on the "
+                             r"grid of n=60 is not finite", err), err
 
 
 class TestLargeTrapLevel:
