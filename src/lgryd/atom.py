@@ -2,9 +2,12 @@
 Numerov radial wavefunctions and electronic radial matrix elements.
 
 Quantum-defect energies are *inputs* to the radial solve, not eigenvalues to
-converge: integration runs inward only, from deep in the classically
-forbidden tail, on a grid uniform in xi = sqrt(r).  With u = r*psi and
-chi = u / sqrt(xi) the radial equation becomes
+converge: integration runs inward only, on a grid uniform in xi = sqrt(r),
+from where the state's classically forbidden tail has died out
+(`_tail_start`: WKB depth 300 beyond the outer turning point, or the grid's
+last node if that comes first), with chi 0 beyond.  So a state of small n on
+a larger n's grid does not overflow from the grid's far end.  With u = r*psi
+and chi = u / sqrt(xi) the radial equation becomes
 
     chi'' = W chi,   W = 8 xi^2 (V(xi^2) - E) + (2l + 1/2)(2l + 3/2) / xi^2,
 
@@ -57,6 +60,11 @@ XI_STEP = 0.01
 MAX_GRID_NODES = 10_000_000
 # exp(-x) is exactly +0.0 for every x > _EXP_ZERO (model_potential)
 _EXP_ZERO = 746.0
+# the inward recurrence starts where the tail lies e^-TAIL_DEPTH (about
+# 1e-130) below its value at the outer turning point (`_tail_start`): far
+# past double precision, and chi grows from its 1e-12 seeds to about 1e118
+# there, under `_numerov_inward`'s 1e250 check
+TAIL_DEPTH = 300.0
 
 
 @dataclass(frozen=True)
@@ -442,10 +450,27 @@ def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
     return W
 
 
+def _tail_start(W: np.ndarray, h: float) -> int:
+    """The node the inward recurrence starts at: the first node beyond the
+    outer turning point (the last node with W < 0) where the WKB depth
+    h sum sqrt(W), summed outward from the turning point, passes
+    TAIL_DEPTH, or the grid's last node if the depth never gets there or no
+    node has W < 0."""
+    below = W < 0.0
+    turn = W.size - 1 - int(np.argmax(below[::-1]))
+    if not below[turn]:
+        return W.size - 1
+    depth = np.cumsum(np.sqrt(W[turn + 1:]))
+    return min(turn + 1 + int(np.searchsorted(depth, TAIL_DEPTH / h, "right")),
+               W.size - 1)
+
+
 def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
                  grid: RadialGrid | None = None,
                  energy: float | None = None) -> RydbergState:
-    """Inward Numerov solve at the quantum-defect energy.
+    """Inward Numerov solve at the quantum-defect energy, started at
+    `_tail_start`'s node (the grid's last node unless the state's tail dies
+    out before it), with chi 0 beyond.
 
     Returns the normalized state with node count and diagnostic flags:
     'divergent-core' when the inner solution regrew under the barrier and was
@@ -461,7 +486,12 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     h = grid.h
     # The N-point arrays are built in place: without scipy's import the heap is
     # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
-    chi = _numerov_inward(_numerov_w(p, l, j, energy, grid), h)
+    W = _numerov_w(p, l, j, energy, grid)
+    end = _tail_start(W, h) + 1
+    chi = _numerov_inward(W[:end], h)
+    del W                       # one N-point array fewer alive from here on
+    if end < xi.size:           # chi beyond the start is 0
+        chi = np.concatenate((chi, np.zeros(xi.size - end)))
     work = np.empty_like(chi)
 
     flags: list[str] = []

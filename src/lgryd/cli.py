@@ -69,13 +69,13 @@ def _check_beam_orders(cfg: ScenarioConfig, w0: float, w_r: float) -> None:
 
 def _check_finite(rt: Runtime, rates) -> None:
     """Refuse a run that solved a radial state flagged non-finite (bad species
-    data, or a final n far below the grid's), then Rabi frequencies outside
-    the float range, which are linear in the field amplitude."""
+    data), then Rabi frequencies outside the float range, which are linear in
+    the field amplitude."""
     for st in rt.solver.states:
         if "non-finite" in st.flags:
             raise ConfigError(f"atom.species = {rt.cfg.species}: the radial "
-                              f"state n={st.n} l={st.l} j={st.j:g} on the "
-                              f"grid of n={rt.grid_n} is not finite")
+                              f"state n={st.n} l={st.l} j={st.j:g} is not "
+                              "finite")
     if not all(map(math.isfinite, rates)):
         raise ConfigError("the Rabi frequencies at beam.field_V_per_m = "
                           f"{rt.cfg.field_V_per_m:g} leave the range of floats")
@@ -102,9 +102,9 @@ class Runtime:
             raise ConfigError(f"trap.N = {cfg.N}: {exc}") from None
         # wavefunction solves on n's grid, the other commands on the grid of
         # max(n, n_final): both must be grids a solve can use
-        self.grid_n = max(cfg.n, cfg.n_final or 0)
+        grid_n = max(cfg.n, cfg.n_final or 0)
         try:
-            for n in {cfg.n, self.grid_n}:
+            for n in {cfg.n, grid_n}:
                 default_grid(n, cfg.grid_step)
         except ValueError as exc:
             raise ConfigError(f"compute.grid_step: {exc}") from None
@@ -156,6 +156,7 @@ def cmd_sweep(rt: Runtime, out: Path) -> int:
 
 def cmd_wavefunction(rt: Runtime, out: Path) -> int:
     st = rt.solver.get(rt.cfg.n, rt.cfg.l_i, rt.cfg.j_i)
+    _check_finite(rt, ())
     r, u = st.u_of_r()          # grid never touches r = 0
     write_csv(out / "wavefunction.csv", ("r", "u", "psi"),
               zip(r, u, u / r))

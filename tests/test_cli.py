@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import lgryd
+from _golden import assert_golden
 from lgryd import cm, coupling
 from lgryd.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from lgryd.config import _KEYS
@@ -211,21 +212,16 @@ class TestDeterminism:
 
     def test_rb60_outputs_pinned(self, tmp_path):
         # the reference scenario's output bytes; a change that moves the
-        # numbers on purpose (say, a new radial solver) updates these pins
-        cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
+        # numbers on purpose (say, a new radial solver) re-records these pins
         for cmd in ("channels", "rabi", "sweep", "wavefunction", "verify"):
-            assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                  for name in ("channels.csv", "rabi.csv", "sweep.csv", "sweep.svg",
-                               "wavefunction.csv", "verify.txt")}
-        assert digest == {
-            "channels.csv": "2ee79372a65886d36f984f645d41153f6a433bf8f7d571ba9841f60e9d99560c",
-            "rabi.csv": "327b70503def47cfbdab242b13dd2629c3fcfb8e115db8bda1d1c72253b6ce0c",
-            "sweep.csv": "ea4a5aadb2a0582638ceaea6cca318a3e0fb23321076aa9278268f6f4f56899e",
-            "sweep.svg": "64f3b2ec9616d6c0b758dbf51b10f5b3a78369365586877874b072c6ac174a9a",
-            "wavefunction.csv": "9baba59cea4b165396036608f33d8b832cc5bd24203174a586b4d4720c6c4c06",
-            "verify.txt": "f373c9569d6b2f71daa03adc739d4367af80fa2094cb9557432cbc0e275cbc64",
-        }
+            assert main([cmd, "--config", str(RB60_CFG), "--out", str(tmp_path)]) == EXIT_OK
+        assert_golden(tmp_path, {
+            f"rb60/{name}": tmp_path / name
+            for name in ("channels.csv", "rabi.csv", "sweep.csv", "sweep.svg",
+                         "verify.txt")})
+        # 412 KB, too large to keep as a golden file
+        assert hashlib.sha256((tmp_path / "wavefunction.csv").read_bytes()).hexdigest() \
+            == "9baba59cea4b165396036608f33d8b832cc5bd24203174a586b4d4720c6c4c06"
 
     def test_10_sig_digit_format(self, tmp_path):
         _, out = run(tmp_path, "rabi", cfg_lines=FAST)
@@ -234,31 +230,25 @@ class TestDeterminism:
                 assert r[col] == f"{float(r[col]):.10g}"
 
 
+def assert_rb60_rows(tmp_path, lines):
+    """rabi and sweep on `lines` exit 0 with rb60's 14 and 208 rows, every
+    Rabi frequency finite."""
+    for cmd, name, count in (("rabi", "rabi.csv", 14),
+                             ("sweep", "sweep.csv", 208)):
+        rc, out = run(tmp_path, cmd, cfg_lines=lines)
+        assert rc == EXIT_OK
+        table = rows(out / name)
+        assert len(table) == count, cmd
+        assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
+
+
 class TestNFinal:
     # rb60 with a final principal quantum number away from 60: initial and
-    # final states share the grid of the larger n, so no overlap is clipped
-    @pytest.mark.parametrize("n_final", (48, 62, 73))
+    # final states share the grid of the larger n, so no overlap is clipped,
+    # and a final state far below n starts its solve inside that grid
+    @pytest.mark.parametrize("n_final", (10, 20, 48, 62, 73))
     def test_rabi_and_sweep_run(self, tmp_path, n_final):
-        cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
-        lines = cfg.read_text().splitlines() + [f"atom.n_final = {n_final}"]
-        for cmd, name, count in (("rabi", "rabi.csv", 14),
-                                 ("sweep", "sweep.csv", 208)):
-            rc, out = run(tmp_path, cmd, cfg_lines=lines)
-            assert rc == EXIT_OK
-            table = rows(out / name)
-            assert len(table) == count, cmd
-            assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
-
-    def test_states_that_do_not_fit_the_grid_are_2(self, tmp_path, capsys):
-        # n = 20 states solved on the n = 60 grid overflow and are flagged
-        # non-finite: they once became rows of zero Rabi frequency
-        lines = rb60_lines(atom__n_final=20)
-        for cmd in ("rabi", "sweep"):
-            rc, _ = run(tmp_path, cmd, cfg_lines=lines)
-            err = capsys.readouterr().err
-            assert rc == EXIT_CONFIG, cmd
-            assert re.search(r"the radial state n=20 l=\d+ j=[\d.]+ on the "
-                             r"grid of n=60 is not finite", err), err
+        assert_rb60_rows(tmp_path, rb60_lines(atom__n_final=n_final))
 
 
 class TestLargeTrapLevel:
@@ -266,16 +256,7 @@ class TestLargeTrapLevel:
         # trap.N = trap.M = 200 takes CM moments at a >= 200, where Gamma(a+1)
         # alone leaves the float range: rabi once died on an OverflowError,
         # and sweep exited 2 blaming beam.field_V_per_m
-        text, subs = re.subn(r"^trap\.([NM]) = 0$", r"trap.\1 = 200",
-                             RB60_CFG.read_text(), flags=re.M)
-        assert subs == 2
-        for cmd, name, count in (("rabi", "rabi.csv", 14),
-                                 ("sweep", "sweep.csv", 208)):
-            rc, out = run(tmp_path, cmd, cfg_lines=text.splitlines())
-            assert rc == EXIT_OK
-            table = rows(out / name)
-            assert len(table) == count, cmd
-            assert all(math.isfinite(float(r["rabi_kHz"])) for r in table)
+        assert_rb60_rows(tmp_path, rb60_lines(trap__N=200, trap__M=200))
 
 
 class TestNoLapack:
@@ -426,17 +407,19 @@ class TestExitCodes:
             run(tmp_path, "sweep", cfg_lines=FAST)
         assert "beam.field_V_per_m" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cmd", ["rabi", "sweep"])
+    @pytest.mark.parametrize("cmd", ["rabi", "sweep", "wavefunction"])
     @pytest.mark.parametrize("key", ["so_scale", "alpha_c"])
     def test_species_value_that_breaks_states_is_2(self, tmp_path, capsys,
                                                    cmd, key):
-        # the radial states come out NaN and flagged non-finite: the message
-        # names the species file and a state, not the field
+        # the radial states come out NaN and flagged non-finite, the initial
+        # 60p3/2 among them: the message names the species file and a state,
+        # not the field; wavefunction once wrote its NaN rows and exited 0
         rb = Path(lgryd.__file__).parent / "data" / "rb.species"
         mutant = tmp_path / "mutant.species"
         mutant.write_text(re.sub(rf"^{key} = .*$", f"{key} = 1e300",
                                  rb.read_text(), count=1, flags=re.M))
-        rc, _ = run(tmp_path, cmd, cfg_lines=[f"atom.species = {mutant}"])
+        rc, _ = run(tmp_path, cmd, cfg_lines=[f"atom.species = {mutant}",
+                                              "atom.l = 1", "atom.j = 3/2"])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert f"atom.species = {mutant}: the radial state n=60" in err
@@ -558,8 +541,7 @@ class TestEntryPoint:
                              "--out", str(tmp_path))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == f"wrote {tmp_path / 'channels.csv'} (14 channels)\n"
-        assert hashlib.sha256((tmp_path / "channels.csv").read_bytes()).hexdigest() \
-            == "2ee79372a65886d36f984f645d41153f6a433bf8f7d571ba9841f60e9d99560c"
+        assert_golden(tmp_path, {"rb60/channels.csv": tmp_path / "channels.csv"})
 
     def test_config_error_is_2(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("beam.l = fish\n")
