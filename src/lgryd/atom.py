@@ -63,7 +63,7 @@ _EXP_ZERO = 746.0
 # the inward recurrence starts where the tail lies e^-TAIL_DEPTH (about
 # 1e-130) below its value at the outer turning point (`_tail_start`): far
 # past double precision, and chi grows from its 1e-12 seeds to about 1e118
-# there, under `_numerov_inward`'s 1e250 check
+# there
 TAIL_DEPTH = 300.0
 
 
@@ -375,31 +375,22 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
 
     `_numerov_steps` yields chi from the outer end inward, and np.fromiter
     writes each value into one N-point buffer, which is returned reversed as
-    a view, so no N-element list and no second array is built.  The fast
-    path runs the bare recurrence with no per-step overflow test.  The
-    finished chi is then checked once, max <= 1e250 and min >= -1e250 (NaN
-    fails both).  If it passes, the reference's 1e-250 rescale never fired
-    and chi is its exact result.  If it fails, or a step divides by zero
-    (the ZeroDivisionError leaves np.fromiter), `_numerov_rescaled` reruns
-    the whole recurrence as the numpy-indexed reference loop, rescale
-    included, at about four times the fast path's cost.  The real states
-    that need the rescale are Rb n = 60 at l >= 54, Rb n = 90 at l >= 56 and
-    hydrogen n = 60 at l >= 55; every workload stops at l_f <= 10.
+    a view, so no N-element list and no second array is built.  The
+    recurrence has no per-step overflow test: a chi that leaves the float
+    range comes back as it stands, +-inf or NaN, and solve_radial flags the
+    state 'non-finite'.  Python floats raise on a zero divisor, where numpy
+    would give +-inf and then NaN; that chi comes back all NaN.
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
     b = np.multiply(10.0, a)
     np.subtract(12.0, b, out=b)
     try:
-        chi = np.fromiter(_numerov_steps(memoryview(a[::-1]),
-                                         memoryview(b[::-1])),
-                          float, W.size)[::-1]
+        return np.fromiter(_numerov_steps(memoryview(a[::-1]),
+                                          memoryview(b[::-1])),
+                           float, W.size)[::-1]
     except ZeroDivisionError:
-        chi = np.empty_like(W)
-    else:
-        if chi.max() <= 1e250 and chi.min() >= -1e250:
-            return chi
-    return _numerov_rescaled(a, b, chi)
+        return np.full_like(W, np.nan)
 
 
 def _numerov_steps(a_rev, b_rev):
@@ -421,20 +412,6 @@ def _numerov_steps(a_rev, b_rev):
         a_out, a_mid = a_1, a_2
     if len(a_rev) % 2:
         yield (b_rev[-2] * c_in - a_out * c_out) / a_rev[-1]
-
-
-def _numerov_rescaled(a, b, chi: np.ndarray) -> np.ndarray:
-    """`_numerov_inward`'s recurrence from the seeds again as the
-    numpy-indexed reference loop, with its rescale: once |chi[i]| > 1e250,
-    chi[i:] is multiplied by 1e-250.  numpy scalars give +-inf for x / 0 and
-    NaN for 0 / 0 and inf - inf themselves.  chi is overwritten in place."""
-    chi[-1], chi[-2] = 1e-12, 2e-12
-    with np.errstate(all="ignore"):
-        for i in range(len(chi) - 2, 0, -1):
-            chi[i - 1] = (b[i] * chi[i] - a[i + 1] * chi[i + 1]) / a[i - 1]
-            if abs(chi[i - 1]) > 1e250:   # rescale long tails before they overflow
-                chi[i - 1:] *= 1e-250
-    return chi
 
 
 def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
@@ -502,9 +479,11 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     # an exact eigenvalue; zero it through its minimum so a contamination
     # crossing is not counted as a node.  Blanking chi[:k+1] zeroes every
     # product chi[i] chi[i+1] with i <= k and leaves the rest, so the
-    # crossings after it are the ones beyond k.
-    sign_change = np.flatnonzero(np.multiply(chi[:-1], chi[1:],
-                                             out=work[:-1]) < 0.0)
+    # crossings after it are the ones beyond k.  A chi past the float range
+    # overflows these products and the norm's; the norm flags it below.
+    with np.errstate(over="ignore"):
+        sign_change = np.flatnonzero(np.multiply(chi[:-1], chi[1:],
+                                                 out=work[:-1]) < 0.0)
     if sign_change.size and sign_change[0] < 3:
         # a crossing within a couple of samples of the cutoff is the
         # irregular branch leaking into the boundary value, not a node the
@@ -524,10 +503,11 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     if nodes != n - l - 1:
         flags.append("node-count")
 
-    np.multiply(chi, chi, out=work)
-    work *= xi
-    work *= xi
-    norm2 = 2.0 * _simpson(work, h)
+    with np.errstate(over="ignore"):
+        np.multiply(chi, chi, out=work)
+        work *= xi
+        work *= xi
+        norm2 = 2.0 * _simpson(work, h)
     if not math.isfinite(norm2):
         flags.append("non-finite")
     chi /= math.sqrt(norm2)

@@ -53,24 +53,26 @@ def _check_beam_orders(cfg: ScenarioConfig, w0: float, w_r: float) -> None:
     """g_coeff multiplies f_coeff, which falls as w0^-(2q+|l|), by
     w_r^(2q+|l|): both must be normal finite floats at the largest order any
     command reaches, or the weight comes out 0, short of digits, or raises."""
-    key, top = "compute.sweep_l", max(map(abs, cfg.sweep_l))
-    if abs(cfg.l) >= top:
-        key, top = "beam.l", abs(cfg.l)
+    key, value = "compute.sweep_l", max(cfg.sweep_l, key=abs)
+    if abs(cfg.l) >= abs(value):
+        key, value = "beam.l", cfg.l
+    top = abs(value)
     order = 2 * cfg.q_max + top
     try:
         factors = (f_coeff(top, cfg.q_max, w0), w_r ** order)
     except OverflowError:
         factors = (math.inf,)
     if not all(sys.float_info.min <= f <= sys.float_info.max for f in factors):
-        raise ConfigError(f"{key} = {top} with beam.q_max = {cfg.q_max}: the "
+        raise ConfigError(f"{key} = {value} with beam.q_max = {cfg.q_max}: the "
                           f"beam weight of order 2q+|l| = {order} leaves the "
                           "range of normal floats")
 
 
 def _check_finite(rt: Runtime, rates) -> None:
     """Refuse a run that solved a radial state flagged non-finite (bad species
-    data), then Rabi frequencies outside the float range, which are linear in
-    the field amplitude."""
+    data, or an inward solve that left the float range), then Rabi
+    frequencies outside the float range, which are linear in the field
+    amplitude."""
     for st in rt.solver.states:
         if "non-finite" in st.flags:
             raise ConfigError(f"atom.species = {rt.cfg.species}: the radial "

@@ -37,7 +37,7 @@ from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
 from . import _lazy_numpy
-from .atom import (RydbergState, SpeciesParams, default_grid,
+from .atom import (XI_STEP, RydbergState, SpeciesParams, default_grid,
                    radial_matrix_element, solve_radial)
 from .beam import BeamSpec, g_coeff, solid_norm
 from .cm import CMState, cm_moment, gauss_legendre
@@ -397,7 +397,7 @@ class StateSolver:
     cached node arrays are built once.  `factors` keeps the factors of its
     states for every scenario on this solver (`assemble`'s `memo`)."""
 
-    def __init__(self, species: SpeciesParams, step: float = 0.01):
+    def __init__(self, species: SpeciesParams, step: float = XI_STEP):
         self.species = species
         self.step = step
         self.factors: dict = {}

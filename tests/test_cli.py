@@ -350,14 +350,15 @@ class TestExitCodes:
             rc, _ = run(tmp_path, "rabi", cfg_lines=[line])
             assert rc == EXIT_CONFIG
             err = capsys.readouterr().err
-            assert f"beam.l = {abs(int(line.split()[-1]))}" in err
+            assert line in err
 
     def test_sweep_order_overflow_is_2(self, tmp_path, capsys):
-        # w_r ** (2q+|l|) overflows at |l| = 70; q_max = 40 overflows it at
-        # every l
-        rc, _ = run(tmp_path, "sweep", "--l", "1,70")
-        assert rc == EXIT_CONFIG
-        assert "compute.sweep_l = 70" in capsys.readouterr().err
+        # w_r ** (2q+|l|) overflows at |l| = 70, and the charge is quoted
+        # with the sign the config gave it; q_max = 40 overflows it at every l
+        for ls, value in (("1,70", "70"), ("1,-70", "-70")):
+            rc, _ = run(tmp_path, "sweep", "--l", ls)
+            assert rc == EXIT_CONFIG
+            assert f"compute.sweep_l = {value} " in capsys.readouterr().err
         rc, _ = run(tmp_path, "rabi", "--q-max", "40")
         assert rc == EXIT_CONFIG
         assert "beam.q_max = 40" in capsys.readouterr().err
@@ -424,6 +425,16 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert f"atom.species = {mutant}: the radial state n=60" in err
         assert "beam.field_V_per_m" not in err
+
+    @pytest.mark.parametrize("cmd", ["rabi", "sweep", "wavefunction"])
+    def test_state_past_float_range_is_2(self, tmp_path, capsys, cmd):
+        # the inward solve of 60 l=59 leaves the float range, so the state is
+        # flagged non-finite
+        rc, _ = run(tmp_path, cmd, cfg_lines=rb60_lines(atom__l=59,
+                                                        atom__j="119/2"))
+        assert rc == EXIT_CONFIG
+        assert "the radial state n=60 l=59 j=59.5 is not finite" in \
+            capsys.readouterr().err
 
     def test_trap_state_past_cm_cap_is_2(self, tmp_path, capsys):
         # n- = (N - |M|)/2 = 10 is the last one cm_moment computes to its
