@@ -399,26 +399,33 @@ class TestNumerovKernel:
         for W, h in inputs:
             assert np.array_equal(kernel(W, h), _numerov_inward_reference(W, h))
 
+    def test_rescale_path_bit_identical(self):
+        # the input that once needed a 1e-250 rescale: W = 100 grows chi by
+        # about e^2000 over 20,000 nodes, and with no rescale chi comes back
+        # as it stands, +inf and then inf - inf = NaN
+        W = np.full(20000, 100.0)
+        with np.errstate(all="ignore"):     # the reference runs numpy scalars
+            chi = atom._numerov_inward(W, 0.01)
+            assert np.array_equal(chi, _numerov_inward_reference(W, 0.01),
+                                  equal_nan=True)
+        assert np.isposinf(chi).any() and np.isnan(chi).any()
+
     def test_overflow_and_nan_bit_identical(self):
-        # chi leaves the float range and comes back as it stands.  W = 100
-        # grows chi by about e^2000 over 20,000 nodes: +inf, then
-        # inf - inf = NaN.  W ~ 1e65 gives b ~ 1e61, so b chi overflows to
-        # +inf and -inf, then NaN.  A NaN in W makes every point inward of
-        # it NaN.
-        long_grid = np.full(20000, 100.0)
+        # chi leaves the float range and comes back as it stands.  W ~ 1e65
+        # gives b ~ 1e61, so b chi overflows to +inf and -inf, then NaN.
+        # A NaN in W makes every point inward of it NaN.
         overflow = np.full(600, 1.2e65)
         poisoned = np.full(3000, 100.0)
         poisoned[2000] = np.nan
         chis = []
         with np.errstate(all="ignore"):     # the reference runs numpy scalars
-            for W in (long_grid, overflow, poisoned):
+            for W in (overflow, poisoned):
                 chis.append(atom._numerov_inward(W, 0.01))
                 assert np.array_equal(chis[-1], _numerov_inward_reference(W, 0.01),
                                       equal_nan=True)
-        assert np.isposinf(chis[0]).any() and np.isnan(chis[0]).any()
-        assert np.isposinf(chis[1]).any() and np.isneginf(chis[1]).any()
-        assert np.isnan(chis[1]).any()
-        assert np.isnan(chis[2][:2001]).all() and np.isfinite(chis[2][2001:]).all()
+        assert np.isposinf(chis[0]).any() and np.isneginf(chis[0]).any()
+        assert np.isnan(chis[0]).any()
+        assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
 
     @pytest.mark.parametrize("species,l,j", [("rb", 54, 53.5), ("rb", 54, 54.5),
                                              ("rb", 55, 54.5), ("rb", 55, 55.5),
