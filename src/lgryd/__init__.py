@@ -15,7 +15,7 @@ cm        2-D harmonic oscillator states of the center of mass
 coupling  channel enumeration, selection rules, matrix-element assembly
 config    flat dotted-key scenario configuration
 cli       batch front-end (channels / rabi / sweep / wavefunction / verify)
-verify    self-check suites and their oracles (LG field expansion,
+verify    self-check suites and their oracles (LG series residual,
           spherical harmonics, translation theorem, sphere quadrature)
 
 numpy loads on first array use: atom, cm, coupling and specfun bind ``np``
@@ -23,8 +23,9 @@ through `_lazy_numpy`, so ``import lgryd.cli``, config parsing, the
 ``Runtime`` setup, ``lgryd channels``, ``--help`` and config errors never
 import it.  ``import numpy`` takes about 105 ms, a third of a ``lgryd
 channels`` process on rb60 that loads it (2-vCPU Linux host, Python 3.11,
-numpy 2.4).  Every lgryd module is still imported by
-``import lgryd.cli``, so the benchmark tracer finds them all loaded.
+numpy 2.4).  Every lgryd module but ``verify``, which only ``lgryd verify``
+imports, is still imported by ``import lgryd.cli``, so the benchmark tracer
+finds every module it patches loaded.
 """
 
 import importlib.util

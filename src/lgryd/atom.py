@@ -453,7 +453,7 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     'divergent-core' when the inner solution regrew under the barrier and was
     truncated, 'node-count' when the count disagrees with n - l - 1,
     'non-finite' when chi or its norm left the range of floats (chi is then
-    NaN, or 0 from an infinite norm).
+    NaN).
     """
     if grid is None:
         grid = default_grid(n)
@@ -463,7 +463,10 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     h = grid.h
     # The N-point arrays are built in place: without scipy's import the heap is
     # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
-    W = _numerov_w(p, l, j, energy, grid)
+    # Species data that overflow the potential (say alpha_c = 1e300) give a
+    # non-finite chi, which the flag below reports, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = _numerov_w(p, l, j, energy, grid)
     end = _tail_start(W, h) + 1
     chi = _numerov_inward(W[:end], h)
     del W                       # one N-point array fewer alive from here on
@@ -508,9 +511,11 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
         work *= xi
         work *= xi
         norm2 = 2.0 * _simpson(work, h)
-    if not math.isfinite(norm2):
+    if math.isfinite(norm2):
+        chi /= math.sqrt(norm2)
+    else:
         flags.append("non-finite")
-    chi /= math.sqrt(norm2)
+        chi.fill(np.nan)
     return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
                         nodes=nodes, flags=tuple(flags))
 

@@ -75,9 +75,10 @@ def _check_finite(rt: Runtime, rates) -> None:
     amplitude."""
     for st in rt.solver.states:
         if "non-finite" in st.flags:
-            raise ConfigError(f"atom.species = {rt.cfg.species}: the radial "
-                              f"state n={st.n} l={st.l} j={st.j:g} is not "
-                              "finite")
+            raise ConfigError(f"the radial state n={st.n} l={st.l} "
+                              f"j={st.j:g} is not finite: its inward solve on "
+                              f"the atom.species = {rt.cfg.species} potential "
+                              "left the range of floats")
     if not all(map(math.isfinite, rates)):
         raise ConfigError("the Rabi frequencies at beam.field_V_per_m = "
                           f"{rt.cfg.field_V_per_m:g} leave the range of floats")

@@ -379,6 +379,12 @@ def _numerov_inward_reference(W, h):
     return chi
 
 
+_PAST_FLOAT_RANGE = [
+    ("rb", 60, 54, 53.5), ("rb", 60, 54, 54.5), ("rb", 60, 55, 54.5),
+    ("rb", 60, 55, 55.5), ("hydrogen", 60, 55, 55.5), ("rb", 60, 40, 40.5),
+    ("rb", 60, 59, 59.5), ("rb", 90, 67, 67.5), ("hydrogen", 90, 67, 67.5)]
+
+
 class TestNumerovKernel:
     @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
                                                  ("rb", 90, 10),
@@ -427,19 +433,20 @@ class TestNumerovKernel:
         assert np.isnan(chis[0]).any()
         assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
 
-    @pytest.mark.parametrize("species,l,j", [("rb", 54, 53.5), ("rb", 54, 54.5),
-                                             ("rb", 55, 54.5), ("rb", 55, 55.5),
-                                             ("hydrogen", 55, 55.5),
-                                             ("rb", 40, 40.5), ("rb", 59, 59.5)])
-    def test_real_states_take_fallback(self, species, l, j):
-        # n = 60 states high enough in l (every l >= 36) that the inward
+    @pytest.mark.parametrize("species,n,l,j", _PAST_FLOAT_RANGE, ids=[
+        f"{s}-{l}-{j}" if n == 60 else f"{s}-{n}-{l}-{j}"   # n = 60 ids as before
+        for s, n, l, j in _PAST_FLOAT_RANGE])
+    def test_real_states_take_fallback(self, species, n, l, j):
+        # states high enough in l (every l >= 36 at n = 60) that the inward
         # solve leaves the float range: the non-finite flag reports it, which
-        # the CLI refuses, and no numpy overflow warning does
+        # the CLI refuses, and no numpy warning does.  At n = 90, l = 67 chi
+        # holds +-inf, so its norm is infinite too.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no defect series
             warnings.simplefilter("error", RuntimeWarning)
-            st = solve_radial(load_species(species), 60, l, j)
+            st = solve_radial(load_species(species), n, l, j)
         assert "non-finite" in st.flags
+        assert np.isnan(st.chi).all()
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_short_grids_bit_identical(self, n):

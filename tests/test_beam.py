@@ -1,8 +1,8 @@
 """Beam-field expansion tests: closed-form checks plus identity properties.
 
-BeamSpec and the coefficient maps live in lgryd.beam; the evaluated
-expansion, the closed LG profile and the translation theorem are oracles of
-the verification suites and live in lgryd.verify."""
+BeamSpec and the coefficient maps live in lgryd.beam; the closed LG
+profile, the residual of its solid-harmonic series and the translation
+theorem are oracles of the verification suites and live in lgryd.verify."""
 
 import cmath
 import math
@@ -12,7 +12,6 @@ import pytest
 
 from lgryd import beam, verify
 from lgryd.beam import BeamSpec
-from lgryd.verify import SolidHarmonicTerm
 
 
 def _spec(l=1, w0=1.0, E0=1.0, sigma=1, q_max=1):
@@ -29,14 +28,6 @@ class TestBeamSpec:
             _spec(sigma=2)
         with pytest.raises(ValueError):
             _spec(q_max=-1)
-
-
-class TestSolidHarmonicTerm:
-    def test_projection_bound(self):
-        with pytest.raises(ValueError):
-            SolidHarmonicTerm(1, 2)
-        t = SolidHarmonicTerm(2, -1, 0.5 + 0j)
-        assert (t.l, t.m) == (2, -1)
 
 
 class TestSolidNorm:
@@ -67,23 +58,23 @@ class TestSolidHarmonicEval:
 
 class TestLGAmplitude:
     def test_axis_null_for_vortex(self):
-        assert verify.lg_amplitude(_spec(l=1), 0.0, 0.3, 0.0) == 0.0
+        assert verify.lg_amplitude(_spec(l=1), 0.0, 0.3) == 0.0
 
     def test_gaussian_origin(self):
-        got = verify.lg_amplitude(_spec(l=0, E0=2.5), 0.0, 0.0, 0.0)
+        got = verify.lg_amplitude(_spec(l=0, E0=2.5), 0.0, 0.0)
         assert got == pytest.approx(2.5 * math.sqrt(2.0 / math.pi))
 
     def test_ring_value(self):
         # l=1 at rho = w0/sqrt(2): vortex factor 1, envelope e^{-1/2}
         w0 = 3.2
-        got = verify.lg_amplitude(_spec(l=1, w0=w0), w0 / math.sqrt(2.0), 0.0, 0.0)
+        got = verify.lg_amplitude(_spec(l=1, w0=w0), w0 / math.sqrt(2.0), 0.0)
         assert got == pytest.approx(math.sqrt(2.0 / math.pi) * math.exp(-0.5))
 
     @pytest.mark.parametrize("l", [-2, -1, 0, 1, 3])
     def test_phase_winding(self, l):
         s = _spec(l=l)
         phis = np.linspace(0.0, 2.0 * math.pi, 201)
-        vals = [verify.lg_amplitude(s, 0.6, p, 0.0) for p in phis]
+        vals = [verify.lg_amplitude(s, 0.6, p) for p in phis]
         ph = np.unwrap([cmath.phase(v) for v in vals])
         assert ph[-1] - ph[0] == pytest.approx(2.0 * math.pi * l, abs=1e-9)
 
@@ -126,52 +117,22 @@ class TestGCoeff:
             assert beam.g_coeff(l, q, w_r, w0) == pytest.approx(expect, rel=1e-12)
 
 
-class TestExpandField:
-    def test_lowest_order_gaussian(self):
-        terms = verify.expand_field(_spec(l=0, q_max=0))
-        assert len(terms) == 1
-        q, w, harms = terms[0]
-        assert q == 0
-        assert w == pytest.approx(math.sqrt(2.0 / math.pi))
-        assert [(t.l, t.m) for t in harms] == [(0, 0), (0, 0), (0, 0)]
-
-    def test_vortex_two_orders(self):
-        terms = verify.expand_field(_spec(l=1, q_max=1))
-        assert [(t[0]) for t in terms] == [0, 1]
-        ranks0 = [(t.l, t.m) for t in terms[0].harmonics]
-        ranks1 = [(t.l, t.m) for t in terms[1].harmonics]
-        assert ranks0 == [(1, 1), (0, 0), (0, 0)]
-        assert ranks1 == [(1, 1), (1, 1), (1, -1)]
-
-    def test_negative_charge_projection(self):
-        terms = verify.expand_field(_spec(l=-2, q_max=0))
-        t = terms[0].harmonics[0]
-        assert (t.l, t.m) == (2, -2)
-
-    def test_envelope_carries_no_net_projection(self):
-        for l in (-1, 0, 2):
-            for term in verify.expand_field(_spec(l=l, q_max=3)):
-                _, envp, envm = term.harmonics
-                assert envp.m + envm.m == 0
-                assert envp.l == envm.l == term.q
-
-
 class TestVerifyExpansion:
     def test_origin_gaussian_exact(self):
-        chk = verify.verify_expansion(_spec(l=0, q_max=0), 0.0, 0.5, 0.0)
-        assert chk.relative
-        assert chk.residual == pytest.approx(0.0, abs=1e-14)
+        residual, relative = verify.expansion_residual(_spec(l=0, q_max=0), 0.0, 0.5, 0.0)
+        assert relative
+        assert residual == pytest.approx(0.0, abs=1e-14)
 
     def test_converged_residual(self):
         s = _spec(l=1, q_max=8, w0=2.0)
-        chk = verify.verify_expansion(s, 0.3 * s.w0, math.pi / 2, 0.7)
-        assert chk.relative
-        assert chk.residual <= 1e-6
+        residual, relative = verify.expansion_residual(s, 0.3 * s.w0, math.pi / 2, 0.7)
+        assert relative
+        assert residual <= 1e-6
 
     def test_truncation_monotone(self):
         w0 = 1.5
         r, th, ph = 0.3 * w0, math.pi / 2, 1.1
-        res = [verify.verify_expansion(_spec(l=1, q_max=q, w0=w0), r, th, ph).residual
+        res = [verify.expansion_residual(_spec(l=1, q_max=q, w0=w0), r, th, ph)[0]
                for q in (0, 1, 2)]
         assert res[0] > res[1] > res[2]
 
@@ -182,33 +143,27 @@ class TestVerifyExpansion:
             r = rng.uniform(0.05, 0.5) * s.w0
             th = rng.uniform(0.1, math.pi - 0.1)
             ph = rng.uniform(0.0, 2.0 * math.pi)
-            chk = verify.verify_expansion(s, r, th, ph)
-            assert chk.relative
-            assert chk.residual <= 1e-6
+            residual, relative = verify.expansion_residual(s, r, th, ph)
+            assert relative
+            assert residual <= 1e-6
 
     def test_null_field_flag(self):
         # on the vortex axis the reference field vanishes; residual is absolute
-        chk = verify.verify_expansion(_spec(l=1, q_max=2), 1.0, 0.0, 0.0)
-        assert not chk.relative
-        assert chk.residual == pytest.approx(0.0, abs=1e-12)
+        residual, relative = verify.expansion_residual(_spec(l=1, q_max=2), 1.0, 0.0, 0.0)
+        assert not relative
+        assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTranslation:
     def test_null_inner_translation(self):
-        pairs = verify.translate_solid_harmonic(2, 1, (0.4, -0.2, 0.9), (0.0, 0.0, 0.0))
-        assert len(pairs) == 1
-        inner, outer = pairs[0]
-        assert (inner.l, inner.m) == (0, 0)
-        assert inner.coefficient == pytest.approx(1.0)
-        assert outer.coefficient == pytest.approx(
+        # only R^0_0(0) = 1 survives at lam_r = 0
+        got = verify.translate_solid_harmonic(2, 1, (0.4, -0.2, 0.9), (0.0, 0.0, 0.0))
+        assert got == pytest.approx(
             verify.solid_harmonic(2, 1, (0.4, -0.2, 0.9)), rel=1e-12)
 
     def test_null_outer_translation(self):
-        pairs = verify.translate_solid_harmonic(2, 2, (0.0, 0.0, 0.0), (0.1, 0.2, 0.3))
-        assert len(pairs) == 1
-        inner, outer = pairs[0]
-        assert (inner.l, inner.m) == (2, 2)
-        assert inner.coefficient == pytest.approx(
+        got = verify.translate_solid_harmonic(2, 2, (0.0, 0.0, 0.0), (0.1, 0.2, 0.3))
+        assert got == pytest.approx(
             verify.solid_harmonic(2, 2, (0.1, 0.2, 0.3)), rel=1e-12)
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
@@ -220,12 +175,14 @@ class TestTranslation:
             total = tuple(x + y for x, y in zip(a, b))
             for m in range(-l, l + 1):
                 direct = verify.solid_harmonic(l, m, total)
-                summed = sum(p.coefficient * q.coefficient
-                             for p, q in verify.translate_solid_harmonic(l, m, b, a))
+                summed = verify.translate_solid_harmonic(l, m, b, a)
                 assert abs(summed - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_binomial_weights_visible(self):
-        # R^0_1(a+b) = z_a + z_b: both unit-weight monomial pairs must appear
-        pairs = verify.translate_solid_harmonic(1, 0, (0, 0, 2.0), (0, 0, 3.0))
-        vals = sorted(abs(p.coefficient * q.coefficient) for p, q in pairs)
-        assert vals == pytest.approx([2.0, 3.0])
+        # on the z axis R^0_1 = z and R^0_2 = 2 z^2: R^0_1(a+b) = z_a + z_b, and
+        # the cross term of R^0_2(a+b) = 2 z_a^2 + 4 z_a z_b + 2 z_b^2 carries
+        # the weight B(2,1)^2 = 4 (unit weights would give 32, not 50)
+        assert verify.translate_solid_harmonic(1, 0, (0, 0, 2.0), (0, 0, 3.0)) \
+            == pytest.approx(5.0)
+        assert verify.translate_solid_harmonic(2, 0, (0, 0, 2.0), (0, 0, 3.0)) \
+            == pytest.approx(50.0)
