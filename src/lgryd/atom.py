@@ -17,6 +17,12 @@ barrier; the blow-up is cut at the innermost |chi| minimum and flagged rather
 than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
 misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
+The inward recurrence runs in the C kernel `_numerov.c`, which the first
+solve of a process compiles with `cc` into this package's __pycache__ once
+per checkout and every later one loads through ctypes.  Without a compiler,
+or where the build or the load fails, the Python loop `_numerov_steps`, the
+kernel's reference, runs instead; chi is bit-identical either way.
+
 The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
 potential are computed once per `RadialGrid` and cached on it, so a solve
 does only its own state's work: -1/r and the core exponentials, the
@@ -27,9 +33,10 @@ centrifugal term.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 
 from . import _lazy_numpy
@@ -102,12 +109,23 @@ class SpeciesParams:
 
     @classmethod
     def from_file(cls, path) -> "SpeciesParams":
-        """Parse the sectioned key=value species format (see data/rb.species)."""
+        """Parse the sectioned key=value species format (see data/rb.species).
+
+        A file is parsed once per path and content: reading it again with
+        the same bytes returns the object its first parse built, which every
+        caller shares and none may edit.  A malformed file is parsed, and
+        raises, on every call."""
+        path = Path(path)
+        return cls._parse(path, path.read_bytes())
+
+    @classmethod
+    @lru_cache(maxsize=8)
+    def _parse(cls, path: Path, data: bytes) -> "SpeciesParams":
         atom: dict = {}
         potential: dict = {}
         defects: dict = {}
         section = None
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(data.decode().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -155,7 +173,7 @@ class SpeciesParams:
                 raise ValueError(f"{path}: potential block l={l} missing {e}") from None
         try:
             params = cls(
-                name=atom.get("name", Path(path).stem),
+                name=atom.get("name", path.stem),
                 Z=int(atom["Z"]),
                 alpha_c=float(atom["alpha_c"]),
                 so_scale=float(atom.get("so_scale", "1.0")),
@@ -364,27 +382,38 @@ def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
 def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     """Integrate chi'' = W chi from the outer end; seeds set the tail scale.
 
-    The step chi[i-1] = (b[i] chi[i] - a[i+1] chi[i+1]) / a[i-1], with
-    a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial, so it runs on Python
-    floats: indexing numpy scalars one at a time costs three to four times
-    as much.  Each float operation is the IEEE double operation numpy does, in
-    the same order, so chi is bit-identical to the numpy-indexed loop.
-    Dividing by a[i-1] must stay a division, and the two products must stay
-    separately rounded: multiplying by a precomputed 1/a, or regrouping or
-    fusing the terms, changes the last bits of chi and of every output.
+    W is a 1-D float64 array.  The step chi[i-1] = (b[i] chi[i] - a[i+1]
+    chi[i+1]) / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is
+    serial.  a and b are built in numpy; the recurrence runs in the C kernel
+    of `_c_kernel` where one is built, and on Python floats in
+    `_numerov_steps`, its reference, where none is.  Both do each IEEE double
+    operation numpy does, in the same order, so chi is bit-identical on
+    either path and to the numpy-indexed loop.  Dividing by a[i-1] must stay
+    a division, and the two products must stay separately rounded:
+    multiplying by a precomputed 1/a, or regrouping or fusing the terms,
+    changes the last bits of chi and of every output.
 
-    `_numerov_steps` yields chi from the outer end inward, and np.fromiter
-    writes each value into one N-point buffer, which is returned reversed as
-    a view, so no N-element list and no second array is built.  The
-    recurrence has no per-step overflow test: a chi that leaves the float
-    range comes back as it stands, +-inf or NaN, and solve_radial flags the
-    state 'non-finite'.  Python floats raise on a zero divisor, where numpy
-    would give +-inf and then NaN; that chi comes back all NaN.
+    The recurrence has no per-step overflow test: a chi that leaves the
+    float range comes back as it stands, +-inf or NaN, and solve_radial
+    flags the state 'non-finite'.  At a zero divisor, where numpy would give
+    +-inf and then NaN, the kernel stops and Python floats raise; that chi
+    comes back all NaN.
+
+    On the Python path `_numerov_steps` yields chi from the outer end
+    inward, and np.fromiter writes each value into one N-point buffer, which
+    is returned reversed as a view, so no N-element list and no second array
+    is built.
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
     b = np.multiply(10.0, a)
     np.subtract(12.0, b, out=b)
+    kernel = _c_kernel()
+    if kernel is not None:
+        chi = np.empty_like(a)
+        if kernel(a.size, a, b, chi):
+            chi.fill(np.nan)
+        return chi
     try:
         return np.fromiter(_numerov_steps(memoryview(a[::-1]),
                                           memoryview(b[::-1])),
@@ -412,6 +441,58 @@ def _numerov_steps(a_rev, b_rev):
         a_out, a_mid = a_1, a_2
     if len(a_rev) % 2:
         yield (b_rev[-2] * c_in - a_out * c_out) / a_rev[-1]
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_numerov.c")
+CC_TIMEOUT_S = 60
+
+
+@cache
+def _c_kernel():
+    """The compiled recurrence of `_numerov.c`, built on first use into this
+    package's __pycache__, or None where there is no compiler, the build
+    fails or the library will not load; `_numerov_inward` then runs
+    `_numerov_steps`."""
+    try:
+        return _load_kernel(_KERNEL_SOURCE, _KERNEL_SOURCE.parent / "__pycache__")
+    except (OSError, AttributeError):
+        return None
+
+
+def _load_kernel(src: Path, cache_dir: Path):
+    """numerov_inward from the library built from `src` in `cache_dir`,
+    built first if missing.  Its name carries the source's mtime and size,
+    as a bytecode file's header does, so an edited source is built again."""
+    st = src.stat()
+    lib = cache_dir / f"{src.stem}.{st.st_mtime_ns:x}-{st.st_size:x}.so"
+    if not lib.is_file():
+        _build_kernel(src, lib)
+    import ctypes
+    from numpy.ctypeslib import ndpointer
+    fn = ctypes.CDLL(str(lib)).numerov_inward
+    array = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    fn.argtypes = (ctypes.c_ssize_t, array, array, array)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _build_kernel(src: Path, lib: Path) -> None:
+    """Compile `src` into `lib`.  cc writes under a per-process name that is
+    then moved into place, so concurrent builds leave one whole file.  A
+    failed or timed-out build raises OSError and leaves no file."""
+    import subprocess
+    lib.parent.mkdir(exist_ok=True)
+    tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+    try:
+        # no fused multiply-add: it would change the bits of chi
+        subprocess.run(["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                        "-o", str(tmp), str(src)],
+                       check=True, capture_output=True, timeout=CC_TIMEOUT_S)
+        os.replace(tmp, lib)
+    except subprocess.SubprocessError as e:
+        raise OSError(f"building {src.name} failed: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,

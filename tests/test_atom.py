@@ -9,15 +9,17 @@ inward integration cannot avoid (checked separately away from the cutoff).
 
 import math
 import random
+import shutil
+import subprocess
 import warnings
 
 import numpy as np
 import pytest
 
 from lgryd import atom, verify
-from lgryd.atom import (RadialGrid, RydbergState, SpeciesParams, default_grid,
-                        load_species, model_potential, qd_energy,
-                        radial_matrix_element, solve_radial)
+from lgryd.atom import (XI_STEP, RadialGrid, RydbergState, SpeciesParams,
+                        default_grid, load_species, model_potential,
+                        qd_energy, radial_matrix_element, solve_radial)
 from lgryd.units import FINE_STRUCTURE
 from _oracles import hydrogen_expectation_r, hydrogen_radial
 
@@ -57,6 +59,22 @@ class TestSpeciesFile:
         bad.write_text("[atom]\nZ = 1\nstray garbage\n")
         with pytest.raises(ValueError):
             SpeciesParams.from_file(bad)
+
+    def test_parsed_once_per_content(self, tmp_path):
+        # an unchanged file is not parsed again; an edited one is, and a
+        # malformed one raises on every read
+        path = tmp_path / "z.species"
+        text = "[atom]\nZ = 1\nalpha_c = 0\n[potential l=0]\n" \
+               "a1 = 0\na2 = 0\na3 = 0\na4 = 0\nrc = 1\n"
+        path.write_text(text)
+        first = SpeciesParams.from_file(path)
+        assert load_species(str(path)) is first and first.name == "z"
+        path.write_text(text.replace("alpha_c = 0", "alpha_c = 2"))
+        assert SpeciesParams.from_file(path).alpha_c == 2.0
+        path.write_text(text + "stray garbage\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="stray line"):
+                SpeciesParams.from_file(path)
 
     def test_incomplete_potential_block(self, tmp_path):
         bad = tmp_path / "y.species"
@@ -385,11 +403,36 @@ _PAST_FLOAT_RANGE = [
     ("rb", 60, 59, 59.5), ("rb", 90, 67, 67.5), ("hydrogen", 90, 67, 67.5)]
 
 
-class TestNumerovKernel:
+@pytest.fixture(scope="module")
+def nscan_inputs():
+    """(W, reference chi) of every state the nscan workload solves, Rb
+    n = 30..90 at l <= 2 and both j, and of hydrogen 90l67, whose chi
+    leaves the float range."""
+    states = [("rb", n, l, j) for n in range(30, 91)
+              for l, j in ((0, 0.5), (1, 0.5), (1, 1.5), (2, 1.5), (2, 2.5))]
+    inputs = []
+    for species, n, l, j in states + [("hydrogen", 90, 67, 67.5)]:
+        p = load_species(species)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # hydrogen has no defect series
+            energy = qd_energy(p, n, l, j)
+        W = atom._numerov_w(p, l, j, energy, default_grid(n))
+        W = W[:atom._tail_start(W, XI_STEP) + 1]
+        with np.errstate(all="ignore"):     # the reference runs numpy scalars
+            inputs.append((W, _numerov_inward_reference(W, XI_STEP)))
+    assert not np.isfinite(inputs[-1][1]).all()
+    return inputs
+
+
+class _KernelCases:
+    """The bitwise cases, run on the compiled kernel (TestNumerovKernel)
+    and on the Python loop (TestPythonNumerovKernel); each class's
+    `kernel_path` fixture puts its path in place."""
+
     @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
                                                  ("rb", 90, 10),
                                                  ("hydrogen", 10, 9)])
-    def test_bit_identical(self, monkeypatch, species, n, l_max):
+    def test_bit_identical(self, kernel_path, monkeypatch, species, n, l_max):
         # every (W, h) that solve_radial hands the kernel, l <= l_max, both j
         kernel, inputs = atom._numerov_inward, []
         monkeypatch.setattr(atom, "_numerov_inward",
@@ -405,7 +448,13 @@ class TestNumerovKernel:
         for W, h in inputs:
             assert np.array_equal(kernel(W, h), _numerov_inward_reference(W, h))
 
-    def test_rescale_path_bit_identical(self):
+    def test_nscan_states_bit_identical(self, kernel_path, nscan_inputs):
+        # the rb60 and sweep_heavy states are test_bit_identical's rb-60-10
+        for W, reference in nscan_inputs:
+            assert np.array_equal(atom._numerov_inward(W, XI_STEP), reference,
+                                  equal_nan=True)
+
+    def test_rescale_path_bit_identical(self, kernel_path):
         # the input that once needed a 1e-250 rescale: W = 100 grows chi by
         # about e^2000 over 20,000 nodes, and with no rescale chi comes back
         # as it stands, +inf and then inf - inf = NaN
@@ -416,7 +465,7 @@ class TestNumerovKernel:
                                   equal_nan=True)
         assert np.isposinf(chi).any() and np.isnan(chi).any()
 
-    def test_overflow_and_nan_bit_identical(self):
+    def test_overflow_and_nan_bit_identical(self, kernel_path):
         # chi leaves the float range and comes back as it stands.  W ~ 1e65
         # gives b ~ 1e61, so b chi overflows to +inf and -inf, then NaN.
         # A NaN in W makes every point inward of it NaN.
@@ -433,6 +482,38 @@ class TestNumerovKernel:
         assert np.isnan(chis[0]).any()
         assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_short_grids_bit_identical(self, kernel_path, n):
+        # both parities of the step count n - 2, so the two-step loop alone
+        # (n even) and the loop plus its tail step (n odd); h = 0.3 keeps a
+        # far from 1 and of both signs
+        W = np.random.default_rng(n).uniform(-150.0, 250.0, n)
+        chi = atom._numerov_inward(W, 0.3)
+        assert chi.shape == (n,)
+        assert np.array_equal(chi, _numerov_inward_reference(W, 0.3))
+
+    @pytest.mark.parametrize("at", [8, 5, 0])
+    def test_zero_a_reaches_fallback(self, kernel_path, at):
+        # n = 11: the first step divides by a[8], a middle one by a[5] and
+        # the tail step after the two-step loop by a[0]; a = 0 exactly at
+        # W = 12/h^2 (h = 0.01).  The C kernel stops and Python floats raise
+        # at the zero divisor, and either way chi comes back all NaN.
+        W = np.full(11, 100.0)
+        W[at] = 120000.0
+        assert 1.0 - (0.01 * 0.01 / 12.0) * W[at] == 0.0
+        chi = atom._numerov_inward(W, 0.01)
+        assert chi.shape == W.shape and np.isnan(chi).all()
+
+
+class TestNumerovKernel(_KernelCases):
+    @pytest.fixture
+    def kernel_path(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on PATH: the compiled Numerov "
+                        "kernel is not built and the Python loop runs")
+        assert atom._c_kernel() is not None, "cc is on PATH but the kernel " \
+            "did not build or load"
+
     @pytest.mark.parametrize("species,n,l,j", _PAST_FLOAT_RANGE, ids=[
         f"{s}-{l}-{j}" if n == 60 else f"{s}-{n}-{l}-{j}"   # n = 60 ids as before
         for s, n, l, j in _PAST_FLOAT_RANGE])
@@ -447,28 +528,6 @@ class TestNumerovKernel:
             st = solve_radial(load_species(species), n, l, j)
         assert "non-finite" in st.flags
         assert np.isnan(st.chi).all()
-
-    @pytest.mark.parametrize("n", range(3, 13))
-    def test_short_grids_bit_identical(self, n):
-        # both parities of the step count n - 2, so the two-step loop alone
-        # (n even) and the loop plus its tail step (n odd); h = 0.3 keeps a
-        # far from 1 and of both signs
-        W = np.random.default_rng(n).uniform(-150.0, 250.0, n)
-        chi = atom._numerov_inward(W, 0.3)
-        assert chi.shape == (n,)
-        assert np.array_equal(chi, _numerov_inward_reference(W, 0.3))
-
-    @pytest.mark.parametrize("at", [8, 5, 0])
-    def test_zero_a_reaches_fallback(self, at):
-        # n = 11: the first step divides by a[8], a middle one by a[5] and
-        # the tail step after the two-step loop by a[0]; a = 0 exactly at
-        # W = 12/h^2 (h = 0.01).  Python floats raise on the zero divisor,
-        # and the kernel falls back to an all-NaN chi.
-        W = np.full(11, 100.0)
-        W[at] = 120000.0
-        assert 1.0 - (0.01 * 0.01 / 12.0) * W[at] == 0.0
-        chi = atom._numerov_inward(W, 0.01)
-        assert chi.shape == W.shape and np.isnan(chi).all()
 
     def test_chi_full_length_and_read_only_in_state(self, hyd):
         grid = default_grid(4)
@@ -495,6 +554,59 @@ class TestNumerovKernel:
                         st = solve_radial(p, n, l, j)
                         assert st.nodes == np.count_nonzero(
                             st.chi[:-1] * st.chi[1:] < 0.0), (l, j)
+
+
+class TestPythonNumerovKernel(_KernelCases):
+    @pytest.fixture
+    def kernel_path(self, monkeypatch):
+        monkeypatch.setattr(atom, "_c_kernel", lambda: None)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C "
+                              "compiler (cc) on PATH to build the kernel with")
+
+
+class TestKernelLoader:
+    @needs_cc
+    def test_warm_cache_spawns_no_compiler(self, monkeypatch, tmp_path):
+        atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a warm cache spawned the compiler")
+        monkeypatch.setattr(subprocess, "run", no_build)
+        assert atom._load_kernel(atom._KERNEL_SOURCE, tmp_path) is not None
+
+    def test_missing_compiler_runs_python_loop(self, monkeypatch, tmp_path):
+        # a cold cache and no cc on PATH: the build raises OSError, and
+        # _c_kernel gives None, so the Python loop runs
+        src = tmp_path / "_numerov.c"
+        shutil.copy2(atom._KERNEL_SOURCE, src)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        with pytest.raises(OSError):
+            atom._load_kernel(src, tmp_path / "__pycache__")
+        monkeypatch.setattr(atom, "_KERNEL_SOURCE", src)
+        atom._c_kernel.cache_clear()
+        try:
+            assert atom._c_kernel() is None
+            W = np.random.default_rng(0).uniform(-150.0, 250.0, 500)
+            assert np.array_equal(atom._numerov_inward(W, 0.1),
+                                  _numerov_inward_reference(W, 0.1))
+        finally:
+            atom._c_kernel.cache_clear()
+        assert list(tmp_path.glob("__pycache__/*")) == []
+
+    @needs_cc
+    def test_two_builds_leave_one_loadable_file(self, tmp_path):
+        atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
+        [lib] = tmp_path.iterdir()
+        atom._build_kernel(atom._KERNEL_SOURCE, lib)
+        assert list(tmp_path.iterdir()) == [lib]
+        kernel = atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
+        W = np.random.default_rng(1).uniform(-150.0, 250.0, 500)
+        a = 1.0 - (0.1 * 0.1 / 12.0) * W
+        chi = np.empty_like(W)
+        assert kernel(W.size, a, 12.0 - 10.0 * a, chi) == 0
+        assert np.array_equal(chi, _numerov_inward_reference(W, 0.1))
 
 
 def _model_potential_reference(p, l, j, r):

@@ -583,6 +583,27 @@ class TestImportCost:
                 "or m.startswith('scipy.')))")
         assert fresh_python(code) == "[]"
 
+    def test_cli_does_not_import_kernel_loader(self):
+        # the compiled Numerov kernel loads at the first solve, so neither
+        # setup nor a numpy-free command pays for ctypes or a compiler run
+        code = ("import sys, lgryd.cli; "
+                "print(sorted(m for m in ('ctypes', 'subprocess') "
+                "if m in sys.modules))")
+        assert fresh_python(code) == "[]"
+
+    def test_warm_kernel_solve_imports_no_build_modules(self):
+        # a built kernel is loaded without the compiler's subprocess, and
+        # its cache key is the source's stat, not a hashlib digest
+        from lgryd import atom
+        if atom._c_kernel() is None:
+            pytest.skip("no compiled Numerov kernel to load: cc is missing "
+                        "or the build failed")
+        code = ("import sys; from lgryd import atom; "
+                "atom.solve_radial(atom.load_species('rb'), 30, 0, 0.5); "
+                "print(atom._c_kernel() is not None, sorted(m for m in "
+                "('hashlib', 'subprocess') if m in sys.modules))")
+        assert fresh_python(code) == "True []"
+
     def test_dataclasses_have_own_docstrings(self):
         # @dataclass builds a missing docstring from inspect.signature while
         # it creates the class, in every process that imports the module
