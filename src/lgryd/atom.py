@@ -18,10 +18,10 @@ than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
 misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
 The inward recurrence runs in the C kernel `_numerov.c`, which the first
-solve of a process compiles with `cc` into this package's __pycache__ once
-per checkout and every later one loads through ctypes.  Without a compiler,
-or where the build or the load fails, the Python loop `_numerov_steps`, the
-kernel's reference, runs instead; chi is bit-identical either way.
+solve compiles with `cc` into __pycache__/_numerov.so (rebuilt over itself
+when the source changes) and later ones load through ctypes.  Where it
+cannot be built or loaded, the fallback `_numerov_steps` runs; both are
+tested bit for bit against tests/test_atom.py::_numerov_inward_reference.
 
 The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
 potential are computed once per `RadialGrid` and cached on it, so a solve
@@ -256,10 +256,6 @@ class RadialGrid:
         """(2 r^4, 2 r^3) at the nodes (see `_r_factors`)."""
         return tuple(map(_read_only, _r_factors(self.r)))
 
-    @property
-    def h(self) -> float:
-        return self.step
-
 
 def default_grid(n: int, step: float = XI_STEP) -> RadialGrid:
     # outer cutoff 2n(n+15): comfortably past the turning point ~2n^2
@@ -385,19 +381,19 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     W is a 1-D float64 array.  The step chi[i-1] = (b[i] chi[i] - a[i+1]
     chi[i+1]) / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is
     serial.  a and b are built in numpy; the recurrence runs in the C kernel
-    of `_c_kernel` where one is built, and on Python floats in
-    `_numerov_steps`, its reference, where none is.  Both do each IEEE double
-    operation numpy does, in the same order, so chi is bit-identical on
-    either path and to the numpy-indexed loop.  Dividing by a[i-1] must stay
-    a division, and the two products must stay separately rounded:
-    multiplying by a precomputed 1/a, or regrouping or fusing the terms,
-    changes the last bits of chi and of every output.
+    of `_c_kernel` where one is built, and on Python floats in the fallback
+    `_numerov_steps` where none is.  Both do each IEEE double operation the
+    numpy-indexed loop does, in its order, so chi is bit-identical on either
+    path.  Dividing by a[i-1] must stay a division, and the two products
+    must stay separately rounded: multiplying by a precomputed 1/a, or
+    regrouping or fusing the terms, changes the last bits of chi and of
+    every output.
 
-    The recurrence has no per-step overflow test: a chi that leaves the
-    float range comes back as it stands, +-inf or NaN, and solve_radial
-    flags the state 'non-finite'.  At a zero divisor, where numpy would give
-    +-inf and then NaN, the kernel stops and Python floats raise; that chi
-    comes back all NaN.
+    The recurrence has no per-step test: a chi that leaves the float range
+    comes back as it stands, +-inf or NaN, and solve_radial flags the state
+    'non-finite'.  A zero among the divisors a[0..n-3], where numpy would
+    give +-inf and then NaN, is refused here before either loop runs, and
+    chi comes back all NaN.
 
     On the Python path `_numerov_steps` yields chi from the outer end
     inward, and np.fromiter writes each value into one N-point buffer, which
@@ -406,20 +402,17 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
+    if not a[:-2].all():
+        return np.full_like(W, np.nan)
     b = np.multiply(10.0, a)
     np.subtract(12.0, b, out=b)
     kernel = _c_kernel()
     if kernel is not None:
         chi = np.empty_like(a)
-        if kernel(a.size, a, b, chi):
-            chi.fill(np.nan)
+        kernel(a.size, a, b, chi)
         return chi
-    try:
-        return np.fromiter(_numerov_steps(memoryview(a[::-1]),
-                                          memoryview(b[::-1])),
-                           float, W.size)[::-1]
-    except ZeroDivisionError:
-        return np.full_like(W, np.nan)
+    return np.fromiter(_numerov_steps(memoryview(a[::-1]), memoryview(b[::-1])),
+                       float, W.size)[::-1]
 
 
 def _numerov_steps(a_rev, b_rev):
@@ -460,27 +453,29 @@ def _c_kernel():
 
 
 def _load_kernel(src: Path, cache_dir: Path):
-    """numerov_inward from the library built from `src` in `cache_dir`,
-    built first if missing.  Its name carries the source's mtime and size,
-    as a bytecode file's header does, so an edited source is built again."""
-    st = src.stat()
-    lib = cache_dir / f"{src.stem}.{st.st_mtime_ns:x}-{st.st_size:x}.so"
-    if not lib.is_file():
+    """numerov_inward from `cache_dir`/_numerov.so, built from `src` first
+    unless that file's mtime is the source's: each build is stamped with the
+    source's mtime, as a bytecode file's header records it, so an edited or
+    touched source is built again over the one library."""
+    lib = cache_dir / f"{src.stem}.so"
+    if not lib.is_file() or lib.stat().st_mtime_ns != src.stat().st_mtime_ns:
         _build_kernel(src, lib)
     import ctypes
     from numpy.ctypeslib import ndpointer
     fn = ctypes.CDLL(str(lib)).numerov_inward
     array = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     fn.argtypes = (ctypes.c_ssize_t, array, array, array)
-    fn.restype = ctypes.c_int
+    fn.restype = None
     return fn
 
 
 def _build_kernel(src: Path, lib: Path) -> None:
-    """Compile `src` into `lib`.  cc writes under a per-process name that is
-    then moved into place, so concurrent builds leave one whole file.  A
-    failed or timed-out build raises OSError and leaves no file."""
+    """Compile `src` into `lib`, stamped with the mtime `src` had before cc
+    ran.  cc writes under a per-process name that is then moved into place,
+    so concurrent builds leave one whole file.  A failed or timed-out build
+    raises OSError and leaves no new file."""
     import subprocess
+    st = src.stat()
     lib.parent.mkdir(exist_ok=True)
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
@@ -488,6 +483,7 @@ def _build_kernel(src: Path, lib: Path) -> None:
         subprocess.run(["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
                         "-o", str(tmp), str(src)],
                        check=True, capture_output=True, timeout=CC_TIMEOUT_S)
+        os.utime(tmp, ns=(st.st_atime_ns, st.st_mtime_ns))
         os.replace(tmp, lib)
     except subprocess.SubprocessError as e:
         raise OSError(f"building {src.name} failed: {e}") from e
@@ -541,7 +537,7 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     if energy is None:
         energy = qd_energy(p, n, l, j)
     xi = grid.xi
-    h = grid.h
+    h = grid.step
     # The N-point arrays are built in place: without scipy's import the heap is
     # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
     # Species data that overflow the potential (say alpha_c = 1e300) give a
@@ -620,7 +616,7 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
         raise ValueError("w_r must be positive")
     if f.grid != i.grid:
         raise ValueError("states live on different grids; solve both on one grid")
-    val = 2.0 * _simpson(f.chi * i.chi * f.grid.xi ** (2 * alpha + 2), f.grid.h)
+    val = 2.0 * _simpson(f.chi * i.chi * f.grid.xi ** (2 * alpha + 2), f.grid.step)
     return val / w_r ** (alpha - 1)
 
 

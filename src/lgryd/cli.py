@@ -19,7 +19,7 @@ from pathlib import Path
 from .atom import default_grid, load_species
 from .beam import BeamSpec, f_coeff
 from .cm import CMState
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import ConfigError, ScenarioConfig, _parse_int_list, parse_config
 from .coupling import StateSolver, compute_scenario, scenario_channels, \
     sweep_topological_charge
 from .plot import render_sweep_svg
@@ -218,8 +218,7 @@ def main(argv=None) -> int:
         if args.q_max is not None:
             cfg.q_max = args.q_max
         if args.l_list is not None:
-            cfg.sweep_l = tuple(int(t) for t in
-                                args.l_list.replace(",", " ").split())
+            cfg.sweep_l = _parse_int_list(args.l_list)
         if args.out is not None:
             cfg.out_dir = args.out
         cfg.validate()

@@ -163,11 +163,7 @@ def multi_gaunt(factors: Sequence, bra, ket) -> float:
             for Lp in range(abs(L - lf), L + lf + 1):
                 if (L + lf + Lp) % 2 or abs(Mp) > Lp:
                     continue
-                w = ((-1.0) ** Mp
-                     * math.sqrt((2 * L + 1) * (2 * lf + 1) * (2 * Lp + 1)
-                                 / (4.0 * math.pi))
-                     * wigner3j(L, lf, Lp, 0, 0, 0)
-                     * wigner3j(L, lf, Lp, M, mf, -Mp))
+                w = (-1.0) ** Mp * gaunt(L, M, lf, mf, Lp, -Mp)
                 if w != 0.0:
                     nxt[(Lp, Mp)] = nxt.get((Lp, Mp), 0.0) + c * w
         branches = nxt

@@ -8,9 +8,11 @@ inward integration cannot avoid (checked separately away from the cutoff).
 """
 
 import math
+import os
 import random
 import shutil
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -234,7 +236,7 @@ class TestEveryL:
                 u_ref = verify._hydrogen_u(n, l, grid.r)
                 # <u|u_ref> = 2 int chi u_ref xi^(3/2) dxi
                 overlap = 2.0 * atom._simpson(st.chi * u_ref * xi * np.sqrt(xi),
-                                              grid.h)
+                                              grid.step)
                 if st.nodes != n - l - 1 or not 1.0 - abs(overlap) <= 1e-8:
                     bad.append((l, st.nodes, overlap))
         assert not bad, f"{len(bad)} of {n} states wrong, first (l, nodes, " \
@@ -353,7 +355,7 @@ class TestGrid:
         assert xi[0] == pytest.approx(math.sqrt(g.r_min))
         # nodes overshoot the requested cutoff by less than one step
         assert math.sqrt(g.r_max) <= xi[-1] < math.sqrt(g.r_max) + g.step
-        assert np.allclose(np.diff(xi), g.h)
+        assert np.allclose(np.diff(xi), g.step)
         # same (r_min, step): overlapping nodes coincide bit-for-bit
         g2 = default_grid(50)
         assert np.array_equal(g2.xi, xi[: g2.xi.size])
@@ -382,7 +384,7 @@ class TestSimpson:
             assert (xi.size % 2 == 1) == odd
             for y in (st.chi**2 * xi**2, st.chi**2 * xi**4):
                 ref = simpson(y, x=xi)
-                assert abs(atom._simpson(y, st.grid.h) - ref) <= 1e-15 * abs(ref)
+                assert abs(atom._simpson(y, st.grid.step) - ref) <= 1e-15 * abs(ref)
 
 
 def _numerov_inward_reference(W, h):
@@ -496,13 +498,24 @@ class _KernelCases:
     def test_zero_a_reaches_fallback(self, kernel_path, at):
         # n = 11: the first step divides by a[8], a middle one by a[5] and
         # the tail step after the two-step loop by a[0]; a = 0 exactly at
-        # W = 12/h^2 (h = 0.01).  The C kernel stops and Python floats raise
-        # at the zero divisor, and either way chi comes back all NaN.
+        # W = 12/h^2 (h = 0.01).  _numerov_inward refuses the zero divisor
+        # before either path runs, and chi comes back all NaN.
         W = np.full(11, 100.0)
         W[at] = 120000.0
         assert 1.0 - (0.01 * 0.01 / 12.0) * W[at] == 0.0
         chi = atom._numerov_inward(W, 0.01)
         assert chi.shape == W.shape and np.isnan(chi).all()
+
+    @pytest.mark.parametrize("at", [10, 9])
+    def test_zero_a_at_outer_end_is_no_divisor(self, kernel_path, at):
+        # a[-1] and a[-2] only multiply chi, so a zero there is not refused:
+        # chi is finite and the reference's, bit for bit
+        W = np.full(11, 100.0)
+        W[at] = 120000.0
+        assert 1.0 - (0.01 * 0.01 / 12.0) * W[at] == 0.0
+        chi = atom._numerov_inward(W, 0.01)
+        assert np.isfinite(chi).all()
+        assert np.array_equal(chi, _numerov_inward_reference(W, 0.01))
 
 
 class TestNumerovKernel(_KernelCases):
@@ -532,7 +545,7 @@ class TestNumerovKernel(_KernelCases):
     def test_chi_full_length_and_read_only_in_state(self, hyd):
         grid = default_grid(4)
         W = atom._numerov_w(hyd, 1, 1.5, qd_energy(hyd, 4, 1, 1.5), grid)
-        chi = atom._numerov_inward(W, grid.h)
+        chi = atom._numerov_inward(W, grid.step)
         assert chi.shape == W.shape and chi.flags.writeable
         st = solve_radial(hyd, 4, 1, 1.5, grid=grid)
         assert st.chi.shape == grid.xi.shape
@@ -605,8 +618,27 @@ class TestKernelLoader:
         W = np.random.default_rng(1).uniform(-150.0, 250.0, 500)
         a = 1.0 - (0.1 * 0.1 / 12.0) * W
         chi = np.empty_like(W)
-        assert kernel(W.size, a, 12.0 - 10.0 * a, chi) == 0
+        kernel(W.size, a, 12.0 - 10.0 * a, chi)
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.1))
+
+    @needs_cc
+    def test_touched_source_replaces_library(self, tmp_path):
+        # a source with a new mtime is built again over the one library,
+        # which carries the source's mtime.  dlopen hands this process the
+        # mapping of the first build, so a fresh one loads the new file.
+        src = tmp_path / "_numerov.c"
+        shutil.copy2(atom._KERNEL_SOURCE, src)
+        cache_dir = tmp_path / "__pycache__"
+        atom._load_kernel(src, cache_dir)
+        st = src.stat()
+        os.utime(src, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        atom._load_kernel(src, cache_dir)
+        [lib] = cache_dir.iterdir()
+        assert lib.name == "_numerov.so"
+        assert lib.stat().st_mtime_ns == src.stat().st_mtime_ns
+        subprocess.run([sys.executable, "-c", "import ctypes, sys; "
+                        "ctypes.CDLL(sys.argv[1]).numerov_inward", str(lib)],
+                       check=True)
 
 
 def _model_potential_reference(p, l, j, r):

@@ -490,7 +490,7 @@ class TestScenario:
         grid = default_grid(max(n_p, 60))
         xi = grid.xi
         want = 2.0 * _simpson(_hydrogen_u(n_p, 1, xi * xi)
-                              * _hydrogen_u(60, 0, xi * xi) * xi ** 3, grid.h)
+                              * _hydrogen_u(60, 0, xi * xi) * xi ** 3, grid.step)
         assert abs(pure[0].radial_e) == pytest.approx(abs(want), rel=1e-7)
 
     def test_finals_far_below_n_start_in_their_tail(self):
