@@ -395,10 +395,10 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     give +-inf and then NaN, is refused here before either loop runs, and
     chi comes back all NaN.
 
-    On the Python path `_numerov_steps` yields chi from the outer end
-    inward, and np.fromiter writes each value into one N-point buffer, which
-    is returned reversed as a view, so no N-element list and no second array
-    is built.
+    The Python path runs only where no kernel is built: `_numerov_steps`
+    yields chi from the outer end inward, one step per node, and np.fromiter
+    writes each value into one N-point buffer, which is returned reversed as
+    a view, so no N-element list and no second array is built.
     """
     a = np.multiply(h * h / 12.0, W)
     np.subtract(1.0, a, out=a)
@@ -416,24 +416,14 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
 
 
 def _numerov_steps(a_rev, b_rev):
-    """chi from the outer end inward: the two seeds, then the recurrence two
-    steps per iteration, over stride-2 slices of the reversed a and b.  The
-    locals hold chi[i+1], chi[i], a[i+1] and a[i] between iterations, so each
-    step fetches only b[i] and a[i-1]; an odd step count ends with one more
-    step after the loop."""
+    """chi from the outer end inward: the two seeds, then one recurrence step
+    per node, each taking b[i], a[i+1] and a[i-1] from the reversed a and b."""
     c_out, c_in = 1e-12, 2e-12            # chi[i+1], chi[i]
     yield c_out
     yield c_in
-    a_out, a_mid = a_rev[0], a_rev[1]     # a[i+1], a[i]
-    for b_1, b_2, a_1, a_2 in zip(b_rev[1:-1:2], b_rev[2:-1:2],
-                                  a_rev[2::2], a_rev[3::2]):
-        c_out = (b_1 * c_in - a_out * c_out) / a_1
-        yield c_out
-        c_in = (b_2 * c_out - a_mid * c_in) / a_2
+    for b_i, a_out, a_in in zip(b_rev[1:-1], a_rev[:-2], a_rev[2:]):
+        c_out, c_in = c_in, (b_i * c_in - a_out * c_out) / a_in
         yield c_in
-        a_out, a_mid = a_1, a_2
-    if len(a_rev) % 2:
-        yield (b_rev[-2] * c_in - a_out * c_out) / a_rev[-1]
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_numerov.c")
@@ -617,7 +607,7 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
     if f.grid != i.grid:
         raise ValueError("states live on different grids; solve both on one grid")
     val = 2.0 * _simpson(f.chi * i.chi * f.grid.xi ** (2 * alpha + 2), f.grid.step)
-    return val / w_r ** (alpha - 1)
+    return float(val) / w_r ** (alpha - 1)
 
 
 def load_species(name_or_path: str) -> SpeciesParams:

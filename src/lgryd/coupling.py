@@ -16,9 +16,9 @@ with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
 formula states it.  Every result carries an audit of that constant against
 the exact integral int_0^1 lambda^{alpha-1} j_0(k lambda r) dlambda at the
 resonant k (see docs/AUDIT.md for what that ratio reveals).
-Factors of plain numbers (Gaunt integrals, angular x CG, each block's open
-final labels, the coefficient, the final trap state, the CM moment) are
-cached per process; factors of solved states (<f|r^alpha|i> with its audit,
+Factors of plain numbers (angular x CG, each block's open final labels,
+the coefficient, the final trap state, the CM moment) are cached per
+process; factors of solved states (<f|r^alpha|i> with its audit,
 <i|r|i>) are kept by the `StateSolver` that solved them.
 
 The six normalization constants of c_product follow the coordinate split:
@@ -136,11 +136,10 @@ class ChannelResult(NamedTuple):
     radial_cm: float
     angular: float
     cg_weight: float
-    matrix_element: complex
+    matrix_element: float
     rabi_kHz: float
     lambda_audit: float   # Gamma(alpha/2) / exact lambda-integral at resonant k
-    k_au: float
-    closed: bool          # a selection factor vanished; kept for bookkeeping
+    closed: bool          # a selection factor vanished; perfbench counts it
 
 
 def c_product(l: int, q: int, l1: int, l2: int, l3: int,
@@ -172,19 +171,11 @@ def fine_structure_weight(initial: tuple, final: tuple, orbital_bra_ket: tuple) 
 
 
 @cache
-def _gaunt(sigma: int, l1: int, m1: int, l2: int, l3: int, bra, ket):
-    # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
-    return multi_gaunt([(1, sigma), (0, 0), (l1, m1), (l2, l2), (l3, -l3)],
-                       bra, ket)
-
-
-@cache
 def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
                     l_f: int, j_f: float, m_jf: float, l_i: int, j_i: float):
     """(angular, cg_weight) for the channel (sigma, l1, m1, l2, l3) feeding
     the final label (l_f, j_f, m_jf) from |l_i j_i m_jf - dm>, where dm =
-    sigma + m1 + m2 + m3, m2 = l2, m3 = -l3.  Both j_f of one l_f take the
-    same cached Gaunt integrals.
+    sigma + m1 + m2 + m3, m2 = l2, m3 = -l3.
 
     General case: sum over the initial m_l decomposition of |j_i m_ji>, each
     term weighted by both Clebsch-Gordan brackets.  When a single m_li
@@ -194,6 +185,8 @@ def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
     """
     dm = sigma + m1 + l2 - l3
     m_ji = m_jf - dm
+    # dipole sigma-harmonic, plane-wave p=0 harmonic, three expansion harmonics
+    factors = [(1, sigma), (0, 0), (l1, m1), (l2, l2), (l3, -l3)]
     terms = []
     for twice_mli in range(-2 * l_i, 2 * l_i + 1, 2):
         m_li = twice_mli / 2.0
@@ -204,7 +197,7 @@ def _angular_and_cg(sigma: int, l1: int, m1: int, l2: int, l3: int,
                                   (m_li, m_lf))
         if w == 0.0:
             continue
-        g = _gaunt(sigma, l1, m1, l2, l3, (l_f, round(m_lf)), (l_i, round(m_li)))
+        g = multi_gaunt(factors, (l_f, round(m_lf)), (l_i, round(m_li)))
         terms.append((w, g))
     if not terms:
         return 0.0, 0.0
@@ -337,18 +330,18 @@ def _cm_moment(cm_i: CMState, M_f: int, beta: int) -> float:
 
 
 def _radial_and_audit(memo: dict, psi_f: RydbergState, psi_i: RydbergState,
-                      al: int, w_r: float) -> tuple[float, float, float]:
-    """(<f|r^alpha|i>, resonant k, audit) of one (final state, alpha): the
-    audit sets the assembled constant Gamma(alpha/2) against the exact
-    lambda-integral at the resonant k and <r> of the initial state."""
+                      al: int, w_r: float) -> tuple[float, float]:
+    """(<f|r^alpha|i>, audit) of one (final state, alpha): the audit sets
+    the assembled constant Gamma(alpha/2) against the exact lambda-integral
+    at the resonant k and <r> of the initial state."""
     radial_e = radial_matrix_element(psi_f, psi_i, al, w_r)
-    k_au = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
+    k = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
     r_char = memo.get((psi_i, w_r))
     if r_char is None:
         r_char = memo[psi_i, w_r] = radial_matrix_element(psi_i, psi_i, 1, w_r)
-    exact = lambda_integral_oracle(al - 1, k_au, r_char)
+    exact = lambda_integral_oracle(al - 1, k, r_char)
     audit = math.exp(math.lgamma(al / 2.0)) / exact if exact else math.inf
-    return radial_e, k_au, audit
+    return radial_e, audit
 
 
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
@@ -361,7 +354,7 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix element
     in hartree times E_h/h, in kHz.  Angular x CG, the coefficient and the
     CM moment come from process caches keyed by plain numbers.  `memo`
-    keeps <f|r^alpha|i>, k and the lambda audit per (psi_f, psi_i, alpha,
+    keeps <f|r^alpha|i> and the lambda audit per (psi_f, psi_i, alpha,
     w_r), and <i|r|i> per (psi_i, w_r); `compute_scenario` passes its
     solver's `factors`, and a standalone call without one fills its own.
     """
@@ -377,17 +370,17 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
     radial = memo.get(key)
     if radial is None:
         radial = memo[key] = _radial_and_audit(memo, psi_f, psi_i, al, w_r)
-    radial_e, k_au, audit = radial
+    radial_e, audit = radial
     radial_cm = _cm_moment(cm_i, ch.M_f, ch.beta)
     angular, cg = _angular_and_cg(ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3,
                                   fin.l, fin.j, fin.m_j, psi_i.l, psi_i.j)
 
-    me = complex(beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg)
+    me = beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg
     closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
         or radial_cm == 0.0
     # positional, in field order: keywords double the cost of the build
     return ChannelResult(ch, coeff, radial_e, radial_cm, angular, cg, me,
-                         _to_kHz(abs(me)), audit, k_au, closed)
+                         _to_kHz(abs(me)), audit, closed)
 
 
 class StateSolver:
@@ -486,9 +479,9 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
             rows.append(SweepRow(l, "channel", group, label, M_f, N_f, ch.q,
                                  res.rabi_kHz))
             gkey = (group, label, M_f, N_f)
-            groups[gkey] = groups.get(gkey, 0j) + me
+            groups[gkey] = groups.get(gkey, 0.0) + me
             tkey = (label, M_f, N_f)
-            totals[tkey] = totals.get(tkey, 0j) + me
+            totals[tkey] = totals.get(tkey, 0.0) + me
         for (grp, label, M_f, N_f), me in sorted(groups.items()):
             rows.append(SweepRow(l, "group", grp, label, M_f, N_f, None,
                                  _to_kHz(abs(me))))

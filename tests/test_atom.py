@@ -486,9 +486,8 @@ class _KernelCases:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_short_grids_bit_identical(self, kernel_path, n):
-        # both parities of the step count n - 2, so the two-step loop alone
-        # (n even) and the loop plus its tail step (n odd); h = 0.3 keeps a
-        # far from 1 and of both signs
+        # step counts n - 2 from 1 to 10, of both parities, through the one
+        # step per node loop; h = 0.3 keeps a far from 1 and of both signs
         W = np.random.default_rng(n).uniform(-150.0, 250.0, n)
         chi = atom._numerov_inward(W, 0.3)
         assert chi.shape == (n,)
@@ -497,7 +496,7 @@ class _KernelCases:
     @pytest.mark.parametrize("at", [8, 5, 0])
     def test_zero_a_reaches_fallback(self, kernel_path, at):
         # n = 11: the first step divides by a[8], a middle one by a[5] and
-        # the tail step after the two-step loop by a[0]; a = 0 exactly at
+        # the last one by a[0]; a = 0 exactly at
         # W = 12/h^2 (h = 0.01).  _numerov_inward refuses the zero divisor
         # before either path runs, and chi comes back all NaN.
         W = np.full(11, 100.0)

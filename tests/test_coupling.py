@@ -36,7 +36,7 @@ from lgryd.coupling import (Channel, StateLabel, StateSolver, assemble,
                             fine_structure_weight, lambda_integral_oracle,
                             sweep_topological_charge)
 from lgryd.specfun import clebsch_gordan, multi_gaunt
-from lgryd.units import rabi_kHz as to_kHz, um_to_au
+from lgryd.units import FINE_STRUCTURE, rabi_kHz as to_kHz, um_to_au
 from lgryd.verify import _hydrogen_u
 
 FOUR_PI = 4.0 * math.pi
@@ -403,10 +403,10 @@ class TestAssemble:
     def test_dipole_limit_audit_exact_for_degenerate_pair(self):
         # hydrogen 4S and 4P are degenerate -> k = 0 -> the audited constant
         # sits at exactly alpha * Gamma(alpha/2) times the true integral
-        results = compute_scenario(StateSolver(HY), self.beam, 4, 0, 0.5,
-                                   -0.5, CM0)
+        solver = StateSolver(HY)
+        results = compute_scenario(solver, self.beam, 4, 0, 0.5, -0.5, CM0)
         for r in results:
-            if r.k_au == 0.0:
+            if resonant_k(solver, r, 4, 0, 0.5) == 0.0:
                 al = r.channel.alpha
                 want = al * math.gamma(al / 2.0)
                 assert r.lambda_audit == pytest.approx(want, rel=1e-12)
@@ -418,7 +418,17 @@ class TestAssemble:
         pure = next(r for r in res if r.channel.group == "pure")
         # k r_char ~ 1e-4: the exact integral is 1/alpha to ~1e-8
         assert pure.lambda_audit == pytest.approx(math.sqrt(math.pi), rel=1e-6)
-        assert pure.k_au > 0
+        assert resonant_k(solver, pure, 60, 0, 0.5) > 0
+
+
+def resonant_k(solver, res, n, l_i, j_i, n_final=None):
+    """The resonant k of a scenario's result, from the energies of the
+    states its solver solved for it: |E_f - E_i| alpha_fs in atomic units."""
+    nf = n if n_final is None else n_final
+    grid_n = max(n, nf)
+    fin = res.channel.final
+    return abs(solver.get(nf, fin.l, fin.j, grid_n).energy
+               - solver.get(n, l_i, j_i, grid_n).energy) * FINE_STRUCTURE
 
 
 # ---------------------------------------------------- scenario + mirrors
@@ -476,7 +486,7 @@ class TestScenario:
         up = compute_scenario(solver, beam_for(1, 1), 4, 0, 0.5, -0.5, CM0,
                               n_final=5)
         assert same[0].radial_e != pytest.approx(up[0].radial_e, rel=1e-3)
-        assert all(r.k_au > 0 for r in up)
+        assert all(resonant_k(solver, r, 4, 0, 0.5, n_final=5) > 0 for r in up)
 
     @pytest.mark.parametrize("n_p", (55, 73))
     def test_hydrogen_dipole_across_n(self, n_p):
@@ -620,7 +630,7 @@ RB60 = parse_config(Path(__file__).parent.parent / "configs" / "rb60.cfg")
 
 
 def clear_process_caches():
-    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals,
+    for fn in (coupling._angular_and_cg, coupling._open_finals,
                coupling._coeff, coupling._final_cm, coupling._cm_moment):
         fn.cache_clear()
 
@@ -690,13 +700,6 @@ class TestFactorTables:
                           "g_coeff": 220,
                           "c_product": 220}
         assert coupling._angular_and_cg.cache_info().misses == 105
-
-    def test_one_gaunt_per_distinct_key(self, cold_caches):
-        # the same sweep: the two j_f of one l_f share their Gaunt
-        # integrals, so 53 distinct (factors, bra, ket) for the 105 angular
-        # keys
-        rb60_sweep(tuple(range(1, 9)), q_max=1)
-        assert coupling._gaunt.cache_info().misses == 53
 
     def test_angular_caches_key_by_scenario(self):
         # each scenario alone on cold caches, and again after the ones before
@@ -786,8 +789,7 @@ def record_row(record) -> str:
     return ",".join(
         record_row(v) if isinstance(v, tuple) or dataclasses.is_dataclass(v)
         else str(v) if isinstance(v, (str, int)) or v is None
-        else repr(complex(v) if isinstance(v, complex) else float(v))
-        for v in record)
+        else repr(float(v)) for v in record)
 
 
 def golden_rows(records) -> str:
@@ -810,6 +812,23 @@ class TestPinnedVariants:
         res = rb60_variant(**changes).scenario()
         assert_golden(tmp_path, {
             f"variants/{variant_name(changes)}.csv": golden_rows(res)})
+
+    @pytest.mark.parametrize("changes", [{}, {"j_policy": "all"}],
+                             ids=["rb60", "j_policy=all"])
+    def test_matrix_element_is_real(self, changes):
+        # at p = 0 every factor is real: each matrix element, and each
+        # radial one under it, is a Python float, and the Rabi frequency is
+        # read off that float alone
+        rt = rb60_variant(**changes)
+        res = rt.scenario()
+        assert res
+        for r in res:
+            assert type(r.matrix_element) is float
+            assert r.rabi_kHz == to_kHz(abs(r.matrix_element))
+            assert type(r.radial_e) is float
+        psi_i = rt.solver.get(rt.cfg.n, rt.cfg.l_i, rt.cfg.j_i)
+        r_ii = radial_matrix_element(psi_i, psi_i, 1, rt.cm_i.w_r)
+        assert type(r_ii) is float
 
     def test_sweep_rows_at_excited_trap_level(self, tmp_path):
         rt = rb60_variant(N=2, M=0)

@@ -56,13 +56,12 @@ def test_traced_scenario_and_sweep():
 
     from lgryd import cli, coupling
     from lgryd.config import parse_config
+    from test_coupling import clear_process_caches
 
     cfg = dataclasses.replace(parse_config(CONFIG), q_max=0)
     # factors of plain numbers are cached per process: empty them, so the
     # angular algebra and the CM moments run under the tracer
-    for fn in (coupling._gaunt, coupling._angular_and_cg, coupling._open_finals,
-               coupling._coeff, coupling._final_cm, coupling._cm_moment):
-        fn.cache_clear()
+    clear_process_caches()
     tracer = load_tracer().Tracer()
     with tracer.installed():
         rt = cli.Runtime(cfg)
