@@ -17,17 +17,22 @@ barrier; the blow-up is cut at the innermost |chi| minimum and flagged rather
 than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
 misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
-The inward recurrence runs in the C kernel `_numerov.c`, which the first
-solve compiles with `cc` into __pycache__/_numerov.so (rebuilt over itself
-when the source changes) and later ones load through ctypes.  Where it
-cannot be built or loaded, the fallback `_numerov_steps` runs; both are
-tested bit for bit against tests/test_atom.py::_numerov_inward_reference.
+The whole inward solve of a given W runs in one call of the C kernel
+`_numerov.c`: it finds the start node by `_tail_start`'s rule, refuses a
+zero divisor, and runs the recurrence, building its coefficients node by
+node.  The first solve compiles it with `cc` into __pycache__/_numerov.so
+(rebuilt over itself when the source changes) and later ones load it
+through ctypes.  Where it cannot be built or loaded, the numpy
+`_tail_start` and the Python loop `_numerov_steps` run instead; both paths
+are tested bit for bit against `_tail_start` and
+tests/test_atom.py::_numerov_inward_reference.
 
 The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
 potential are computed once per `RadialGrid` and cached on it, so a solve
 does only its own state's work: -1/r and the core exponentials, the
 polarization cutoff near rc, the alpha_c and spin-orbit scalings and the
-centrifugal term.
+centrifugal term.  So are the powers xi^(2 alpha + 2) that the matrix
+elements take.
 """
 
 from __future__ import annotations
@@ -206,13 +211,15 @@ def _r_factors(r: np.ndarray) -> tuple:
 class RadialGrid:
     """Uniform grid in xi = sqrt(r) on [sqrt(r_min), sqrt(r_max)].
 
-    The node arrays xi, r and r_factors are built on first use and cached
-    on the grid.  They are read-only and shared by every state solved on the
-    grid and every matrix element taken on it, so no caller may edit them in
-    place; a solver that hands one grid object to all its states builds them
-    once.  Only arrays that cost a solve more to rebuild than to keep are
-    cached: -1/r and 8 xi^2 take one pass each, and every N-point array that
-    lives through an nscan op costs about 850 page faults a pass.
+    The node arrays xi, r, r_factors and each xi_power(k) are built on
+    first use and cached on the grid.  They are read-only and shared by
+    every state solved on the grid and every matrix element taken on it, so
+    no caller may edit them in place; a solver that hands one grid object to
+    all its states builds them once, and they are freed with the grid.  Only
+    arrays that cost more to rebuild than to keep are cached: -1/r and
+    8 xi^2 take one pass each, and every N-point array that lives through an
+    nscan op costs about 850 page faults a pass, while numpy's vector power
+    in xi ** k takes over half of a matrix element.
     """
 
     r_min: float
@@ -255,6 +262,18 @@ class RadialGrid:
     def r_factors(self) -> tuple:
         """(2 r^4, 2 r^3) at the nodes (see `_r_factors`)."""
         return tuple(map(_read_only, _r_factors(self.r)))
+
+    @cached_property
+    def _xi_powers(self) -> dict:
+        return {}
+
+    def xi_power(self, k: int) -> np.ndarray:
+        """xi ** k at the nodes, as numpy's array power gives it, cached on
+        the grid per exponent k (the moments of `radial_matrix_element`)."""
+        powers = self._xi_powers
+        if k not in powers:
+            powers[k] = _read_only(self.xi ** k)
+        return powers[k]
 
 
 def default_grid(n: int, step: float = XI_STEP) -> RadialGrid:
@@ -376,43 +395,52 @@ def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
 
 
 def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
-    """Integrate chi'' = W chi from the outer end; seeds set the tail scale.
+    """Integrate chi'' = W chi inward from `_tail_start`'s node; seeds set the
+    tail scale, and chi is 0 beyond the start.
 
-    W is a 1-D float64 array.  The step chi[i-1] = (b[i] chi[i] - a[i+1]
-    chi[i+1]) / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is
-    serial.  a and b are built in numpy; the recurrence runs in the C kernel
-    of `_c_kernel` where one is built, and on Python floats in the fallback
-    `_numerov_steps` where none is.  Both do each IEEE double operation the
-    numpy-indexed loop does, in its order, so chi is bit-identical on either
-    path.  Dividing by a[i-1] must stay a division, and the two products
-    must stay separately rounded: multiplying by a precomputed 1/a, or
-    regrouping or fusing the terms, changes the last bits of chi and of
-    every output.
+    W is a 1-D float64 array, which is only read; chi comes back as a new
+    array of W's length.  The step chi[i-1] = (b[i] chi[i] - a[i+1] chi[i+1])
+    / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial.  Where
+    the C kernel of `_c_kernel` is built, one call does the whole solve: it
+    finds the start node by `_tail_start`'s rule, refuses a zero divisor, and
+    builds a and b node by node as it steps, so no N-point array besides chi
+    is made.  Where none is built, the fallback finds the start with
+    `_tail_start`, builds a and b in numpy and runs `_numerov_steps` on
+    Python floats.  Both do each IEEE double operation the numpy-indexed
+    loop does, in its order, so chi is bit-identical on either path.
+    Dividing by a[i-1] must stay a division, and the two products must stay
+    separately rounded: multiplying by a precomputed 1/a, or regrouping or
+    fusing the terms, changes the last bits of chi and of every output.
 
-    The recurrence has no per-step test: a chi that leaves the float range
+    The recurrence has no overflow test: a chi that leaves the float range
     comes back as it stands, +-inf or NaN, and solve_radial flags the state
-    'non-finite'.  A zero among the divisors a[0..n-3], where numpy would
-    give +-inf and then NaN, is refused here before either loop runs, and
-    chi comes back all NaN.
+    'non-finite'.  A zero among the divisors a[0..start-2], where numpy
+    would give +-inf and then NaN, is refused, and chi comes back NaN on
+    [0, start].
 
-    The Python path runs only where no kernel is built: `_numerov_steps`
-    yields chi from the outer end inward, one step per node, and np.fromiter
-    writes each value into one N-point buffer, which is returned reversed as
-    a view, so no N-element list and no second array is built.
+    On the Python path np.fromiter writes chi from the outer end inward,
+    the zeros beyond the start and then one value per step, into one
+    N-point buffer, which is returned reversed as a view, so no N-element
+    list and no second array is built.
     """
-    a = np.multiply(h * h / 12.0, W)
-    np.subtract(1.0, a, out=a)
-    if not a[:-2].all():
-        return np.full_like(W, np.nan)
-    b = np.multiply(10.0, a)
-    np.subtract(12.0, b, out=b)
     kernel = _c_kernel()
     if kernel is not None:
-        chi = np.empty_like(a)
-        kernel(a.size, a, b, chi)
+        chi = np.empty_like(W)
+        kernel(W.size, W, h, TAIL_DEPTH, chi)
         return chi
-    return np.fromiter(_numerov_steps(memoryview(a[::-1]), memoryview(b[::-1])),
-                       float, W.size)[::-1]
+    end = _tail_start(W, h) + 1
+    a = np.multiply(h * h / 12.0, W[:end])
+    np.subtract(1.0, a, out=a)
+    if not a[:-2].all():
+        chi = np.full_like(W, np.nan)
+        chi[end:] = 0.0
+        return chi
+    b = np.multiply(10.0, a)
+    np.subtract(12.0, b, out=b)
+    from itertools import chain, repeat
+    steps = _numerov_steps(memoryview(a[::-1]), memoryview(b[::-1]))
+    return np.fromiter(chain(repeat(0.0, W.size - end), steps), float,
+                       W.size)[::-1]
 
 
 def _numerov_steps(a_rev, b_rev):
@@ -432,10 +460,10 @@ CC_TIMEOUT_S = 60
 
 @cache
 def _c_kernel():
-    """The compiled recurrence of `_numerov.c`, built on first use into this
+    """The compiled solve of `_numerov.c`, built on first use into this
     package's __pycache__, or None where there is no compiler, the build
     fails or the library will not load; `_numerov_inward` then runs
-    `_numerov_steps`."""
+    `_tail_start` and `_numerov_steps`."""
     try:
         return _load_kernel(_KERNEL_SOURCE, _KERNEL_SOURCE.parent / "__pycache__")
     except (OSError, AttributeError):
@@ -443,7 +471,7 @@ def _c_kernel():
 
 
 def _load_kernel(src: Path, cache_dir: Path):
-    """numerov_inward from `cache_dir`/_numerov.so, built from `src` first
+    """numerov_solve from `cache_dir`/_numerov.so, built from `src` first
     unless that file's mtime is the source's: each build is stamped with the
     source's mtime, as a bytecode file's header records it, so an edited or
     touched source is built again over the one library."""
@@ -452,9 +480,10 @@ def _load_kernel(src: Path, cache_dir: Path):
         _build_kernel(src, lib)
     import ctypes
     from numpy.ctypeslib import ndpointer
-    fn = ctypes.CDLL(str(lib)).numerov_inward
+    fn = ctypes.CDLL(str(lib)).numerov_solve
     array = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = (ctypes.c_ssize_t, array, array, array)
+    fn.argtypes = (ctypes.c_ssize_t, array, ctypes.c_double, ctypes.c_double,
+                   array)
     fn.restype = None
     return fn
 
@@ -462,19 +491,22 @@ def _load_kernel(src: Path, cache_dir: Path):
 def _build_kernel(src: Path, lib: Path) -> None:
     """Compile `src` into `lib`, stamped with the mtime `src` had before cc
     ran.  cc writes under a per-process name that is then moved into place,
-    so concurrent builds leave one whole file.  A failed or timed-out build
-    raises OSError and leaves no new file."""
+    so concurrent builds leave one whole file, and the libraries an earlier
+    naming left beside it (`_numerov.<stamp>.so`) are removed.  A failed or
+    timed-out build raises OSError and leaves no new file."""
     import subprocess
     st = src.stat()
     lib.parent.mkdir(exist_ok=True)
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
         # no fused multiply-add: it would change the bits of chi
-        subprocess.run(["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
-                        "-o", str(tmp), str(src)],
+        subprocess.run(["cc", "-O2", "-ffp-contract=off", "-fno-math-errno",
+                        "-shared", "-fPIC", "-o", str(tmp), str(src)],
                        check=True, capture_output=True, timeout=CC_TIMEOUT_S)
         os.utime(tmp, ns=(st.st_atime_ns, st.st_mtime_ns))
         os.replace(tmp, lib)
+        for old in lib.parent.glob(f"{lib.stem}.*.so"):
+            old.unlink(missing_ok=True)
     except subprocess.SubprocessError as e:
         raise OSError(f"building {src.name} failed: {e}") from e
     finally:
@@ -499,7 +531,8 @@ def _tail_start(W: np.ndarray, h: float) -> int:
     outer turning point (the last node with W < 0) where the WKB depth
     h sum sqrt(W), summed outward from the turning point, passes
     TAIL_DEPTH, or the grid's last node if the depth never gets there or no
-    node has W < 0."""
+    node has W < 0.  The C kernel finds the same node in its own scan; this
+    numpy form serves the Python fallback and is the tests' reference."""
     below = W < 0.0
     turn = W.size - 1 - int(np.argmax(below[::-1]))
     if not below[turn]:
@@ -514,7 +547,7 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
                  energy: float | None = None) -> RydbergState:
     """Inward Numerov solve at the quantum-defect energy, started at
     `_tail_start`'s node (the grid's last node unless the state's tail dies
-    out before it), with chi 0 beyond.
+    out before it), with chi 0 beyond (`_numerov_inward`).
 
     Returns the normalized state with node count and diagnostic flags:
     'divergent-core' when the inner solution regrew under the barrier and was
@@ -534,12 +567,8 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     # non-finite chi, which the flag below reports, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         W = _numerov_w(p, l, j, energy, grid)
-    end = _tail_start(W, h) + 1
-    chi = _numerov_inward(W[:end], h)
-    del W                       # one N-point array fewer alive from here on
-    if end < xi.size:           # chi beyond the start is 0
-        chi = np.concatenate((chi, np.zeros(xi.size - end)))
-    work = np.empty_like(chi)
+    chi = _numerov_inward(W, h)
+    work = W                    # _numerov_inward only reads W: scratch from here
 
     flags: list[str] = []
     # Truncate an inner blow-up.  Inside the innermost crossing the physical
@@ -606,7 +635,9 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
         raise ValueError("w_r must be positive")
     if f.grid != i.grid:
         raise ValueError("states live on different grids; solve both on one grid")
-    val = 2.0 * _simpson(f.chi * i.chi * f.grid.xi ** (2 * alpha + 2), f.grid.step)
+    y = f.chi * i.chi
+    y *= f.grid.xi_power(2 * alpha + 2)     # one temporary, as fresh ones fault
+    val = 2.0 * _simpson(y, f.grid.step)
     return float(val) / w_r ** (alpha - 1)
 
 

@@ -7,6 +7,7 @@ would only amplify the boundary admixture of the irregular solution that
 inward integration cannot avoid (checked separately away from the cutoff).
 """
 
+import dataclasses
 import math
 import os
 import random
@@ -22,6 +23,9 @@ from lgryd import atom, verify
 from lgryd.atom import (XI_STEP, RadialGrid, RydbergState, SpeciesParams,
                         default_grid, load_species, model_potential,
                         qd_energy, radial_matrix_element, solve_radial)
+from lgryd.cli import Runtime
+from lgryd.config import parse_config
+from lgryd.coupling import sweep_topological_charge
 from lgryd.units import FINE_STRUCTURE
 from _oracles import hydrogen_expectation_r, hydrogen_radial
 
@@ -311,6 +315,32 @@ class TestRadialMatrixElement:
             with pytest.raises(ValueError):
                 radial_matrix_element(a, b, 1, 1.0)
 
+    def test_cached_xi_powers_bit_identical(self):
+        # every pair of rb60's states at alpha = 1..4 against the power
+        # taken afresh; the cached powers are read-only and the grid's own
+        rt = Runtime(RB60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+            sweep_topological_charge(RB60.sweep_l, rt.solver, rt.beam, RB60.n,
+                                     RB60.l_i, RB60.j_i, RB60.m_j, rt.cm_i,
+                                     **rt.scenario_kwargs)
+        states = list(rt.solver.states)
+        grid, w_r = states[0].grid, rt.cm_i.w_r
+        for alpha in range(1, 5):
+            power = grid.xi ** (2 * alpha + 2)
+            for f in states:
+                for i in states:
+                    assert radial_matrix_element(f, i, alpha, w_r) == (
+                        2 * atom._simpson(f.chi * i.chi * power, grid.step)
+                        / w_r ** (alpha - 1))
+            cached = grid.xi_power(2 * alpha + 2)
+            assert cached is grid.xi_power(2 * alpha + 2)
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, power)
+            other = default_grid(RB60.n).xi_power(2 * alpha + 2)
+            assert other is not cached and np.array_equal(other, cached)
+        assert len(states) > 1 and all(st.grid is grid for st in states)
+
     def test_alpha_validation(self, hyd_states):
         st = hyd_states[(1, 0)]
         with pytest.raises(ValueError):
@@ -388,8 +418,9 @@ class TestSimpson:
 
 
 def _numerov_inward_reference(W, h):
-    """The numpy-indexed form of the inward Numerov loop, which
-    atom._numerov_inward must reproduce bit for bit."""
+    """The numpy-indexed form of the inward Numerov loop from W's last node,
+    which atom._numerov_inward must reproduce bit for bit on
+    W[:atom._tail_start(W, h) + 1]."""
     a = 1.0 - (h * h / 12.0) * W
     chi = np.empty_like(W)
     chi[-1] = 1e-12
@@ -426,19 +457,126 @@ def nscan_inputs():
     return inputs
 
 
+RB60 = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "configs", "rb60.cfg"))
+
+
+@pytest.fixture(scope="module")
+def workload_inputs():
+    """(W, start, reference chi on [0, start]) of every state the benchmark
+    workloads solve, W as solve_radial builds it on the state's grid: rb60's
+    rabi and sweep, its n_final = 20 variant (whose finals start inside the
+    n = 60 grid), sweep_heavy's sweep and nscan's 61 scenarios, with the
+    settings of perfbench/workloads.py."""
+    sweep_heavy = dataclasses.replace(RB60, sweep_l=tuple(range(1, 9)),
+                                      q_max=1, j_policy="all", final_l_f_max=10)
+    nscan = [dataclasses.replace(RB60, n=n, l=1, q_max=0, l_i=0, j_i=0.5,
+                                 m_j=-0.5, j_policy="all", final_l_f_max=3)
+             for n in range(30, 91)]
+    states = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
+        for cfg, sweep in [(RB60, True), (dataclasses.replace(RB60, n_final=20),
+                                          False), (sweep_heavy, True)] + [
+                (cfg, False) for cfg in nscan]:
+            rt = Runtime(cfg.validate())
+            if sweep:
+                sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam, cfg.n,
+                                         cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
+                                         **rt.scenario_kwargs)
+            rt.scenario()
+            for st in rt.solver.states:
+                states[st.n, st.l, st.j, st.grid] = st
+    inputs = []
+    p = load_species("rb")
+    for st in states.values():
+        W = atom._numerov_w(p, st.l, st.j, st.energy, st.grid)
+        start = atom._tail_start(W, st.grid.step)
+        inputs.append((W, st.grid.step, start,
+                       _numerov_inward_reference(W[:start + 1], st.grid.step)))
+    return inputs
+
+
+def _assert_inward(W, h, start, reference):
+    """_numerov_inward(W, h) is W's length, seeded at `start`, equal to
+    `reference` on [0, start] and +0.0 beyond."""
+    chi = atom._numerov_inward(W, h)
+    assert chi.shape == W.shape
+    assert chi[start] == 1e-12 and np.flatnonzero(chi)[-1] == start
+    assert np.array_equal(chi[:start + 1], reference, equal_nan=True)
+    assert not chi[start + 1:].any() and not np.signbit(chi[start + 1:]).any()
+
+
+def _tail(size, turn, depth_w):
+    """W = -1 up to node `turn`, then `depth_w`: h sqrt(depth_w) of WKB depth
+    a node beyond the turning point."""
+    W = np.full(size, depth_w)
+    W[:turn + 1] = -1.0
+    return W
+
+
 class _KernelCases:
     """The bitwise cases, run on the compiled kernel (TestNumerovKernel)
     and on the Python loop (TestPythonNumerovKernel); each class's
     `kernel_path` fixture puts its path in place."""
+
+    def test_workload_states_start_at_tail_start(self, kernel_path,
+                                                 workload_inputs):
+        # every state rb60, sweep_heavy and nscan solve, on its full W
+        for W, h, start, reference in workload_inputs:
+            _assert_inward(W, h, start, reference)
+        assert len(workload_inputs) > 300
+        assert any(start < W.size - 1                   # the n = 20 finals
+                   for W, _, start, _ in workload_inputs)
+
+    @pytest.mark.parametrize("case", ["no-turn", "turn-at-last-node", "shallow",
+                                      "sum-equals-depth", "nan-beyond-turn",
+                                      "zero-beyond-turn"])
+    def test_start_node(self, kernel_path, case):
+        # h = 0.5: the start is the first node whose partial sum of sqrt(W)
+        # from the turning point is not <= TAIL_DEPTH / h = 600
+        h, W = 0.5, _tail(100, 9, 400.0)               # sqrt(400) = 20
+        expected = {"no-turn": 99, "turn-at-last-node": 99, "shallow": 99,
+                    "sum-equals-depth": 40, "nan-beyond-turn": 20,
+                    "zero-beyond-turn": 40}[case]
+        if case == "no-turn":
+            W = np.full(100, 400.0)
+        elif case == "turn-at-last-node":
+            W = np.full(100, 400.0)
+            W[-1] = -1.0
+        elif case == "shallow":                         # 90 * 2 < 600
+            W = _tail(100, 9, 4.0)
+        elif case == "nan-beyond-turn":
+            W[20] = np.nan
+        elif case == "zero-beyond-turn":                # W = 0 is no turn
+            W[60] = 0.0
+        # sum-equals-depth: 30 * 20 == 600 exactly at node 39, past it at 40
+        assert atom._tail_start(W, h) == expected
+        with np.errstate(all="ignore"):     # the reference runs numpy scalars
+            _assert_inward(W, h, expected,
+                           _numerov_inward_reference(W[:expected + 1], h))
+
+    def test_zero_a_refused_inside_grid(self, kernel_path):
+        # the tail dies out at node 40 (h = 0.01, sqrt(1e6) = 1000, depth
+        # 30000), and a[5] = 0 is a divisor of that solve: chi is NaN up to
+        # the start and +0.0 beyond
+        W = _tail(100, 9, 1e6)
+        W[5] = 120000.0
+        assert 1.0 - (0.01 * 0.01 / 12.0) * W[5] == 0.0
+        assert atom._tail_start(W, 0.01) == 40
+        chi = atom._numerov_inward(W, 0.01)
+        assert chi.shape == W.shape and np.isnan(chi[:41]).all()
+        assert not chi[41:].any() and not np.signbit(chi[41:]).any()
 
     @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
                                                  ("rb", 90, 10),
                                                  ("hydrogen", 10, 9)])
     def test_bit_identical(self, kernel_path, monkeypatch, species, n, l_max):
         # every (W, h) that solve_radial hands the kernel, l <= l_max, both j
+        # (copied: the solve goes on to reuse W as scratch)
         kernel, inputs = atom._numerov_inward, []
         monkeypatch.setattr(atom, "_numerov_inward",
-                            lambda W, h: inputs.append((W, h)) or kernel(W, h))
+                            lambda W, h: inputs.append((W.copy(), h)) or kernel(W, h))
         p = load_species(species)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
@@ -615,10 +753,21 @@ class TestKernelLoader:
         assert list(tmp_path.iterdir()) == [lib]
         kernel = atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
         W = np.random.default_rng(1).uniform(-150.0, 250.0, 500)
-        a = 1.0 - (0.1 * 0.1 / 12.0) * W
         chi = np.empty_like(W)
-        kernel(W.size, a, 12.0 - 10.0 * a, chi)
+        kernel(W.size, W, 0.1, atom.TAIL_DEPTH, chi)
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.1))
+
+    @needs_cc
+    def test_build_removes_old_named_libraries(self, tmp_path):
+        # a library of the earlier _numerov.<mtime_ns>-<size>.so naming goes
+        # with the next build; the one library stays
+        src = tmp_path / "_numerov.c"
+        shutil.copy2(atom._KERNEL_SOURCE, src)
+        cache_dir = tmp_path / "__pycache__"
+        cache_dir.mkdir()
+        (cache_dir / "_numerov.18e0-28c.so").write_bytes(b"")
+        atom._load_kernel(src, cache_dir)
+        assert [lib.name for lib in cache_dir.iterdir()] == ["_numerov.so"]
 
     @needs_cc
     def test_touched_source_replaces_library(self, tmp_path):
@@ -636,7 +785,7 @@ class TestKernelLoader:
         assert lib.name == "_numerov.so"
         assert lib.stat().st_mtime_ns == src.stat().st_mtime_ns
         subprocess.run([sys.executable, "-c", "import ctypes, sys; "
-                        "ctypes.CDLL(sys.argv[1]).numerov_inward", str(lib)],
+                        "ctypes.CDLL(sys.argv[1]).numerov_solve", str(lib)],
                        check=True)
 
 
@@ -675,7 +824,8 @@ class TestInPlaceBuild:
                     W = (8.0 * xi * xi * (v - qd_energy(p, n, l, j))
                          + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi))
                     monkeypatch.setattr(atom, "_numerov_inward",
-                                        lambda W_, h: seen.append(W_) or kernel(W_, h))
+                                        lambda W_, h: seen.append(W_.copy())
+                                        or kernel(W_, h))
                     new = solve_radial(p, n, l, j)
                     assert np.array_equal(seen[-1], W)
                     monkeypatch.setattr(atom, "_numerov_inward",
@@ -735,7 +885,7 @@ class TestSharedGrid:
         xi = grid.xi
         kernel, seen = atom._numerov_inward, []
         monkeypatch.setattr(atom, "_numerov_inward",
-                            lambda W, h: seen.append(W) or kernel(W, h))
+                            lambda W, h: seen.append(W.copy()) or kernel(W, h))
         states = [(l, j) for l in range(11) for j in (l - 0.5, l + 0.5) if j > 0]
         random.Random(n).shuffle(states)
         with warnings.catch_warnings():
