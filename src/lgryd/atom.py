@@ -17,19 +17,21 @@ barrier; the blow-up is cut at the innermost |chi| minimum and flagged rather
 than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
 misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
-The whole inward solve of a given W runs in one call of the C kernel
-`_numerov.c`: it finds the start node by `_tail_start`'s rule, refuses a
-zero divisor, and runs the recurrence, building its coefficients node by
-node.  The first solve compiles it with `cc` into __pycache__/_numerov.so
-(rebuilt over itself when the source changes) and later ones load it
-through ctypes.  Where it cannot be built or loaded, the numpy
-`_tail_start` and the Python loop `_numerov_steps` run instead; both paths
-are tested bit for bit against `_tail_start` and
-tests/test_atom.py::_numerov_inward_reference.
+The whole inward solve of a state runs in one call of the C kernel
+`_numerov.c` (`_kernel_solve`): numpy computes the core and polarization
+exponentials on their prefixes of the grid, and the kernel builds W node by
+node from them and the grid's cached powers of r, finds the start node by
+`_tail_start`'s rule, refuses a zero divisor, and runs the recurrence,
+building its coefficients node by node.  The first solve compiles it with
+`cc` into __pycache__/_numerov.so (rebuilt over itself when the source
+changes) and later ones load it through ctypes.  Where it cannot be built
+or loaded, the numpy `_numerov_w` and `_tail_start` and the Python loop
+`_numerov_steps` run instead.  Both paths give the same chi bit for bit,
+and the tests hold each against tests/test_atom.py::_numerov_inward_reference.
 
 The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
 potential are computed once per `RadialGrid` and cached on it, so a solve
-does only its own state's work: -1/r and the core exponentials, the
+does only its own state's work: the core exponentials and -z/r, the
 polarization cutoff near rc, the alpha_c and spin-orbit scalings and the
 centrifugal term.  So are the powers xi^(2 alpha + 2) that the matrix
 elements take.
@@ -70,7 +72,8 @@ XI_STEP = 0.01
 # the most nodes a grid may have: each N-point array of a solve then stays
 # under 80 MB, and a step too small for that is refused before any is built
 MAX_GRID_NODES = 10_000_000
-# exp(-x) is exactly +0.0 for every x > _EXP_ZERO (model_potential)
+# exp(-x) is exactly +0.0 for every x > _EXP_ZERO (model_potential,
+# _kernel_solve)
 _EXP_ZERO = 746.0
 # the inward recurrence starts where the tail lies e^-TAIL_DEPTH (about
 # 1e-130) below its value at the outer turning point (`_tail_start`): far
@@ -316,10 +319,15 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
     and in solve_radial from its grid's cache; `_potential` then does the
     rest on one work buffer besides the result, each ufunc one IEEE
     operation of the formula, in the order written.  exp(x) rounds to
-    exactly +0.0 below x = -745.14, and numpy's vector exp takes a slow path
-    below about -708, so the exponentials are evaluated only where an
-    argument is >= -746, on gathered copies of those points; every other
-    point is set to the value the full formula gives there:
+    exactly +0.0 below x = -745.14, so the exponentials are evaluated only
+    where an argument is >= -746, on gathered copies of those points, and
+    every other point is set to the value the full formula gives there.
+    The cut stays for three reasons.  It skips the exponentials' work
+    beyond it, where numpy's vector exp also takes its slow path (below
+    about -708).  The value it sets there is exactly the formula's, each
+    cut exponential being +0.0.  And on a sorted grid the same test, made
+    on each exponential's own argument, gives the prefixes of nodes whose
+    exponentials `_kernel_solve` hands the compiled solve:
       - z is computed only where min(a1, a2) r <= 746.  Beyond, both core
         exponentials are 0, z is exactly 1 and V_core is -1/r.
       - 1 - exp(-(r/rc)^6) is computed only where r <= rc 746^(1/6).
@@ -396,21 +404,20 @@ def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
 
 def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     """Integrate chi'' = W chi inward from `_tail_start`'s node; seeds set the
-    tail scale, and chi is 0 beyond the start.
+    tail scale, and chi is 0 beyond the start.  This is the fallback that
+    solve_radial runs where no C kernel is built, and the reference the
+    compiled solve of `_kernel_solve` is tested against.
 
     W is a 1-D float64 array, which is only read; chi comes back as a new
     array of W's length.  The step chi[i-1] = (b[i] chi[i] - a[i+1] chi[i+1])
-    / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial.  Where
-    the C kernel of `_c_kernel` is built, one call does the whole solve: it
-    finds the start node by `_tail_start`'s rule, refuses a zero divisor, and
-    builds a and b node by node as it steps, so no N-point array besides chi
-    is made.  Where none is built, the fallback finds the start with
-    `_tail_start`, builds a and b in numpy and runs `_numerov_steps` on
-    Python floats.  Both do each IEEE double operation the numpy-indexed
-    loop does, in its order, so chi is bit-identical on either path.
-    Dividing by a[i-1] must stay a division, and the two products must stay
-    separately rounded: multiplying by a precomputed 1/a, or regrouping or
-    fusing the terms, changes the last bits of chi and of every output.
+    / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial: numpy
+    builds a and b up to the start node and `_numerov_steps` runs the steps
+    on Python floats.  It does each IEEE double operation the numpy-indexed
+    loop does, in its order, as the C kernel does, so chi is bit-identical
+    on either path.  Dividing by a[i-1] must stay a division, and the two
+    products must stay separately rounded: multiplying by a precomputed 1/a,
+    or regrouping or fusing the terms, changes the last bits of chi and of
+    every output.
 
     The recurrence has no overflow test: a chi that leaves the float range
     comes back as it stands, +-inf or NaN, and solve_radial flags the state
@@ -418,16 +425,11 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     would give +-inf and then NaN, is refused, and chi comes back NaN on
     [0, start].
 
-    On the Python path np.fromiter writes chi from the outer end inward,
-    the zeros beyond the start and then one value per step, into one
-    N-point buffer, which is returned reversed as a view, so no N-element
-    list and no second array is built.
+    np.fromiter writes chi from the outer end inward, the zeros beyond the
+    start and then one value per step, into one N-point buffer, which is
+    returned reversed as a view, so no N-element list and no second array
+    is built.
     """
-    kernel = _c_kernel()
-    if kernel is not None:
-        chi = np.empty_like(W)
-        kernel(W.size, W, h, TAIL_DEPTH, chi)
-        return chi
     end = _tail_start(W, h) + 1
     a = np.multiply(h * h / 12.0, W[:end])
     np.subtract(1.0, a, out=a)
@@ -462,8 +464,8 @@ CC_TIMEOUT_S = 60
 def _c_kernel():
     """The compiled solve of `_numerov.c`, built on first use into this
     package's __pycache__, or None where there is no compiler, the build
-    fails or the library will not load; `_numerov_inward` then runs
-    `_tail_start` and `_numerov_steps`."""
+    fails or the library will not load; solve_radial then runs
+    `_numerov_w` and `_numerov_inward`."""
     try:
         return _load_kernel(_KERNEL_SOURCE, _KERNEL_SOURCE.parent / "__pycache__")
     except (OSError, AttributeError):
@@ -471,19 +473,20 @@ def _c_kernel():
 
 
 def _load_kernel(src: Path, cache_dir: Path):
-    """numerov_solve from `cache_dir`/_numerov.so, built from `src` first
-    unless that file's mtime is the source's: each build is stamped with the
-    source's mtime, as a bytecode file's header records it, so an edited or
-    touched source is built again over the one library."""
+    """numerov_solve_model from `cache_dir`/_numerov.so, built from `src`
+    first unless that file's mtime is the source's: each build is stamped
+    with the source's mtime, as a bytecode file's header records it, so an
+    edited or touched source is built again over the one library.  Its
+    arrays are passed as addresses (`ndarray.ctypes.data`) of C-contiguous
+    float64 arrays: ctypes' checked ndpointer took 15 us of a 200 us solve."""
     lib = cache_dir / f"{src.stem}.so"
     if not lib.is_file() or lib.stat().st_mtime_ns != src.stat().st_mtime_ns:
         _build_kernel(src, lib)
     import ctypes
-    from numpy.ctypeslib import ndpointer
-    fn = ctypes.CDLL(str(lib)).numerov_solve
-    array = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = (ctypes.c_ssize_t, array, ctypes.c_double, ctypes.c_double,
-                   array)
+    fn = ctypes.CDLL(str(lib)).numerov_solve_model
+    size, array, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    fn.argtypes = (size, array, array, array, array, size, size, size, real,
+                   real, array)
     fn.restype = None
     return fn
 
@@ -526,13 +529,50 @@ def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
     return W
 
 
+def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
+                  grid: RadialGrid) -> np.ndarray:
+    """chi as `_numerov_inward(_numerov_w(p, l, j, energy, grid), grid.step)`
+    gives it, bit for bit, from one call of the compiled solve, which builds
+    W node by node (`_numerov.c`).  numpy computes only `_potential`'s three
+    exponentials, each on the nodes where its argument is >= -746: on the
+    grid's sorted r those are a prefix, found by bisection on the test
+    `_potential` makes.  The kernel takes them after nine constants in one
+    array."""
+    from bisect import bisect_right
+    a1, a2, a3, a4, rc = p.potential_for(l)
+    r = grid.r
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1 = bisect_right(r, _EXP_ZERO, key=lambda x: a1 * x)
+        n2 = bisect_right(r, _EXP_ZERO, key=lambda x: a2 * x)
+        n_near = bisect_right(r, rc * _EXP_ZERO ** (1.0 / 6.0)) if p.alpha_c else 0
+        model = np.empty(9 + n1 + n2 + n_near)
+        model[:9] = (energy, (2 * l + 0.5) * (2 * l + 1.5), p.Z - 1.0, a3, a4,
+                     p.alpha_c, p.so_scale, FINE_STRUCTURE**2,
+                     0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75))
+        exps, cut = model[9:], model[9 + n1 + n2:]
+        np.multiply(-a1, r[:n1], out=exps[:n1])
+        np.multiply(-a2, r[:n2], out=exps[n1:n1 + n2])
+        np.divide(r[:n_near], rc, out=cut)
+        np.power(cut, 6, out=cut)
+        np.negative(cut, out=cut)
+        np.exp(exps, out=exps)
+        np.subtract(1.0, cut, out=cut)
+    chi = np.empty_like(r)
+    two_r4, two_r3 = grid.r_factors
+    kernel(r.size, r.ctypes.data, two_r4.ctypes.data, two_r3.ctypes.data,
+           model.ctypes.data, n1, n2, n_near, grid.step, TAIL_DEPTH,
+           chi.ctypes.data)
+    return chi
+
+
 def _tail_start(W: np.ndarray, h: float) -> int:
     """The node the inward recurrence starts at: the first node beyond the
     outer turning point (the last node with W < 0) where the WKB depth
     h sum sqrt(W), summed outward from the turning point, passes
     TAIL_DEPTH, or the grid's last node if the depth never gets there or no
-    node has W < 0.  The C kernel finds the same node in its own scan; this
-    numpy form serves the Python fallback and is the tests' reference."""
+    node has W < 0.  The C kernel finds the same node in its own scan, on
+    the W it builds from the outer end; this numpy form serves the Python
+    fallback and is the tests' reference."""
     below = W < 0.0
     turn = W.size - 1 - int(np.argmax(below[::-1]))
     if not below[turn]:
@@ -565,10 +605,14 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
     # Species data that overflow the potential (say alpha_c = 1e300) give a
     # non-finite chi, which the flag below reports, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        W = _numerov_w(p, l, j, energy, grid)
-    chi = _numerov_inward(W, h)
-    work = W                    # _numerov_inward only reads W: scratch from here
+    kernel = _c_kernel()
+    if kernel is not None:
+        chi = _kernel_solve(kernel, p, l, j, energy, grid)
+        work = np.empty_like(chi)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            work = _numerov_w(p, l, j, energy, grid)
+        chi = _numerov_inward(work, h)  # only reads W: scratch from here
 
     flags: list[str] = []
     # Truncate an inner blow-up.  Inside the innermost crossing the physical

@@ -462,9 +462,8 @@ RB60 = parse_config(os.path.join(os.path.dirname(__file__), os.pardir,
 
 
 @pytest.fixture(scope="module")
-def workload_inputs():
-    """(W, start, reference chi on [0, start]) of every state the benchmark
-    workloads solve, W as solve_radial builds it on the state's grid: rb60's
+def workload_states():
+    """Every state the benchmark workloads solve, on the state's grid: rb60's
     rabi and sweep, its n_final = 20 variant (whose finals start inside the
     n = 60 grid), sweep_heavy's sweep and nscan's 61 scenarios, with the
     settings of perfbench/workloads.py."""
@@ -487,9 +486,16 @@ def workload_inputs():
             rt.scenario()
             for st in rt.solver.states:
                 states[st.n, st.l, st.j, st.grid] = st
+    return list(states.values())
+
+
+@pytest.fixture(scope="module")
+def workload_inputs(workload_states):
+    """(W, step, start, reference chi on [0, start]) of every workload state,
+    W as the fallback builds it on the state's grid."""
     inputs = []
     p = load_species("rb")
-    for st in states.values():
+    for st in workload_states:
         W = atom._numerov_w(p, st.l, st.j, st.energy, st.grid)
         start = atom._tail_start(W, st.grid.step)
         inputs.append((W, st.grid.step, start,
@@ -497,10 +503,43 @@ def workload_inputs():
     return inputs
 
 
-def _assert_inward(W, h, start, reference):
-    """_numerov_inward(W, h) is W's length, seeded at `start`, equal to
-    `reference` on [0, start] and +0.0 beyond."""
-    chi = atom._numerov_inward(W, h)
+def _compiled_inward(W, h, kernel=None):
+    """The compiled solve's chi for a given W, `kernel` or `atom._c_kernel()`
+    taking W as model inputs that make its W exactly this one: r = 1 at
+    every node, every node inside both core prefixes, exp(-a1 r) = -1,
+    Z - 1 = 1, a3 = 0, a4 = 1, exp(-a2 r) = W / 8, and alpha_c = so_scale =
+    E = 0 with no centrifugal term.  The kernel's formula on these inputs,
+    in its operation order, must give W bit for bit, or the case fails."""
+    n = W.size
+    r, two, e1, e2 = np.ones(n), np.full(n, 2.0), np.full(n, -1.0), W / 8.0
+    z1, a3, a4 = 1.0, 0.0, 1.0
+    with np.errstate(all="ignore"):
+        v = -((e1 * z1 + 1.0) - (a4 * r + a3) * r * e2) / r
+        assert np.array_equal((v - 0.0) * 8.0 * r + 0.0 / r, W, equal_nan=True)
+    model = np.concatenate([[0.0, 0.0, z1, a3, a4, 0.0, 0.0, 0.0, 0.0], e1, e2])
+    chi = np.full(n, np.nan)            # the kernel reads no node it has not set
+    (kernel or atom._c_kernel())(n, r.ctypes.data, two.ctypes.data,
+                                 two.ctypes.data, model.ctypes.data, n, n, 0,
+                                 h, atom.TAIL_DEPTH, chi.ctypes.data)
+    return chi
+
+
+def _fallback_solve(monkeypatch, *args, **kwargs):
+    """solve_radial on the Python fallback (no C kernel)."""
+    with monkeypatch.context() as m:
+        m.setattr(atom, "_c_kernel", lambda: None)
+        return solve_radial(*args, **kwargs)
+
+
+def _assert_same_state(a, b):
+    assert np.array_equal(a.chi, b.chi, equal_nan=True)
+    assert (a.energy, a.nodes, a.flags) == (b.energy, b.nodes, b.flags)
+
+
+def _assert_inward(inward, W, h, start, reference):
+    """inward(W, h) is W's length, seeded at `start`, equal to `reference`
+    on [0, start] and +0.0 beyond."""
+    chi = inward(W, h)
     assert chi.shape == W.shape
     assert chi[start] == 1e-12 and np.flatnonzero(chi)[-1] == start
     assert np.array_equal(chi[:start + 1], reference, equal_nan=True)
@@ -517,14 +556,14 @@ def _tail(size, turn, depth_w):
 
 class _KernelCases:
     """The bitwise cases, run on the compiled kernel (TestNumerovKernel)
-    and on the Python loop (TestPythonNumerovKernel); each class's
-    `kernel_path` fixture puts its path in place."""
+    and on the Python loop (TestPythonNumerovKernel); each class's `inward`
+    fixture puts its path in place and gives the inward solve of a W on it,
+    through `_compiled_inward` or `atom._numerov_inward`."""
 
-    def test_workload_states_start_at_tail_start(self, kernel_path,
-                                                 workload_inputs):
+    def test_workload_states_start_at_tail_start(self, inward, workload_inputs):
         # every state rb60, sweep_heavy and nscan solve, on its full W
         for W, h, start, reference in workload_inputs:
-            _assert_inward(W, h, start, reference)
+            _assert_inward(inward, W, h, start, reference)
         assert len(workload_inputs) > 300
         assert any(start < W.size - 1                   # the n = 20 finals
                    for W, _, start, _ in workload_inputs)
@@ -532,7 +571,7 @@ class _KernelCases:
     @pytest.mark.parametrize("case", ["no-turn", "turn-at-last-node", "shallow",
                                       "sum-equals-depth", "nan-beyond-turn",
                                       "zero-beyond-turn"])
-    def test_start_node(self, kernel_path, case):
+    def test_start_node(self, inward, case):
         # h = 0.5: the start is the first node whose partial sum of sqrt(W)
         # from the turning point is not <= TAIL_DEPTH / h = 600
         h, W = 0.5, _tail(100, 9, 400.0)               # sqrt(400) = 20
@@ -553,10 +592,10 @@ class _KernelCases:
         # sum-equals-depth: 30 * 20 == 600 exactly at node 39, past it at 40
         assert atom._tail_start(W, h) == expected
         with np.errstate(all="ignore"):     # the reference runs numpy scalars
-            _assert_inward(W, h, expected,
+            _assert_inward(inward, W, h, expected,
                            _numerov_inward_reference(W[:expected + 1], h))
 
-    def test_zero_a_refused_inside_grid(self, kernel_path):
+    def test_zero_a_refused_inside_grid(self, inward):
         # the tail dies out at node 40 (h = 0.01, sqrt(1e6) = 1000, depth
         # 30000), and a[5] = 0 is a divisor of that solve: chi is NaN up to
         # the start and +0.0 beyond
@@ -564,48 +603,53 @@ class _KernelCases:
         W[5] = 120000.0
         assert 1.0 - (0.01 * 0.01 / 12.0) * W[5] == 0.0
         assert atom._tail_start(W, 0.01) == 40
-        chi = atom._numerov_inward(W, 0.01)
+        chi = inward(W, 0.01)
         assert chi.shape == W.shape and np.isnan(chi[:41]).all()
         assert not chi[41:].any() and not np.signbit(chi[41:]).any()
 
     @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
                                                  ("rb", 90, 10),
                                                  ("hydrogen", 10, 9)])
-    def test_bit_identical(self, kernel_path, monkeypatch, species, n, l_max):
-        # every (W, h) that solve_radial hands the kernel, l <= l_max, both j
-        # (copied: the solve goes on to reuse W as scratch)
-        kernel, inputs = atom._numerov_inward, []
-        monkeypatch.setattr(atom, "_numerov_inward",
-                            lambda W, h: inputs.append((W.copy(), h)) or kernel(W, h))
+    def test_bit_identical(self, inward, monkeypatch, species, n, l_max):
+        # every state l <= l_max, both j: solved on this class's path, it is
+        # the fallback's state, and every (W, h) the fallback hands
+        # _numerov_inward (copied: the solve goes on to reuse W as scratch)
+        # gives the numpy-indexed loop's chi on this class's path
+        fallback, inputs = atom._numerov_inward, []
         p = load_species(species)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
             for l in range(l_max + 1):
                 for j in (l - 0.5, l + 0.5):
-                    if j > 0:
-                        solve_radial(p, n, l, j)
+                    if j <= 0:
+                        continue
+                    state = solve_radial(p, n, l, j)
+                    with monkeypatch.context() as m:
+                        m.setattr(atom, "_numerov_inward", lambda W, h: inputs.append(
+                            (W.copy(), h)) or fallback(W, h))
+                        _assert_same_state(state,
+                                           _fallback_solve(m, p, n, l, j))
         assert len(inputs) == 2 * l_max + 1
         for W, h in inputs:
-            assert np.array_equal(kernel(W, h), _numerov_inward_reference(W, h))
+            assert np.array_equal(inward(W, h), _numerov_inward_reference(W, h))
 
-    def test_nscan_states_bit_identical(self, kernel_path, nscan_inputs):
+    def test_nscan_states_bit_identical(self, inward, nscan_inputs):
         # the rb60 and sweep_heavy states are test_bit_identical's rb-60-10
         for W, reference in nscan_inputs:
-            assert np.array_equal(atom._numerov_inward(W, XI_STEP), reference,
-                                  equal_nan=True)
+            assert np.array_equal(inward(W, XI_STEP), reference, equal_nan=True)
 
-    def test_rescale_path_bit_identical(self, kernel_path):
+    def test_rescale_path_bit_identical(self, inward):
         # the input that once needed a 1e-250 rescale: W = 100 grows chi by
         # about e^2000 over 20,000 nodes, and with no rescale chi comes back
         # as it stands, +inf and then inf - inf = NaN
         W = np.full(20000, 100.0)
         with np.errstate(all="ignore"):     # the reference runs numpy scalars
-            chi = atom._numerov_inward(W, 0.01)
+            chi = inward(W, 0.01)
             assert np.array_equal(chi, _numerov_inward_reference(W, 0.01),
                                   equal_nan=True)
         assert np.isposinf(chi).any() and np.isnan(chi).any()
 
-    def test_overflow_and_nan_bit_identical(self, kernel_path):
+    def test_overflow_and_nan_bit_identical(self, inward):
         # chi leaves the float range and comes back as it stands.  W ~ 1e65
         # gives b ~ 1e61, so b chi overflows to +inf and -inf, then NaN.
         # A NaN in W makes every point inward of it NaN.
@@ -615,7 +659,7 @@ class _KernelCases:
         chis = []
         with np.errstate(all="ignore"):     # the reference runs numpy scalars
             for W in (overflow, poisoned):
-                chis.append(atom._numerov_inward(W, 0.01))
+                chis.append(inward(W, 0.01))
                 assert np.array_equal(chis[-1], _numerov_inward_reference(W, 0.01),
                                       equal_nan=True)
         assert np.isposinf(chis[0]).any() and np.isneginf(chis[0]).any()
@@ -623,67 +667,122 @@ class _KernelCases:
         assert np.isnan(chis[1][:2001]).all() and np.isfinite(chis[1][2001:]).all()
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_short_grids_bit_identical(self, kernel_path, n):
+    def test_short_grids_bit_identical(self, inward, n):
         # step counts n - 2 from 1 to 10, of both parities, through the one
         # step per node loop; h = 0.3 keeps a far from 1 and of both signs
         W = np.random.default_rng(n).uniform(-150.0, 250.0, n)
-        chi = atom._numerov_inward(W, 0.3)
+        chi = inward(W, 0.3)
         assert chi.shape == (n,)
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.3))
 
     @pytest.mark.parametrize("at", [8, 5, 0])
-    def test_zero_a_reaches_fallback(self, kernel_path, at):
+    def test_zero_a_reaches_fallback(self, inward, at):
         # n = 11: the first step divides by a[8], a middle one by a[5] and
         # the last one by a[0]; a = 0 exactly at
-        # W = 12/h^2 (h = 0.01).  _numerov_inward refuses the zero divisor
-        # before either path runs, and chi comes back all NaN.
+        # W = 12/h^2 (h = 0.01).  Either path refuses the zero divisor,
+        # and chi comes back all NaN.
         W = np.full(11, 100.0)
         W[at] = 120000.0
         assert 1.0 - (0.01 * 0.01 / 12.0) * W[at] == 0.0
-        chi = atom._numerov_inward(W, 0.01)
+        chi = inward(W, 0.01)
         assert chi.shape == W.shape and np.isnan(chi).all()
 
     @pytest.mark.parametrize("at", [10, 9])
-    def test_zero_a_at_outer_end_is_no_divisor(self, kernel_path, at):
+    def test_zero_a_at_outer_end_is_no_divisor(self, inward, at):
         # a[-1] and a[-2] only multiply chi, so a zero there is not refused:
         # chi is finite and the reference's, bit for bit
         W = np.full(11, 100.0)
         W[at] = 120000.0
         assert 1.0 - (0.01 * 0.01 / 12.0) * W[at] == 0.0
-        chi = atom._numerov_inward(W, 0.01)
+        chi = inward(W, 0.01)
         assert np.isfinite(chi).all()
         assert np.array_equal(chi, _numerov_inward_reference(W, 0.01))
 
 
 class TestNumerovKernel(_KernelCases):
     @pytest.fixture
-    def kernel_path(self):
+    def inward(self):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler (cc) on PATH: the compiled Numerov "
                         "kernel is not built and the Python loop runs")
         assert atom._c_kernel() is not None, "cc is on PATH but the kernel " \
             "did not build or load"
+        return _compiled_inward
 
     @pytest.mark.parametrize("species,n,l,j", _PAST_FLOAT_RANGE, ids=[
         f"{s}-{l}-{j}" if n == 60 else f"{s}-{n}-{l}-{j}"   # n = 60 ids as before
         for s, n, l, j in _PAST_FLOAT_RANGE])
-    def test_real_states_take_fallback(self, species, n, l, j):
+    def test_real_states_take_fallback(self, monkeypatch, species, n, l, j):
         # states high enough in l (every l >= 36 at n = 60) that the inward
         # solve leaves the float range: the non-finite flag reports it, which
         # the CLI refuses, and no numpy warning does.  At n = 90, l = 67 chi
-        # holds +-inf, so its norm is infinite too.
+        # holds +-inf, so its norm is infinite too.  Where the kernel is
+        # built, its solve is the fallback's.
+        p = load_species(species)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no defect series
             warnings.simplefilter("error", RuntimeWarning)
-            st = solve_radial(load_species(species), n, l, j)
+            st = solve_radial(p, n, l, j)
+            _assert_same_state(st, _fallback_solve(monkeypatch, p, n, l, j))
         assert "non-finite" in st.flags
         assert np.isnan(st.chi).all()
 
+    def test_workload_states_match_fallback(self, inward, monkeypatch,
+                                            workload_states):
+        # every state rb60 (with its n_final = 20 variant), sweep_heavy and
+        # nscan solve, solved again on both paths on its own grid
+        p = load_species("rb")
+        for st in workload_states:
+            args = (p, st.n, st.l, st.j, st.grid, st.energy)
+            _assert_same_state(solve_radial(*args),
+                               _fallback_solve(monkeypatch, *args))
+
+    def test_hydrogen_matches_fallback(self, inward, monkeypatch, hyd):
+        # a1 = a2 = 0: every node is inside both core prefixes, and
+        # alpha_c = so_scale = 0 skip the polarization and spin-orbit terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # no defect series at l >= 6
+            for n in (1, 2, 3, 4, 5, 10, 30, 60, 90):
+                for l in range(min(n, 11)):
+                    for j in (l - 0.5, l + 0.5):
+                        if j > 0:
+                            _assert_same_state(
+                                solve_radial(hyd, n, l, j),
+                                _fallback_solve(monkeypatch, hyd, n, l, j))
+
+    @pytest.mark.parametrize("key,factor", [("a1", 40.0), ("a2", 40.0),
+                                            ("a1", -1.0), ("a2", -1.0)])
+    def test_core_exponents_match_fallback(self, inward, monkeypatch, rb, key,
+                                           factor):
+        # one core exponential cut 40 times nearer the nucleus than the
+        # other, so that between the two cuts z keeps the other one's term;
+        # or one that grows, exp(-a r) overflowing far out, which the
+        # non-finite flag reports and no numpy warning does
+        k = ("a1", "a2").index(key)
+        p = dataclasses.replace(rb, potential={
+            l: block[:k] + (factor * block[k],) + block[k + 1:]
+            for l, block in rb.potential.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for l in range(4):
+                for j in (l - 0.5, l + 0.5):
+                    if j > 0:
+                        st = solve_radial(p, 30, l, j)
+                        _assert_same_state(
+                            st, _fallback_solve(monkeypatch, p, 30, l, j))
+                        assert ("non-finite" in st.flags) == (factor < 0)
+
     def test_chi_full_length_and_read_only_in_state(self, hyd):
+        # on the fallback, and on the kernel where it is built
         grid = default_grid(4)
-        W = atom._numerov_w(hyd, 1, 1.5, qd_energy(hyd, 4, 1, 1.5), grid)
-        chi = atom._numerov_inward(W, grid.step)
-        assert chi.shape == W.shape and chi.flags.writeable
+        energy = qd_energy(hyd, 4, 1, 1.5)
+        chis = [atom._numerov_inward(atom._numerov_w(hyd, 1, 1.5, energy, grid),
+                                     grid.step)]
+        if atom._c_kernel() is not None:
+            chis.append(atom._kernel_solve(atom._c_kernel(), hyd, 1, 1.5,
+                                           energy, grid))
+        for chi in chis:
+            assert chi.shape == grid.xi.shape and chi.flags.writeable
         st = solve_radial(hyd, 4, 1, 1.5, grid=grid)
         assert st.chi.shape == grid.xi.shape
         with pytest.raises(ValueError):
@@ -708,8 +807,9 @@ class TestNumerovKernel(_KernelCases):
 
 class TestPythonNumerovKernel(_KernelCases):
     @pytest.fixture
-    def kernel_path(self, monkeypatch):
+    def inward(self, monkeypatch):
         monkeypatch.setattr(atom, "_c_kernel", lambda: None)
+        return atom._numerov_inward
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C "
@@ -753,9 +853,8 @@ class TestKernelLoader:
         assert list(tmp_path.iterdir()) == [lib]
         kernel = atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
         W = np.random.default_rng(1).uniform(-150.0, 250.0, 500)
-        chi = np.empty_like(W)
-        kernel(W.size, W, 0.1, atom.TAIL_DEPTH, chi)
-        assert np.array_equal(chi, _numerov_inward_reference(W, 0.1))
+        assert np.array_equal(_compiled_inward(W, 0.1, kernel),
+                              _numerov_inward_reference(W, 0.1))
 
     @needs_cc
     def test_build_removes_old_named_libraries(self, tmp_path):
@@ -785,7 +884,7 @@ class TestKernelLoader:
         assert lib.name == "_numerov.so"
         assert lib.stat().st_mtime_ns == src.stat().st_mtime_ns
         subprocess.run([sys.executable, "-c", "import ctypes, sys; "
-                        "ctypes.CDLL(sys.argv[1]).numerov_solve", str(lib)],
+                        "ctypes.CDLL(sys.argv[1]).numerov_solve_model", str(lib)],
                        check=True)
 
 
@@ -807,12 +906,13 @@ class TestInPlaceBuild:
     @pytest.mark.parametrize("species,n", [(s, n) for s in ("rb", "hydrogen")
                                            for n in (30, 60, 90)])
     def test_bit_identical(self, monkeypatch, species, n):
-        # the potential, the W that reaches the kernel, and the solved state
-        # against the expression form fed to the numpy-indexed kernel
+        # the potential, the W the fallback hands _numerov_inward, and the
+        # fallback's state against the expression form fed to the
+        # numpy-indexed kernel; the compiled state against the fallback's
         p = load_species(species)
         xi = default_grid(n).xi
         r = xi * xi
-        kernel, seen = atom._numerov_inward, []
+        fallback, seen = atom._numerov_inward, []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
             for l in range(11):
@@ -823,16 +923,18 @@ class TestInPlaceBuild:
                     assert np.array_equal(model_potential(p, l, j, r), v)
                     W = (8.0 * xi * xi * (v - qd_energy(p, n, l, j))
                          + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi))
-                    monkeypatch.setattr(atom, "_numerov_inward",
-                                        lambda W_, h: seen.append(W_.copy())
-                                        or kernel(W_, h))
-                    new = solve_radial(p, n, l, j)
+                    with monkeypatch.context() as m:
+                        m.setattr(atom, "_numerov_inward",
+                                  lambda W_, h: seen.append(W_.copy())
+                                  or fallback(W_, h))
+                        new = _fallback_solve(m, p, n, l, j)
                     assert np.array_equal(seen[-1], W)
-                    monkeypatch.setattr(atom, "_numerov_inward",
-                                        lambda W_, h: _numerov_inward_reference(W, h))
-                    old = solve_radial(p, n, l, j)
-                    assert np.array_equal(new.chi, old.chi)
-                    assert (new.flags, new.nodes) == (old.flags, old.nodes)
+                    with monkeypatch.context() as m:
+                        m.setattr(atom, "_numerov_inward",
+                                  lambda W_, h: _numerov_inward_reference(W, h))
+                        old = _fallback_solve(m, p, n, l, j)
+                    _assert_same_state(new, old)
+                    _assert_same_state(solve_radial(p, n, l, j), new)
 
     def test_scalar_path(self, rb, hyd):
         # a scalar r runs the array path: a float, equal to the reference
@@ -878,26 +980,29 @@ class TestSharedGrid:
                                            for n in (30, 60, 90)])
     def test_bit_identical_to_fresh_grids(self, monkeypatch, species, n):
         # every l <= 10 and both j, solved in shuffled order on one grid
-        # object, against solves that each build a fresh grid; the W the
-        # kernel gets from the cached factors is the expression form
+        # object, against solves that each build a fresh grid and against
+        # the fallback's solves on the shared grid, whose W from the cached
+        # factors is the expression form
         p = load_species(species)
         grid = default_grid(n)
         xi = grid.xi
-        kernel, seen = atom._numerov_inward, []
-        monkeypatch.setattr(atom, "_numerov_inward",
-                            lambda W, h: seen.append(W.copy()) or kernel(W, h))
+        fallback, seen = atom._numerov_inward, []
         states = [(l, j) for l in range(11) for j in (l - 0.5, l + 0.5) if j > 0]
         random.Random(n).shuffle(states)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
             for l, j in states:
                 shared = solve_radial(p, n, l, j, grid=grid)
+                with monkeypatch.context() as m:
+                    m.setattr(atom, "_numerov_inward",
+                              lambda W, h: seen.append(W.copy()) or fallback(W, h))
+                    _assert_same_state(shared,
+                                       _fallback_solve(m, p, n, l, j, grid=grid))
                 v = _model_potential_reference(p, l, j, xi * xi)
                 W = (8.0 * xi * xi * (v - qd_energy(p, n, l, j))
                      + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi))
                 assert np.array_equal(seen[-1], W)
                 fresh = solve_radial(p, n, l, j)
                 assert fresh.grid == grid and fresh.grid is not grid
-                assert np.array_equal(shared.chi, fresh.chi)
-                assert (shared.nodes, shared.flags) == (fresh.nodes, fresh.flags)
+                _assert_same_state(shared, fresh)
         assert grid.xi is xi
