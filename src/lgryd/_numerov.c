@@ -1,6 +1,7 @@
-/* The whole inward Numerov solve of one state of lgryd.atom.solve_radial on
-   a grid of n nodes, step h, W built node by node from the model potential.
-   It gives the chi the Python fallback gives with numpy:
+/* The whole radial solve of one state of lgryd.atom.solve_radial on a grid
+   of n nodes, step h, W built node by node from the model potential, and
+   the Simpson moments of lgryd.atom.radial_matrix_element.  Each gives what
+   the Python fallback gives with numpy, bit for bit:
 
    1. W at node i (w_at) is lgryd.atom._numerov_w's, in its operation
       order, from the grid's r, 2 r^4 and 2 r^3 and from `model`: the
@@ -26,14 +27,34 @@
       tests/test_atom.py::_numerov_inward_reference: two separately rounded
       products, a difference, then a division.  It builds W[i-1] as it
       steps; W's four divisions a node run in the shadow of the
-      recurrence's latency.  Build with -ffp-contract=off, so no product
-      is fused into an FMA, and -fno-math-errno, so sqrt is the one
-      correctly rounded instruction numpy's is and needs no libm.  No
-      header beyond stddef.h: math.h alone raised the peak RSS of cc
-      (gcc 12, x86-64) by 1.8 MB, above that of the CLI process that
-      builds the kernel.
-   4. A zero divisor a[0..start-2] is refused: chi is NaN on [0, start].
-   5. chi is 0 beyond the start. */
+      recurrence's latency, and so does the note it takes of each sign
+      change chi[i-1] chi[i] < 0 (the product rounded, as numpy rounds it).
+   4. A zero divisor a[0..start-2] is refused: chi is NaN on [0, start],
+      with no sign change.
+   5. chi is 0 beyond the start.
+   6. The near-boundary blank of lgryd.atom._finish: a sign change at
+      i < 3 zeroes chi[0..i] and is no node.
+   7. The divergent-core blank: over |chi| up to the first remaining sign
+      change, the first NaN or else the first minimum (np.argmin); if it is
+      past node 0, no node before it exceeds |chi[0]| (np.max, which a NaN
+      fails) and |chi[0]| > 10 times it, chi is zeroed through it.
+   8. The node count: the sign changes left beyond the blanks.
+   9. The norm 2 Simpson(((chi chi) xi) xi), as lgryd.atom._simpson sums
+      it: each strided sum in numpy's float64 add.reduce order (`pairwise`).
+   Steps 1-9 take one call of numerov_solve_model, which writes the node
+   count, the divergent-core bit and the norm over model[0..2];
+   simpson_product takes 2 Simpson((f g) p) for a matrix element, with no
+   temporary.
+
+   Build with -ffp-contract=off, so no product is fused into an FMA, and
+   -fno-math-errno, so sqrt is the one correctly rounded instruction numpy's
+   is and needs no libm.  The peak RSS of cc (gcc 12, x86-64) must stay
+   below that of the CLI process that builds the kernel (about 30.3 MB), as
+   the benchmark counts it there: so no header beyond stddef.h (math.h
+   alone took 1.8 MB), and -Og, which runs fewer passes than -O1 (29.8 MB
+   against 31.0, and 33.8 at -O2) and solves as fast, the recurrence being
+   bound by latency.  Only `term` is inlined, into the pairwise sum, where
+   a call a term halved its speed; inlining w_at bought nothing. */
 #include <stddef.h>
 
 struct model {
@@ -41,6 +62,17 @@ struct model {
     ptrdiff_t n1, n2, n_near;
     double energy, cent, z1, a3, a4, alpha_c, so_scale, so, ls;
 };
+
+static struct model unpack(const double *r, const double *two_r4,
+                           const double *two_r3, const double *model,
+                           ptrdiff_t n1, ptrdiff_t n2, ptrdiff_t n_near)
+{
+    const struct model m = {
+        r, two_r4, two_r3, model + 9, model + 9 + n1, model + 9 + n1 + n2,
+        n1, n2, n_near, model[0], model[1], model[2], model[3], model[4],
+        model[5], model[6], model[6] * model[7], model[8]};
+    return m;
+}
 
 static double w_at(const struct model *m, ptrdiff_t i)
 {
@@ -63,19 +95,21 @@ static double w_at(const struct model *m, ptrdiff_t i)
     return (v - m->energy) * 8.0 * r + m->cent / r;
 }
 
-void numerov_solve_model(ptrdiff_t n, const double *r, const double *two_r4,
-                         const double *two_r3, const double *model,
-                         ptrdiff_t n1, ptrdiff_t n2, ptrdiff_t n_near,
-                         double h, double depth, double *chi)
+/* the sign changes chi[i] chi[i+1] < 0 of an inward solution: how many,
+   and the first (the smallest i) */
+struct crossings {
+    ptrdiff_t count, first;
+};
+
+/* steps 2-5; the recurrence notes each sign change as it makes it */
+static struct crossings inward(ptrdiff_t n, const struct model *m, double h,
+                               double depth, double *chi)
 {
-    const struct model m = {
-        r, two_r4, two_r3, model + 9, model + 9 + n1, model + 9 + n1 + n2,
-        n1, n2, n_near, model[0], model[1], model[2], model[3], model[4],
-        model[5], model[6], model[6] * model[7], model[8]};
     const double c = h * h / 12.0, limit = depth / h;
     ptrdiff_t turn = n - 1, start = n - 1;
+    struct crossings x = {0, -1};
 
-    while (turn >= 0 && !((chi[turn] = w_at(&m, turn)) < 0.0))
+    while (turn >= 0 && !((chi[turn] = w_at(m, turn)) < 0.0))
         turn--;
     if (turn >= 0) {
         double sum = 0.0;
@@ -91,22 +125,148 @@ void numerov_solve_model(ptrdiff_t n, const double *r, const double *two_r4,
         chi[k] = 0.0;
     if (start < 1) {                    /* n < 2: the seeds alone */
         if (n > 0) chi[0] = 1e-12;
-        return;
+        return x;
     }
 
     /* the scan kept W from the turning point out: start - 1 may be inside */
-    double a_out = 1.0 - c * chi[start], a_i = 1.0 - c * w_at(&m, start - 1);
+    double a_out = 1.0 - c * chi[start], a_i = 1.0 - c * w_at(m, start - 1);
     chi[start] = 1e-12;
     chi[start - 1] = 2e-12;
     for (ptrdiff_t i = start - 1; i > 0; i--) {
-        const double a_in = 1.0 - c * w_at(&m, i - 1), b_i = 12.0 - 10.0 * a_i;
+        const double a_in = 1.0 - c * w_at(m, i - 1), b_i = 12.0 - 10.0 * a_i;
         if (a_in == 0.0) {
             for (ptrdiff_t k = 0; k <= start; k++)
                 chi[k] = __builtin_nan("");
-            return;
+            x.count = 0;
+            return x;
         }
         chi[i - 1] = (b_i * chi[i] - a_out * chi[i + 1]) / a_in;
+        if (chi[i - 1] * chi[i] < 0.0) {
+            x.count++;
+            x.first = i - 1;
+        }
         a_out = a_i;
         a_i = a_in;
     }
+    return x;
+}
+
+/* the Simpson integrand at node i: ((f g) p) q, or (f g) p without q */
+struct product {
+    const double *f, *g, *p, *q;
+};
+
+static inline __attribute__((always_inline))
+double term(const struct product *t, ptrdiff_t i)
+{
+    const double v = t->f[i] * t->g[i] * t->p[i];
+    return t->q ? v * t->q[i] : v;
+}
+
+/* numpy's float64 pairwise_sum of the terms at i, i + 2, ... (count of
+   them): a plain loop below 8, eight accumulators up to 128, and above that
+   halves split at a multiple of 8 */
+static double pairwise(const struct product *t, ptrdiff_t i, ptrdiff_t count)
+{
+    if (count < 8) {
+        double s = 0.0;
+        for (ptrdiff_t k = 0; k < count; k++)
+            s += term(t, i + 2 * k);
+        return s;
+    }
+    if (count <= 128) {
+        const ptrdiff_t end = i + 2 * (count - count % 8);
+        double r0 = term(t, i), r1 = term(t, i + 2), r2 = term(t, i + 4),
+               r3 = term(t, i + 6), r4 = term(t, i + 8), r5 = term(t, i + 10),
+               r6 = term(t, i + 12), r7 = term(t, i + 14);
+        for (ptrdiff_t k = i + 16; k < end; k += 16) {
+            r0 += term(t, k);
+            r1 += term(t, k + 2);
+            r2 += term(t, k + 4);
+            r3 += term(t, k + 6);
+            r4 += term(t, k + 8);
+            r5 += term(t, k + 10);
+            r6 += term(t, k + 12);
+            r7 += term(t, k + 14);
+        }
+        double s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (ptrdiff_t k = end; k < i + 2 * count; k += 2)
+            s += term(t, k);
+        return s;
+    }
+    ptrdiff_t half = count / 2;
+    half -= half % 8;
+    return pairwise(t, i, half) + pairwise(t, i + 2 * half, count - half);
+}
+
+/* 2 lgryd.atom._simpson of the terms at nodes 0..n-1 (n >= 3); a sum is
+   add.reduce's, 0.0 + pairwise_sum */
+static double simpson2(const struct product *t, ptrdiff_t n, double h)
+{
+    const ptrdiff_t m = n - 1 + n % 2;  /* the composite rule's odd count */
+    double s = h / 3.0 * (term(t, 0) + term(t, m - 1)
+                          + 4.0 * (0.0 + pairwise(t, 1, (m - 1) / 2))
+                          + 2.0 * (0.0 + pairwise(t, 2, (m - 3) / 2)));
+    if (m < n)
+        s += h * (5.0 * term(t, n - 1) + 8.0 * term(t, n - 2)
+                  - term(t, n - 3)) / 12.0;
+    return 2.0 * s;
+}
+
+/* steps 6-9: nodes, the divergent-core bit and the norm into out[0..2].
+   No divergent-core blank can follow a near-boundary one: |chi[0]| = 0 is
+   then the first minimum, and a NaN in the segment fails the max test. */
+static void finish(ptrdiff_t n, double *chi, const double *xi, double h,
+                   struct crossings x, double *out)
+{
+    ptrdiff_t cut = -1;                 /* chi[0..cut] is blanked */
+    int core = 0;
+    if (x.count && x.first < 3) {
+        cut = x.first;
+        x.count--;
+    } else {
+        const ptrdiff_t end = x.count ? x.first + 1 : n;
+        const double c0 = __builtin_fabs(chi[0]);
+        ptrdiff_t imin = 0, above = end;    /* the first node with |chi| > c0 */
+        double lo = c0;
+        int nan = c0 != c0;
+        for (ptrdiff_t i = 1; i < end && !nan; i++) {
+            const double c = __builtin_fabs(chi[i]);
+            nan = c != c;
+            if (c < lo) {
+                lo = c;
+                imin = i;
+            }
+            if (c > c0 && above == end)
+                above = i;
+        }
+        core = !nan && imin > 0 && imin < above && c0 > 10.0 * lo;
+        if (core) {
+            cut = imin;
+            x.count -= x.count && imin == x.first;
+        }
+    }
+    for (ptrdiff_t k = 0; k <= cut; k++)
+        chi[k] = 0.0;
+
+    const struct product norm = {chi, chi, xi, xi};
+    out[0] = (double)x.count;
+    out[1] = core;
+    out[2] = simpson2(&norm, n, h);
+}
+
+void numerov_solve_model(ptrdiff_t n, const double *xi, const double *r,
+                         const double *two_r4, const double *two_r3,
+                         double *model, ptrdiff_t n1, ptrdiff_t n2,
+                         ptrdiff_t n_near, double h, double depth, double *chi)
+{
+    const struct model m = unpack(r, two_r4, two_r3, model, n1, n2, n_near);
+    finish(n, chi, xi, h, inward(n, &m, h, depth, chi), model);
+}
+
+double simpson_product(ptrdiff_t n, const double *f, const double *g,
+                       const double *p, double h)
+{
+    const struct product t = {f, g, p, NULL};
+    return simpson2(&t, n, h);
 }

@@ -17,17 +17,21 @@ barrier; the blow-up is cut at the innermost |chi| minimum and flagged rather
 than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
 misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
-The whole inward solve of a state runs in one call of the C kernel
-`_numerov.c` (`_kernel_solve`): numpy computes the core and polarization
-exponentials on their prefixes of the grid, and the kernel builds W node by
-node from them and the grid's cached powers of r, finds the start node by
-`_tail_start`'s rule, refuses a zero divisor, and runs the recurrence,
-building its coefficients node by node.  The first solve compiles it with
-`cc` into __pycache__/_numerov.so (rebuilt over itself when the source
-changes) and later ones load it through ctypes.  Where it cannot be built
-or loaded, the numpy `_numerov_w` and `_tail_start` and the Python loop
-`_numerov_steps` run instead.  Both paths give the same chi bit for bit,
-and the tests hold each against tests/test_atom.py::_numerov_inward_reference.
+The whole solve of a state runs in one call of the C kernel `_numerov.c`
+(`_kernel_solve`): numpy computes the core and polarization exponentials on
+their prefixes of the grid, and the kernel builds W node by node from them
+and the grid's cached powers of r, finds the start node by `_tail_start`'s
+rule, refuses a zero divisor, runs the recurrence, building its
+coefficients node by node, and then does `_finish`'s work: the two blanks,
+the node count and the norm.  numpy then only divides chi by the norm.  A
+matrix element is one call of the kernel too, which builds no temporary.
+The first solve compiles it with `cc` into __pycache__/_numerov.so (rebuilt
+over itself when the source changes) and later ones load it through
+ctypes.  Where it cannot be built or loaded, the numpy `_numerov_w`,
+`_tail_start` and `_finish`, the Python loop `_numerov_steps` and numpy's
+`_simpson` run instead.  Both paths give the same states and moments bit
+for bit, and the tests hold each against
+tests/test_atom.py::_numerov_inward_reference.
 
 The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
 potential are computed once per `RadialGrid` and cached on it, so a solve
@@ -219,10 +223,11 @@ class RadialGrid:
     every state solved on the grid and every matrix element taken on it, so
     no caller may edit them in place; a solver that hands one grid object to
     all its states builds them once, and they are freed with the grid.  Only
-    arrays that cost more to rebuild than to keep are cached: -1/r and
-    8 xi^2 take one pass each, and every N-point array that lives through an
-    nscan op costs about 850 page faults a pass, while numpy's vector power
-    in xi ** k takes over half of a matrix element.
+    arrays that cost more to rebuild than to keep are cached: every N-point
+    array that lives through an nscan op costs about 850 page faults a pass,
+    while numpy's vector power in xi ** k takes over half of a matrix
+    element.  The compiled solve builds W and the norm's terms node by node
+    from these arrays, so it needs no other.
     """
 
     r_min: float
@@ -302,6 +307,10 @@ class RydbergState:
             raise ValueError(f"need 0 <= l < n, got l={self.l}, n={self.n}")
         if abs(abs(self.j - self.l) - 0.5) > 1e-9:
             raise ValueError(f"|j - l| must be 1/2, got l={self.l}, j={self.j}")
+        # the compiled matrix element reads chi by address
+        if self.chi.dtype != float or self.chi.shape != (self.grid.size,):
+            raise ValueError("chi must be a float64 array, one value per "
+                             "grid node")
         self.chi.setflags(write=False)
 
     def u_of_r(self) -> tuple[np.ndarray, np.ndarray]:
@@ -462,10 +471,10 @@ CC_TIMEOUT_S = 60
 
 @cache
 def _c_kernel():
-    """The compiled solve of `_numerov.c`, built on first use into this
-    package's __pycache__, or None where there is no compiler, the build
-    fails or the library will not load; solve_radial then runs
-    `_numerov_w` and `_numerov_inward`."""
+    """The library of `_numerov.c`, built on first use into this package's
+    __pycache__, or None where there is no compiler, the build fails or the
+    library will not load; solve_radial then runs `_numerov_w`,
+    `_numerov_inward` and `_finish`, and radial_matrix_element `_simpson`."""
     try:
         return _load_kernel(_KERNEL_SOURCE, _KERNEL_SOURCE.parent / "__pycache__")
     except (OSError, AttributeError):
@@ -473,22 +482,26 @@ def _c_kernel():
 
 
 def _load_kernel(src: Path, cache_dir: Path):
-    """numerov_solve_model from `cache_dir`/_numerov.so, built from `src`
-    first unless that file's mtime is the source's: each build is stamped
-    with the source's mtime, as a bytecode file's header records it, so an
-    edited or touched source is built again over the one library.  Its
-    arrays are passed as addresses (`ndarray.ctypes.data`) of C-contiguous
-    float64 arrays: ctypes' checked ndpointer took 15 us of a 200 us solve."""
+    """The library `cache_dir`/_numerov.so, its numerov_solve_model and
+    simpson_product set up, built from `src` first unless that file's mtime
+    is the source's: each build is stamped with the source's mtime, as a
+    bytecode file's header records it, so an edited or touched source is
+    built again over the one library.  Its arrays are passed as addresses
+    (`ndarray.ctypes.data`) of C-contiguous float64 arrays: ctypes' checked
+    ndpointer took 15 us of a 200 us solve."""
     lib = cache_dir / f"{src.stem}.so"
     if not lib.is_file() or lib.stat().st_mtime_ns != src.stat().st_mtime_ns:
         _build_kernel(src, lib)
     import ctypes
-    fn = ctypes.CDLL(str(lib)).numerov_solve_model
+    kernel = ctypes.CDLL(str(lib))
     size, array, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    fn.argtypes = (size, array, array, array, array, size, size, size, real,
-                   real, array)
-    fn.restype = None
-    return fn
+    kernel.numerov_solve_model.argtypes = (size, array, array, array, array,
+                                           array, size, size, size, real, real,
+                                           array)
+    kernel.numerov_solve_model.restype = None
+    kernel.simpson_product.argtypes = (size, array, array, array, real)
+    kernel.simpson_product.restype = real
+    return kernel
 
 
 def _build_kernel(src: Path, lib: Path) -> None:
@@ -502,8 +515,9 @@ def _build_kernel(src: Path, lib: Path) -> None:
     lib.parent.mkdir(exist_ok=True)
     tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
     try:
-        # no fused multiply-add: it would change the bits of chi
-        subprocess.run(["cc", "-O2", "-ffp-contract=off", "-fno-math-errno",
+        # no fused multiply-add: it would change the bits of chi; -Og keeps
+        # cc's peak RSS below that of the CLI process that builds it
+        subprocess.run(["cc", "-Og", "-ffp-contract=off", "-fno-math-errno",
                         "-shared", "-fPIC", "-o", str(tmp), str(src)],
                        check=True, capture_output=True, timeout=CC_TIMEOUT_S)
         os.utime(tmp, ns=(st.st_atime_ns, st.st_mtime_ns))
@@ -530,14 +544,31 @@ def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
 
 
 def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
-                  grid: RadialGrid) -> np.ndarray:
-    """chi as `_numerov_inward(_numerov_w(p, l, j, energy, grid), grid.step)`
-    gives it, bit for bit, from one call of the compiled solve, which builds
-    W node by node (`_numerov.c`).  numpy computes only `_potential`'s three
-    exponentials, each on the nodes where its argument is >= -746: on the
-    grid's sorted r those are a prefix, found by bisection on the test
-    `_potential` makes.  The kernel takes them after nine constants in one
-    array."""
+                  grid: RadialGrid) -> tuple:
+    """(chi, nodes, divergent core?, norm^2) as the fallback's
+    `_numerov_inward(_numerov_w(...), h)` and `_finish` give them, bit for
+    bit, from one call of the compiled solve, which builds W node by node
+    and blanks, counts and integrates chi (`_numerov.c`); chi is not yet
+    normalized.  The kernel writes its three results over the first three
+    constants of `_model_inputs`' array."""
+    model, n1, n2, n_near = _model_inputs(p, l, j, energy, grid)
+    r, (two_r4, two_r3) = grid.r, grid.r_factors
+    chi = np.empty_like(r)
+    kernel.numerov_solve_model(r.size, grid.xi.ctypes.data, r.ctypes.data,
+                               two_r4.ctypes.data, two_r3.ctypes.data,
+                               model.ctypes.data, n1, n2, n_near, grid.step,
+                               TAIL_DEPTH, chi.ctypes.data)
+    nodes, core, norm2 = model[:3].tolist()
+    return chi, int(nodes), core != 0.0, norm2
+
+
+def _model_inputs(p: SpeciesParams, l: int, j: float, energy: float,
+                  grid: RadialGrid) -> tuple:
+    """(model, n1, n2, n_near): what the compiled solve builds W from besides
+    the grid.  numpy computes only `_potential`'s three exponentials, each
+    on the nodes where its argument is >= -746: on the grid's sorted r those
+    are a prefix, found by bisection on the test `_potential` makes.  They
+    follow nine constants in the one array `model`."""
     from bisect import bisect_right
     a1, a2, a3, a4, rc = p.potential_for(l)
     r = grid.r
@@ -557,12 +588,7 @@ def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
         np.negative(cut, out=cut)
         np.exp(exps, out=exps)
         np.subtract(1.0, cut, out=cut)
-    chi = np.empty_like(r)
-    two_r4, two_r3 = grid.r_factors
-    kernel(r.size, r.ctypes.data, two_r4.ctypes.data, two_r3.ctypes.data,
-           model.ctypes.data, n1, n2, n_near, grid.step, TAIL_DEPTH,
-           chi.ctypes.data)
-    return chi
+    return model, n1, n2, n_near
 
 
 def _tail_start(W: np.ndarray, h: float) -> int:
@@ -587,7 +613,9 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
                  energy: float | None = None) -> RydbergState:
     """Inward Numerov solve at the quantum-defect energy, started at
     `_tail_start`'s node (the grid's last node unless the state's tail dies
-    out before it), with chi 0 beyond (`_numerov_inward`).
+    out before it), with chi 0 beyond (`_numerov_inward`), then blanked,
+    counted and normalized (`_finish`).  Where the C kernel is built, all of
+    it is one compiled call (`_kernel_solve`), which allocates only chi.
 
     Returns the normalized state with node count and diagnostic flags:
     'divergent-core' when the inner solution regrew under the barrier and was
@@ -599,22 +627,40 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
         grid = default_grid(n)
     if energy is None:
         energy = qd_energy(p, n, l, j)
-    xi = grid.xi
-    h = grid.step
-    # The N-point arrays are built in place: without scipy's import the heap is
-    # small, and fresh temporaries took nscan from ~7k to ~37k page faults a pass.
     # Species data that overflow the potential (say alpha_c = 1e300) give a
     # non-finite chi, which the flag below reports, so numpy need not warn.
     kernel = _c_kernel()
     if kernel is not None:
-        chi = _kernel_solve(kernel, p, l, j, energy, grid)
-        work = np.empty_like(chi)
+        chi, nodes, core, norm2 = _kernel_solve(kernel, p, l, j, energy, grid)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             work = _numerov_w(p, l, j, energy, grid)
-        chi = _numerov_inward(work, h)  # only reads W: scratch from here
+        chi = _numerov_inward(work, grid.step)  # only reads W: scratch from here
+        nodes, core, norm2 = _finish(chi, grid.xi, grid.step, work)
 
     flags: list[str] = []
+    if core:
+        flags.append("divergent-core")
+    if nodes != n - l - 1:
+        flags.append("node-count")
+    if math.isfinite(norm2):
+        chi /= math.sqrt(norm2)
+    else:
+        flags.append("non-finite")
+        chi.fill(np.nan)
+    return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
+                        nodes=nodes, flags=tuple(flags))
+
+
+def _finish(chi: np.ndarray, xi: np.ndarray, h: float,
+            work: np.ndarray) -> tuple:
+    """(nodes, divergent core?, norm^2) of an inward solution, blanked in
+    place first; `work` is an N-point scratch array.  The compiled solve
+    does the same in its steps 6-9, and this is its reference.
+
+    The N-point arrays are built in place: without scipy's import the heap
+    is small, and fresh temporaries took nscan from ~7k to ~37k page faults
+    a pass."""
     # Truncate an inner blow-up.  Inside the innermost crossing the physical
     # solution decays toward r -> 0 (the Langer term keeps W > 0 at the
     # boundary), so |chi| growing monotonically INTO the boundary by over an
@@ -623,7 +669,7 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     # crossing is not counted as a node.  Blanking chi[:k+1] zeroes every
     # product chi[i] chi[i+1] with i <= k and leaves the rest, so the
     # crossings after it are the ones beyond k.  A chi past the float range
-    # overflows these products and the norm's; the norm flags it below.
+    # overflows these products and the norm's, which solve_radial flags.
     with np.errstate(over="ignore"):
         sign_change = np.flatnonzero(np.multiply(chi[:-1], chi[1:],
                                                  out=work[:-1]) < 0.0)
@@ -636,28 +682,18 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     seg_end = int(sign_change[0]) + 1 if sign_change.size else chi.size
     inner = np.abs(chi[:seg_end])
     imin = int(np.argmin(inner))
-    if imin > 0 and inner[0] >= inner[: imin + 1].max() \
-            and inner[0] > 10.0 * inner[imin]:
+    core = bool(imin > 0 and inner[0] >= inner[: imin + 1].max()
+                and inner[0] > 10.0 * inner[imin])
+    if core:
         chi[: imin + 1] = 0.0
-        flags.append("divergent-core")
         sign_change = sign_change[sign_change > imin]
-
-    nodes = sign_change.size
-    if nodes != n - l - 1:
-        flags.append("node-count")
 
     with np.errstate(over="ignore"):
         np.multiply(chi, chi, out=work)
         work *= xi
         work *= xi
         norm2 = 2.0 * _simpson(work, h)
-    if math.isfinite(norm2):
-        chi /= math.sqrt(norm2)
-    else:
-        flags.append("non-finite")
-        chi.fill(np.nan)
-    return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
-                        nodes=nodes, flags=tuple(flags))
+    return sign_change.size, core, float(norm2)
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -679,9 +715,19 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
         raise ValueError("w_r must be positive")
     if f.grid != i.grid:
         raise ValueError("states live on different grids; solve both on one grid")
-    y = f.chi * i.chi
-    y *= f.grid.xi_power(2 * alpha + 2)     # one temporary, as fresh ones fault
-    val = 2.0 * _simpson(y, f.grid.step)
+    power = f.grid.xi_power(2 * alpha + 2)
+    kernel = _c_kernel()
+    # no temporary, as fresh ones fault; a state the fallback solved holds a
+    # reversed view of chi, which only numpy reads
+    if kernel is not None and f.chi.flags.c_contiguous \
+            and i.chi.flags.c_contiguous:
+        val = kernel.simpson_product(power.size, f.chi.ctypes.data,
+                                     i.chi.ctypes.data, power.ctypes.data,
+                                     f.grid.step)
+    else:
+        y = f.chi * i.chi
+        y *= power
+        val = 2.0 * _simpson(y, f.grid.step)
     return float(val) / w_r ** (alpha - 1)
 
 

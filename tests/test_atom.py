@@ -11,10 +11,13 @@ import dataclasses
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +273,11 @@ class TestRydbergState:
             RydbergState(2, 2, 2.5, -0.1, st.grid, st.chi.copy(), 0)
         with pytest.raises(ValueError):
             RydbergState(2, 1, 0.4, -0.1, st.grid, st.chi.copy(), 0)
+        # the compiled matrix element reads chi by address: one float64 a node
+        for chi in (st.chi[:-1].copy(), st.chi.astype(np.float32)):
+            with pytest.raises(ValueError):
+                RydbergState(2, 1, 1.5, -0.1, st.grid, chi, 0)
+        RydbergState(2, 1, 1.5, -0.1, st.grid, st.chi.copy(), 0)
 
     def test_chi_immutable(self, hyd_states):
         st = hyd_states[(1, 0)]
@@ -416,6 +424,32 @@ class TestSimpson:
                 ref = simpson(y, x=xi)
                 assert abs(atom._simpson(y, st.grid.step) - ref) <= 1e-15 * abs(ref)
 
+    def test_compiled_matches_numpy(self, kernel):
+        # the compiled Simpson of y (f = y, g = p = 1) is 2 _simpson(y) bit
+        # for bit: every point count from 3 to 300, both parities, the
+        # strided sums at the pairwise sum's split edges (128 | 129 and
+        # 256 | 257 terms) and the n = 60 and 90 grid sizes; terms spread
+        # over 70 decades, so the summation order shows, with +-0.0, +-inf
+        # and NaN put in
+        rng = np.random.default_rng(37)
+        sizes = [*range(3, 301), *(2 * c + k for c in (256, 257)
+                                   for k in (1, 2, 3, 4)), 9485, 13746]
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for size in sizes:
+            ones = np.ones(size)
+            y = rng.standard_normal(size) * np.exp(rng.uniform(-80.0, 80.0, size))
+            poked = y.copy()
+            poked[rng.integers(size, size=2)] = rng.choice(special, 2)
+            for y in (y, poked, np.full(size, -0.0), rng.choice(special, size)):
+                got = kernel.simpson_product(size, y.ctypes.data, ones.ctypes.data,
+                                             ones.ctypes.data, 0.01)
+                with np.errstate(invalid="ignore"):    # inf - inf
+                    want = 2.0 * atom._simpson(y, 0.01)
+                # the same bits, or both NaN: which NaN's sign an addition
+                # keeps follows its operand order
+                assert float(want).hex() == got.hex() or \
+                    math.isnan(want) and math.isnan(got), (size, got, want)
+
 
 def _numerov_inward_reference(W, h):
     """The numpy-indexed form of the inward Numerov loop from W's last node,
@@ -434,6 +468,9 @@ _PAST_FLOAT_RANGE = [
     ("rb", 60, 54, 53.5), ("rb", 60, 54, 54.5), ("rb", 60, 55, 54.5),
     ("rb", 60, 55, 55.5), ("hydrogen", 60, 55, 55.5), ("rb", 60, 40, 40.5),
     ("rb", 60, 59, 59.5), ("rb", 90, 67, 67.5), ("hydrogen", 90, 67, 67.5)]
+# hydrogen 10h11/2 on a grid whose first node puts W = 12 / h^2 there, so
+# a[0] = 1 - (h^2 / 12) W[0] is exactly 0: the solve refuses that divisor
+_ZERO_DIVISOR_GRID = RadialGrid(0.001006182921476036, 500.0)
 
 
 @pytest.fixture(scope="module")
@@ -503,24 +540,76 @@ def workload_inputs(workload_states):
     return inputs
 
 
-def _compiled_inward(W, h, kernel=None):
-    """The compiled solve's chi for a given W, `kernel` or `atom._c_kernel()`
-    taking W as model inputs that make its W exactly this one: r = 1 at
-    every node, every node inside both core prefixes, exp(-a1 r) = -1,
-    Z - 1 = 1, a3 = 0, a4 = 1, exp(-a2 r) = W / 8, and alpha_c = so_scale =
-    E = 0 with no centrifugal term.  The kernel's formula on these inputs,
-    in its operation order, must give W bit for bit, or the case fails."""
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C "
+                              "compiler (cc) on PATH to build the kernel with")
+
+
+@pytest.fixture
+def kernel():
+    """The compiled kernel's library, where cc can build it."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: the compiled Numerov "
+                    "kernel is not built and the Python loop runs")
+    assert atom._c_kernel() is not None, "cc is on PATH but the kernel " \
+        "did not build or load"
+    return atom._c_kernel()
+
+
+@pytest.fixture(scope="module")
+def shim(tmp_path_factory):
+    """tests/_numerov_shim.c, built as the kernel is built: its w_model and
+    inward_model export the compiled solve's W and its inward solve alone."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH to build the kernel with")
+    import ctypes
+    lib = tmp_path_factory.mktemp("shim") / "_numerov_shim.so"
+    atom._build_kernel(Path(__file__).with_name("_numerov_shim.c"), lib)
+    shim = ctypes.CDLL(str(lib))
+    size, array, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    model = (size, array, array, array, array, size, size, size)
+    shim.w_model.argtypes = model + (array,)
+    shim.inward_model.argtypes = model + (real, real, array)
+    return shim
+
+
+def _assert_same_w(shim, p, l, j, energy, grid):
+    """The compiled solve's W, node by node from `atom._model_inputs`, is
+    `atom._numerov_w`'s bit for bit."""
+    model, n1, n2, n_near = atom._model_inputs(p, l, j, energy, grid)
+    r, (two_r4, two_r3) = grid.r, grid.r_factors
+    w = np.empty_like(r)
+    shim.w_model(r.size, r.ctypes.data, two_r4.ctypes.data, two_r3.ctypes.data,
+                 model.ctypes.data, n1, n2, n_near, w.ctypes.data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = atom._numerov_w(p, l, j, energy, grid)
+    assert np.array_equal(w.view(np.int64), W.view(np.int64)), (l, j)
+
+
+def _w_inputs(W):
+    """(r, 2 r^4 = 2 r^3, model) that make the compiled solve's W exactly
+    W: r = 1 at every node, every node inside both core prefixes,
+    exp(-a1 r) = -1, Z - 1 = 1, a3 = 0, a4 = 1, exp(-a2 r) = W / 8, and
+    alpha_c = so_scale = E = 0 with no centrifugal term.  The kernel's
+    formula on these inputs, in its operation order, must give W bit for
+    bit, or the case fails."""
     n = W.size
     r, two, e1, e2 = np.ones(n), np.full(n, 2.0), np.full(n, -1.0), W / 8.0
     z1, a3, a4 = 1.0, 0.0, 1.0
     with np.errstate(all="ignore"):
         v = -((e1 * z1 + 1.0) - (a4 * r + a3) * r * e2) / r
         assert np.array_equal((v - 0.0) * 8.0 * r + 0.0 / r, W, equal_nan=True)
-    model = np.concatenate([[0.0, 0.0, z1, a3, a4, 0.0, 0.0, 0.0, 0.0], e1, e2])
-    chi = np.full(n, np.nan)            # the kernel reads no node it has not set
-    (kernel or atom._c_kernel())(n, r.ctypes.data, two.ctypes.data,
-                                 two.ctypes.data, model.ctypes.data, n, n, 0,
-                                 h, atom.TAIL_DEPTH, chi.ctypes.data)
+    return r, two, np.concatenate([[0.0, 0.0, z1, a3, a4, 0.0, 0.0, 0.0, 0.0],
+                                   e1, e2])
+
+
+def _compiled_inward(shim, W, h):
+    """The compiled inward solve's chi for a given W (`_w_inputs`), from the
+    shim's inward_model."""
+    r, two, model = _w_inputs(W)
+    chi = np.full(W.size, np.nan)       # the kernel reads no node it has not set
+    shim.inward_model(W.size, r.ctypes.data, two.ctypes.data, two.ctypes.data,
+                      model.ctypes.data, W.size, W.size, 0, h, atom.TAIL_DEPTH,
+                      chi.ctypes.data)
     return chi
 
 
@@ -558,7 +647,8 @@ class _KernelCases:
     """The bitwise cases, run on the compiled kernel (TestNumerovKernel)
     and on the Python loop (TestPythonNumerovKernel); each class's `inward`
     fixture puts its path in place and gives the inward solve of a W on it,
-    through `_compiled_inward` or `atom._numerov_inward`."""
+    through `_compiled_inward` (the compiled solve's steps 1-5) or
+    `atom._numerov_inward`."""
 
     def test_workload_states_start_at_tail_start(self, inward, workload_inputs):
         # every state rb60, sweep_heavy and nscan solve, on its full W
@@ -701,43 +791,97 @@ class _KernelCases:
 
 class TestNumerovKernel(_KernelCases):
     @pytest.fixture
-    def inward(self):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler (cc) on PATH: the compiled Numerov "
-                        "kernel is not built and the Python loop runs")
-        assert atom._c_kernel() is not None, "cc is on PATH but the kernel " \
-            "did not build or load"
-        return _compiled_inward
+    def inward(self, kernel, shim):
+        return partial(_compiled_inward, shim)
 
-    @pytest.mark.parametrize("species,n,l,j", _PAST_FLOAT_RANGE, ids=[
+    @pytest.mark.parametrize("species,n,l,j,grid", [
+        (*state, None) for state in _PAST_FLOAT_RANGE] + [
+        ("hydrogen", 10, 5, 5.5, _ZERO_DIVISOR_GRID)], ids=[
         f"{s}-{l}-{j}" if n == 60 else f"{s}-{n}-{l}-{j}"   # n = 60 ids as before
-        for s, n, l, j in _PAST_FLOAT_RANGE])
-    def test_real_states_take_fallback(self, monkeypatch, species, n, l, j):
+        for s, n, l, j in _PAST_FLOAT_RANGE] + ["hydrogen-10-5-5.5-zero-divisor"])
+    def test_real_states_take_fallback(self, monkeypatch, species, n, l, j, grid):
         # states high enough in l (every l >= 36 at n = 60) that the inward
         # solve leaves the float range: the non-finite flag reports it, which
         # the CLI refuses, and no numpy warning does.  At n = 90, l = 67 chi
-        # holds +-inf, so its norm is infinite too.  Where the kernel is
-        # built, its solve is the fallback's.
+        # holds +-inf, so its norm is infinite too.  A refused zero divisor
+        # leaves chi NaN on both paths too.  Where the kernel is built, its
+        # solve (the blanks, the node count and the norm included) is the
+        # fallback's.
         p = load_species(species)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no defect series
             warnings.simplefilter("error", RuntimeWarning)
-            st = solve_radial(p, n, l, j)
-            _assert_same_state(st, _fallback_solve(monkeypatch, p, n, l, j))
+            st = solve_radial(p, n, l, j, grid)
+            _assert_same_state(st, _fallback_solve(monkeypatch, p, n, l, j, grid))
         assert "non-finite" in st.flags
         assert np.isnan(st.chi).all()
+        if grid is not None:            # a[0] is 0 and a divisor (start >= 2)
+            h = grid.step
+            W = atom._numerov_w(p, l, j, st.energy, grid)
+            assert 1.0 - (h * h / 12.0) * W[0] == 0.0
+            assert atom._tail_start(W, h) >= 2
 
-    def test_workload_states_match_fallback(self, inward, monkeypatch,
+    @pytest.mark.parametrize("case", ["zero-chi", "overflow", "refused",
+                                      *(f"random-{n}" for n in range(3, 13))])
+    def test_finish_matches_fallback(self, kernel, case):
+        # the whole compiled solve of a given W (`_w_inputs`, xi = 1): chi
+        # blanked, the node count, the divergent-core bit and the norm are
+        # `atom._finish`'s on the Python loop's chi.  zero-chi: a = 4 at the
+        # start and 1 next to it make chi exactly 0 at the next node, which
+        # is no sign change, and then the minimum the divergent-core blank
+        # cuts at; overflow: chi holds +-inf and NaN; refused: a zero divisor
+        # leaves chi NaN; random: the short grids' W, crossings near node 0
+        h = 0.1
+        if case == "zero-chi":
+            W = np.zeros(20)
+            W[-1] = -3.0 / (h * h / 12.0)
+            assert 1.0 - (h * h / 12.0) * W[-1] == 4.0
+        elif case == "overflow":
+            W = np.full(600, 1.2e65)
+        elif case == "refused":
+            W, h = _tail(100, 9, 1e6), 0.01
+            W[5] = 120000.0
+        else:
+            h = 0.3
+            W = np.random.default_rng(int(case[7:])).uniform(-150.0, 250.0,
+                                                             int(case[7:]))
+        xi = np.ones(W.size)
+        r, two, model = _w_inputs(W)
+        chi = np.empty_like(W)
+        kernel.numerov_solve_model(W.size, xi.ctypes.data, r.ctypes.data,
+                                   two.ctypes.data, two.ctypes.data,
+                                   model.ctypes.data, W.size, W.size, 0, h,
+                                   atom.TAIL_DEPTH, chi.ctypes.data)
+        with np.errstate(all="ignore"):
+            reference = atom._numerov_inward(W, h)
+            nodes, core, norm2 = atom._finish(reference, xi, h, np.empty_like(W))
+        assert np.array_equal(chi, reference, equal_nan=True)
+        assert model[:2].tolist() == [nodes, core]
+        assert np.array_equal(model[2], norm2, equal_nan=True)
+        if case == "zero-chi":
+            assert chi[17] == 0.0 and core and nodes == 0
+
+    def test_workload_states_match_fallback(self, inward, shim, monkeypatch,
                                             workload_states):
         # every state rb60 (with its n_final = 20 variant), sweep_heavy and
-        # nscan solve, solved again on both paths on its own grid
+        # nscan solve, solved again on both paths on its own grid, and on
+        # that grid at compute.grid_step = 0.05 and 0.1, where the
+        # near-boundary blank decides the node count of Rb 60p3/2 and 60s1/2;
+        # the compiled W is the fallback's on the state's own grid
         p = load_species("rb")
+        flagged = set()
         for st in workload_states:
-            args = (p, st.n, st.l, st.j, st.grid, st.energy)
-            _assert_same_state(solve_radial(*args),
-                               _fallback_solve(monkeypatch, *args))
+            _assert_same_w(shim, p, st.l, st.j, st.energy, st.grid)
+            for step in (st.grid.step, 0.05, 0.1):
+                grid = dataclasses.replace(st.grid, step=step)
+                args = (p, st.n, st.l, st.j, grid, st.energy)
+                new = solve_radial(*args)
+                _assert_same_state(new, _fallback_solve(monkeypatch, *args))
+                if "node-count" in new.flags:
+                    flagged.add((st.n, st.l, st.j, step))
+        assert {(60, 1, 1.5, 0.05), (60, 0, 0.5, 0.1)} <= flagged
 
-    def test_hydrogen_matches_fallback(self, inward, monkeypatch, hyd):
+    def test_hydrogen_matches_fallback(self, inward, shim, monkeypatch, hyd):
         # a1 = a2 = 0: every node is inside both core prefixes, and
         # alpha_c = so_scale = 0 skip the polarization and spin-orbit terms
         with warnings.catch_warnings():
@@ -746,14 +890,15 @@ class TestNumerovKernel(_KernelCases):
                 for l in range(min(n, 11)):
                     for j in (l - 0.5, l + 0.5):
                         if j > 0:
+                            st = solve_radial(hyd, n, l, j)
                             _assert_same_state(
-                                solve_radial(hyd, n, l, j),
-                                _fallback_solve(monkeypatch, hyd, n, l, j))
+                                st, _fallback_solve(monkeypatch, hyd, n, l, j))
+                            _assert_same_w(shim, hyd, l, j, st.energy, st.grid)
 
     @pytest.mark.parametrize("key,factor", [("a1", 40.0), ("a2", 40.0),
                                             ("a1", -1.0), ("a2", -1.0)])
-    def test_core_exponents_match_fallback(self, inward, monkeypatch, rb, key,
-                                           factor):
+    def test_core_exponents_match_fallback(self, inward, shim, monkeypatch, rb,
+                                           key, factor):
         # one core exponential cut 40 times nearer the nucleus than the
         # other, so that between the two cuts z keeps the other one's term;
         # or one that grows, exp(-a r) overflowing far out, which the
@@ -771,6 +916,7 @@ class TestNumerovKernel(_KernelCases):
                         _assert_same_state(
                             st, _fallback_solve(monkeypatch, p, 30, l, j))
                         assert ("non-finite" in st.flags) == (factor < 0)
+                        _assert_same_w(shim, p, l, j, st.energy, st.grid)
 
     def test_chi_full_length_and_read_only_in_state(self, hyd):
         # on the fallback, and on the kernel where it is built
@@ -780,7 +926,7 @@ class TestNumerovKernel(_KernelCases):
                                      grid.step)]
         if atom._c_kernel() is not None:
             chis.append(atom._kernel_solve(atom._c_kernel(), hyd, 1, 1.5,
-                                           energy, grid))
+                                           energy, grid)[0])
         for chi in chis:
             assert chi.shape == grid.xi.shape and chi.flags.writeable
         st = solve_radial(hyd, 4, 1, 1.5, grid=grid)
@@ -810,10 +956,6 @@ class TestPythonNumerovKernel(_KernelCases):
     def inward(self, monkeypatch):
         monkeypatch.setattr(atom, "_c_kernel", lambda: None)
         return atom._numerov_inward
-
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C "
-                              "compiler (cc) on PATH to build the kernel with")
 
 
 class TestKernelLoader:
@@ -846,15 +988,25 @@ class TestKernelLoader:
         assert list(tmp_path.glob("__pycache__/*")) == []
 
     @needs_cc
-    def test_two_builds_leave_one_loadable_file(self, tmp_path):
+    def test_two_builds_leave_one_loadable_file(self, tmp_path, rb):
         atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
         [lib] = tmp_path.iterdir()
         atom._build_kernel(atom._KERNEL_SOURCE, lib)
         assert list(tmp_path.iterdir()) == [lib]
         kernel = atom._load_kernel(atom._KERNEL_SOURCE, tmp_path)
-        W = np.random.default_rng(1).uniform(-150.0, 250.0, 500)
-        assert np.array_equal(_compiled_inward(W, 0.1, kernel),
-                              _numerov_inward_reference(W, 0.1))
+        grid, energy = default_grid(30), qd_energy(rb, 30, 1, 1.5)
+        chi, *results = atom._kernel_solve(kernel, rb, 1, 1.5, energy, grid)
+        W = atom._numerov_w(rb, 1, 1.5, energy, grid)
+        reference = atom._numerov_inward(W, grid.step)
+        assert results == list(atom._finish(reference, grid.xi, grid.step, W))
+        assert np.array_equal(chi, reference)
+
+    def test_kernel_includes_only_stddef(self):
+        # math.h alone raised cc's peak RSS by 1.8 MB, above that of the CLI
+        # process that builds the kernel
+        source = atom._KERNEL_SOURCE.read_text()
+        assert re.findall(r"^\s*#\s*include\s*(.*?)\s*$", source,
+                          re.MULTILINE) == ["<stddef.h>"]
 
     @needs_cc
     def test_build_removes_old_named_libraries(self, tmp_path):
