@@ -1,17 +1,20 @@
 /* The whole radial solve of one state of lgryd.atom.solve_radial on a grid
-   of n nodes, step h, W built node by node from the model potential, and
+   of n nodes xi0 + i h, W built node by node from the model potential, and
    the Simpson moments of lgryd.atom.radial_matrix_element.  Each gives what
-   the Python fallback gives with numpy, bit for bit:
+   the Python fallback gives with numpy, bit for bit, and reads no grid
+   array:
 
    1. W at node i (w_at) is lgryd.atom._numerov_w's, in its operation
-      order, from the grid's r, 2 r^4 and 2 r^3 and from `model`: the
-      constants E, (2l + 1/2)(2l + 3/2), Z - 1, a3, a4, alpha_c, so_scale,
-      alpha^2 and L.S, then exp(-a1 r) on the first n1 nodes (those with
-      a1 r <= 746), exp(-a2 r) on the first n2 and 1 - exp(-(r/rc)^6) on
-      the first n_near (r <= rc 746^(1/6)).  numpy computes those
-      exponentials, so every transcendental is its; here are only IEEE basic
-      operations.  Beyond its prefix an exponential is exactly +0.0, and
-      beyond both core prefixes V_core is -1/r, as in _potential.
+      order, from xi = xi0 + i h and r = xi xi, as RadialGrid builds them,
+      the powers r^3 = (r r) r, 2 r^4 = (r^3 r) 2 and 2 r^3 = r^3 2, and
+      `model`: the constants E, (2l + 1/2)(2l + 3/2), Z - 1, a3, a4,
+      alpha_c, so_scale, alpha^2, L.S, a1, a2, rc and rc 746^(1/6).
+      exp(-a1 r) is libm's where a1 r <= 746, exp(-a2 r) where
+      a2 r <= 746, and 1 - exp(-(u^2 u^2) u^2), u = r / rc, where
+      r <= rc 746^(1/6); elsewhere each exponential is exactly +0.0, and
+      where both core ones are V_core is -1/r, as in _potential.  The
+      fallback takes the same libm exp (math.exp) at the same points, so
+      no bit depends on numpy's SIMD loops.
    2. The start node, as lgryd.atom._tail_start finds it: the first node
       beyond the outer turning point (the last node with W < 0) where the
       running sum of sqrt(W), added one node at a time from the turning
@@ -40,58 +43,68 @@
       fails) and |chi[0]| > 10 times it, chi is zeroed through it.
    8. The node count: the sign changes left beyond the blanks.
    9. The norm 2 Simpson(((chi chi) xi) xi), as lgryd.atom._simpson sums
-      it: each strided sum in numpy's float64 add.reduce order (`pairwise`).
+      it: each strided sum in numpy's float64 add.reduce order (`pairwise`),
+      xi built at each node as in step 1.
    Steps 1-9 take one call of numerov_solve_model, which writes the node
    count, the divergent-core bit and the norm over model[0..2];
-   simpson_product takes 2 Simpson((f g) p) for a matrix element, with no
+   simpson_product takes 2 Simpson((f g) r^(alpha + 1)) for a matrix
+   element, r^(alpha + 1) = ((r r) r) ... by alpha products, with no
    temporary.
 
    Build with -ffp-contract=off, so no product is fused into an FMA, and
    -fno-math-errno, so sqrt is the one correctly rounded instruction numpy's
-   is and needs no libm.  The peak RSS of cc (gcc 12, x86-64) must stay
-   below that of the CLI process that builds the kernel (about 30.3 MB), as
-   the benchmark counts it there: so no header beyond stddef.h (math.h
-   alone took 1.8 MB), and -Og, which runs fewer passes than -O1 (29.8 MB
-   against 31.0, and 33.8 at -O2) and solves as fast, the recurrence being
-   bound by latency.  Only `term` is inlined, into the pairwise sum, where
-   a call a term halved its speed; inlining w_at bought nothing. */
+   is.  exp is declared here and linked without -lm: the Python process
+   that loads the library already has libm.  cc's peak RSS (gcc 12, x86-64)
+   counts where the CLI process that builds the kernel is measured, so the
+   source stays small: no header beyond stddef.h (math.h alone took
+   1.8 MB), and -Og, which runs fewer passes than -O1 (29.8 MB against
+   31.0, and 33.8 at -O2) and solves as fast, the recurrence being bound by
+   latency.  The pairwise sum fills a block of terms and then adds it, so
+   `term`, which a call each would slow, is inlined into one loop and not
+   eight accumulators. */
 #include <stddef.h>
 
+double exp(double);     /* libm's, which the Python process has loaded */
+
+/* the constants of `model` at a grid of nodes xi0 + i h */
 struct model {
-    const double *r, *two_r4, *two_r3, *e1, *e2, *cut;
-    ptrdiff_t n1, n2, n_near;
-    double energy, cent, z1, a3, a4, alpha_c, so_scale, so, ls;
+    double xi0, h, energy, cent, z1, a3, a4, alpha_c, so_scale, so, ls, a1, a2,
+           rc, r_near;
 };
 
-static struct model unpack(const double *r, const double *two_r4,
-                           const double *two_r3, const double *model,
-                           ptrdiff_t n1, ptrdiff_t n2, ptrdiff_t n_near)
+static struct model unpack(double xi0, double h, const double *model)
 {
     const struct model m = {
-        r, two_r4, two_r3, model + 9, model + 9 + n1, model + 9 + n1 + n2,
-        n1, n2, n_near, model[0], model[1], model[2], model[3], model[4],
-        model[5], model[6], model[6] * model[7], model[8]};
+        xi0, h, model[0], model[1], model[2], model[3], model[4], model[5],
+        model[6], model[6] * model[7], model[8], model[9], model[10],
+        model[11], model[12]};
     return m;
 }
 
+/* W at node i: w_at, or in tests/_numerov_shim.c a given W */
+typedef double w_fn(const struct model *m, ptrdiff_t i);
+
 static double w_at(const struct model *m, ptrdiff_t i)
 {
-    const double r = m->r[i];
+    const double xi = m->xi0 + (double)i * m->h, r = xi * xi;
+    const double x1 = m->a1 * r, x2 = m->a2 * r, r3 = r * r * r;
     double v;
-    if (i < m->n1 || i < m->n2) {
-        const double e1 = i < m->n1 ? m->e1[i] : 0.0;
-        const double e2 = i < m->n2 ? m->e2[i] : 0.0;
+    if (x1 <= 746.0 || x2 <= 746.0) {
+        const double e1 = x1 <= 746.0 ? exp(-x1) : 0.0;
+        const double e2 = x2 <= 746.0 ? exp(-x2) : 0.0;
         v = -((e1 * m->z1 + 1.0) - (m->a4 * r + m->a3) * r * e2) / r;
     } else
         v = -1.0 / r;
     if (m->alpha_c != 0.0) {
-        double t = m->alpha_c / m->two_r4[i];
-        if (i < m->n_near)
-            t *= m->cut[i];
+        double t = m->alpha_c / (r3 * r * 2.0);
+        if (r <= m->r_near) {
+            const double u = r / m->rc, u2 = u * u;
+            t *= 1.0 - exp(-(u2 * u2 * u2));
+        }
         v -= t;
     }
     if (m->so_scale != 0.0)
-        v += m->so / m->two_r3[i] * m->ls;
+        v += m->so / (r3 * 2.0) * m->ls;
     return (v - m->energy) * 8.0 * r + m->cent / r;
 }
 
@@ -101,15 +114,16 @@ struct crossings {
     ptrdiff_t count, first;
 };
 
-/* steps 2-5; the recurrence notes each sign change as it makes it */
-static struct crossings inward(ptrdiff_t n, const struct model *m, double h,
+/* steps 2-5 on the W that w gives; the recurrence notes each sign change
+   as it makes it */
+static struct crossings inward(ptrdiff_t n, w_fn *w, const struct model *m,
                                double depth, double *chi)
 {
-    const double c = h * h / 12.0, limit = depth / h;
+    const double h = m->h, c = h * h / 12.0, limit = depth / h;
     ptrdiff_t turn = n - 1, start = n - 1;
     struct crossings x = {0, -1};
 
-    while (turn >= 0 && !((chi[turn] = w_at(m, turn)) < 0.0))
+    while (turn >= 0 && !((chi[turn] = w(m, turn)) < 0.0))
         turn--;
     if (turn >= 0) {
         double sum = 0.0;
@@ -129,11 +143,11 @@ static struct crossings inward(ptrdiff_t n, const struct model *m, double h,
     }
 
     /* the scan kept W from the turning point out: start - 1 may be inside */
-    double a_out = 1.0 - c * chi[start], a_i = 1.0 - c * w_at(m, start - 1);
+    double a_out = 1.0 - c * chi[start], a_i = 1.0 - c * w(m, start - 1);
     chi[start] = 1e-12;
     chi[start - 1] = 2e-12;
     for (ptrdiff_t i = start - 1; i > 0; i--) {
-        const double a_in = 1.0 - c * w_at(m, i - 1), b_i = 12.0 - 10.0 * a_i;
+        const double a_in = 1.0 - c * w(m, i - 1), b_i = 12.0 - 10.0 * a_i;
         if (a_in == 0.0) {
             for (ptrdiff_t k = 0; k <= start; k++)
                 chi[k] = __builtin_nan("");
@@ -151,48 +165,63 @@ static struct crossings inward(ptrdiff_t n, const struct model *m, double h,
     return x;
 }
 
-/* the Simpson integrand at node i: ((f g) p) q, or (f g) p without q */
+/* the Simpson integrand at node i, where xi = xi0 + i h and r = xi xi:
+   (f g) r^(alpha + 1), or the norm's ((f g) xi) xi at alpha = 0 */
 struct product {
-    const double *f, *g, *p, *q;
+    const double *f, *g;
+    double xi0, h;
+    int alpha;
 };
 
 static inline __attribute__((always_inline))
 double term(const struct product *t, ptrdiff_t i)
 {
-    const double v = t->f[i] * t->g[i] * t->p[i];
-    return t->q ? v * t->q[i] : v;
+    const double xi = t->xi0 + (double)i * t->h, v = t->f[i] * t->g[i];
+    if (!t->alpha)
+        return v * xi * xi;
+    const double r = xi * xi;
+    double p = r;                       /* r^(alpha + 1), from the left */
+    for (int k = 0; k < t->alpha; k++)
+        p *= r;
+    return v * p;
+}
+
+/* numpy's float64 pairwise_sum of a[0..count-1] for count <= 128: a plain
+   loop below 8 and eight accumulators from 8 */
+static double block_sum(const double *a, ptrdiff_t count)
+{
+    double s = 0.0;
+    ptrdiff_t k = 0;
+    if (count >= 8) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3], r4 = a[4],
+               r5 = a[5], r6 = a[6], r7 = a[7];
+        for (k = 8; k < count - count % 8; k += 8) {
+            r0 += a[k];
+            r1 += a[k + 1];
+            r2 += a[k + 2];
+            r3 += a[k + 3];
+            r4 += a[k + 4];
+            r5 += a[k + 5];
+            r6 += a[k + 6];
+            r7 += a[k + 7];
+        }
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    }
+    for (; k < count; k++)
+        s += a[k];
+    return s;
 }
 
 /* numpy's float64 pairwise_sum of the terms at i, i + 2, ... (count of
-   them): a plain loop below 8, eight accumulators up to 128, and above that
+   them): each block of at most 128 as block_sum adds it, and above that
    halves split at a multiple of 8 */
 static double pairwise(const struct product *t, ptrdiff_t i, ptrdiff_t count)
 {
-    if (count < 8) {
-        double s = 0.0;
-        for (ptrdiff_t k = 0; k < count; k++)
-            s += term(t, i + 2 * k);
-        return s;
-    }
     if (count <= 128) {
-        const ptrdiff_t end = i + 2 * (count - count % 8);
-        double r0 = term(t, i), r1 = term(t, i + 2), r2 = term(t, i + 4),
-               r3 = term(t, i + 6), r4 = term(t, i + 8), r5 = term(t, i + 10),
-               r6 = term(t, i + 12), r7 = term(t, i + 14);
-        for (ptrdiff_t k = i + 16; k < end; k += 16) {
-            r0 += term(t, k);
-            r1 += term(t, k + 2);
-            r2 += term(t, k + 4);
-            r3 += term(t, k + 6);
-            r4 += term(t, k + 8);
-            r5 += term(t, k + 10);
-            r6 += term(t, k + 12);
-            r7 += term(t, k + 14);
-        }
-        double s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
-        for (ptrdiff_t k = end; k < i + 2 * count; k += 2)
-            s += term(t, k);
-        return s;
+        double a[128];
+        for (ptrdiff_t k = 0; k < count; k++)
+            a[k] = term(t, i + 2 * k);
+        return block_sum(a, count);
     }
     ptrdiff_t half = count / 2;
     half -= half % 8;
@@ -201,8 +230,9 @@ static double pairwise(const struct product *t, ptrdiff_t i, ptrdiff_t count)
 
 /* 2 lgryd.atom._simpson of the terms at nodes 0..n-1 (n >= 3); a sum is
    add.reduce's, 0.0 + pairwise_sum */
-static double simpson2(const struct product *t, ptrdiff_t n, double h)
+static double simpson2(const struct product *t, ptrdiff_t n)
 {
+    const double h = t->h;
     const ptrdiff_t m = n - 1 + n % 2;  /* the composite rule's odd count */
     double s = h / 3.0 * (term(t, 0) + term(t, m - 1)
                           + 4.0 * (0.0 + pairwise(t, 1, (m - 1) / 2))
@@ -216,7 +246,7 @@ static double simpson2(const struct product *t, ptrdiff_t n, double h)
 /* steps 6-9: nodes, the divergent-core bit and the norm into out[0..2].
    No divergent-core blank can follow a near-boundary one: |chi[0]| = 0 is
    then the first minimum, and a NaN in the segment fails the max test. */
-static void finish(ptrdiff_t n, double *chi, const double *xi, double h,
+static void finish(ptrdiff_t n, double *chi, double xi0, double h,
                    struct crossings x, double *out)
 {
     ptrdiff_t cut = -1;                 /* chi[0..cut] is blanked */
@@ -249,24 +279,22 @@ static void finish(ptrdiff_t n, double *chi, const double *xi, double h,
     for (ptrdiff_t k = 0; k <= cut; k++)
         chi[k] = 0.0;
 
-    const struct product norm = {chi, chi, xi, xi};
+    const struct product norm = {chi, chi, xi0, h, 0};
     out[0] = (double)x.count;
     out[1] = core;
-    out[2] = simpson2(&norm, n, h);
+    out[2] = simpson2(&norm, n);
 }
 
-void numerov_solve_model(ptrdiff_t n, const double *xi, const double *r,
-                         const double *two_r4, const double *two_r3,
-                         double *model, ptrdiff_t n1, ptrdiff_t n2,
-                         ptrdiff_t n_near, double h, double depth, double *chi)
+void numerov_solve_model(ptrdiff_t n, double xi0, double h, double depth,
+                         double *model, double *chi)
 {
-    const struct model m = unpack(r, two_r4, two_r3, model, n1, n2, n_near);
-    finish(n, chi, xi, h, inward(n, &m, h, depth, chi), model);
+    const struct model m = unpack(xi0, h, model);
+    finish(n, chi, xi0, h, inward(n, w_at, &m, depth, chi), model);
 }
 
 double simpson_product(ptrdiff_t n, const double *f, const double *g,
-                       const double *p, double h)
+                       double xi0, int alpha, double h)
 {
-    const struct product t = {f, g, p, NULL};
-    return simpson2(&t, n, h);
+    const struct product t = {f, g, xi0, h, alpha};
+    return simpson2(&t, n);
 }

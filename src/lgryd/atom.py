@@ -18,13 +18,13 @@ than hidden.  At l >= 5 it crosses zero at the first grid point and the cut
 misses it (docs/AUDIT.md, "Radial states at l >= 5").
 
 The whole solve of a state runs in one call of the C kernel `_numerov.c`
-(`_kernel_solve`): numpy computes the core and polarization exponentials on
-their prefixes of the grid, and the kernel builds W node by node from them
-and the grid's cached powers of r, finds the start node by `_tail_start`'s
-rule, refuses a zero divisor, runs the recurrence, building its
-coefficients node by node, and then does `_finish`'s work: the two blanks,
-the node count and the norm.  numpy then only divides chi by the norm.  A
-matrix element is one call of the kernel too, which builds no temporary.
+(`_kernel_solve`), from a few constants: it builds each node, the powers of
+r there and W, with libm's exp for the core and polarization exponentials,
+finds the start node by `_tail_start`'s rule, refuses a zero divisor, runs
+the recurrence, building its coefficients node by node, and then does
+`_finish`'s work: the two blanks, the node count and the norm.  numpy then
+only divides chi by the norm.  A matrix element is one call of the kernel
+too, which builds each r^(alpha + 1) by multiplication and no temporary.
 The first solve compiles it with `cc` into __pycache__/_numerov.so (rebuilt
 over itself when the source changes) and later ones load it through
 ctypes.  Where it cannot be built or loaded, the numpy `_numerov_w`,
@@ -33,12 +33,10 @@ ctypes.  Where it cannot be built or loaded, the numpy `_numerov_w`,
 for bit, and the tests hold each against
 tests/test_atom.py::_numerov_inward_reference.
 
-The grid's nodes xi, r = xi^2 and the powers 2 r^4 and 2 r^3 of the
-potential are computed once per `RadialGrid` and cached on it, so a solve
-does only its own state's work: the core exponentials and -z/r, the
-polarization cutoff near rc, the alpha_c and spin-orbit scalings and the
-centrifugal term.  So are the powers xi^(2 alpha + 2) that the matrix
-elements take.
+Every exponential is libm's and every power a chain of IEEE products, on
+either path (`model_potential`), so no state or moment depends on numpy's
+SIMD loops.  The compiled path reads no grid array; the fallback takes the
+grid's cached xi and r = xi^2.
 """
 
 from __future__ import annotations
@@ -76,9 +74,10 @@ XI_STEP = 0.01
 # the most nodes a grid may have: each N-point array of a solve then stays
 # under 80 MB, and a step too small for that is refused before any is built
 MAX_GRID_NODES = 10_000_000
-# exp(-x) is exactly +0.0 for every x > _EXP_ZERO (model_potential,
-# _kernel_solve)
+# exp(-x) is exactly +0.0 for every x > _EXP_ZERO, and so is exp(-(r/rc)^6)
+# for every r > rc _R_NEAR (model_potential, _numerov.c)
 _EXP_ZERO = 746.0
+_R_NEAR = _EXP_ZERO ** (1.0 / 6.0)
 # the inward recurrence starts where the tail lies e^-TAIL_DEPTH (about
 # 1e-130) below its value at the outer turning point (`_tail_start`): far
 # past double precision, and chi grows from its 1e-12 seeds to about 1e118
@@ -204,30 +203,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _r_factors(r: np.ndarray) -> tuple:
-    """(2 r^4, 2 r^3): the powers of r in model_potential, each built as the
-    full formula builds it."""
-    two_r4 = np.power(r, 4)
-    two_r4 *= 2.0
-    two_r3 = np.power(r, 3)
-    two_r3 *= 2.0
-    return two_r4, two_r3
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform grid in xi = sqrt(r) on [sqrt(r_min), sqrt(r_max)].
 
-    The node arrays xi, r, r_factors and each xi_power(k) are built on
-    first use and cached on the grid.  They are read-only and shared by
-    every state solved on the grid and every matrix element taken on it, so
-    no caller may edit them in place; a solver that hands one grid object to
-    all its states builds them once, and they are freed with the grid.  Only
-    arrays that cost more to rebuild than to keep are cached: every N-point
-    array that lives through an nscan op costs about 850 page faults a pass,
-    while numpy's vector power in xi ** k takes over half of a matrix
-    element.  The compiled solve builds W and the norm's terms node by node
-    from these arrays, so it needs no other.
+    The node arrays xi and r = xi xi are built on first use and cached on
+    the grid, read-only, for the Python fallback, `RydbergState.u_of_r` and
+    the verifier.  The compiled solve and matrix element read neither: they
+    build each node xi = sqrt(r_min) + k step, bit for bit as xi holds it,
+    and every power of it, as they step.  So a grid that only the compiled
+    path uses holds no N-point array, and each such array would cost about
+    850 page faults in an nscan pass, on the fresh grid of each scenario.
     """
 
     r_min: float
@@ -265,23 +251,6 @@ class RadialGrid:
     @cached_property
     def r(self) -> np.ndarray:
         return _read_only(self.xi * self.xi)
-
-    @cached_property
-    def r_factors(self) -> tuple:
-        """(2 r^4, 2 r^3) at the nodes (see `_r_factors`)."""
-        return tuple(map(_read_only, _r_factors(self.r)))
-
-    @cached_property
-    def _xi_powers(self) -> dict:
-        return {}
-
-    def xi_power(self, k: int) -> np.ndarray:
-        """xi ** k at the nodes, as numpy's array power gives it, cached on
-        the grid per exponent k (the moments of `radial_matrix_element`)."""
-        powers = self._xi_powers
-        if k not in powers:
-            powers[k] = _read_only(self.xi ** k)
-        return powers[k]
 
 
 def default_grid(n: int, step: float = XI_STEP) -> RadialGrid:
@@ -324,19 +293,16 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
         V = -z/r - alpha_c/(2 r^4) (1 - exp(-(r/rc)^6)) + so_scale alpha^2/(2 r^3) L.S,
         z = 1 + (Z-1) exp(-a1 r) - r (a3 + a4 r) exp(-a2 r).
 
-    The r-factors 2 r^4 and 2 r^3 come from `_r_factors`, here on this r
-    and in solve_radial from its grid's cache; `_potential` then does the
-    rest on one work buffer besides the result, each ufunc one IEEE
-    operation of the formula, in the order written.  exp(x) rounds to
-    exactly +0.0 below x = -745.14, so the exponentials are evaluated only
-    where an argument is >= -746, on gathered copies of those points, and
-    every other point is set to the value the full formula gives there.
-    The cut stays for three reasons.  It skips the exponentials' work
-    beyond it, where numpy's vector exp also takes its slow path (below
-    about -708).  The value it sets there is exactly the formula's, each
-    cut exponential being +0.0.  And on a sorted grid the same test, made
-    on each exponential's own argument, gives the prefixes of nodes whose
-    exponentials `_kernel_solve` hands the compiled solve:
+    `_potential` builds it on one work buffer besides the result, each ufunc
+    one IEEE operation of the formula, in the order written, as the
+    compiled solve builds it node by node: r^3 = (r r) r, 2 r^4 = (r^3 r) 2,
+    2 r^3 = r^3 2 and (r/rc)^6 = (u^2 u^2) u^2, and each exponential is
+    libm's (`_exp`).  numpy's vector exp and power would round by the
+    host's SIMD loops instead.  exp(x) rounds to exactly +0.0 below
+    x = -745.14, so the exponentials are evaluated only where an argument
+    is >= -746, on gathered copies of those points, and every other point
+    is set to the value the full formula gives there, each cut exponential
+    being +0.0.  The compiled solve makes the same tests at each node:
       - z is computed only where min(a1, a2) r <= 746.  Beyond, both core
         exponentials are 0, z is exactly 1 and V_core is -1/r.
       - 1 - exp(-(r/rc)^6) is computed only where r <= rc 746^(1/6).
@@ -349,46 +315,66 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
     if np.any(r <= 0):
         raise ValueError("model potential requires r > 0")
     shape, r = r.shape, r.reshape(-1)
-    v = _potential(p, l, j, r, *_r_factors(r))
+    v = _potential(p, l, j, r)
     return v.reshape(shape) if shape else float(v[0])
 
 
-def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray,
-               two_r4: np.ndarray, two_r3: np.ndarray) -> np.ndarray:
-    """model_potential on a flat r > 0, given its r-factors; a fresh array."""
+def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
+    """model_potential on a flat r > 0; a fresh array."""
     a1, a2, a3, a4, rc = p.potential_for(l)
     v = np.divide(-1.0, r)                              # -z/r at z = 1
     core = np.flatnonzero(min(a1, a2) * r <= _EXP_ZERO)
     rk = r[core]
-    z, t = np.empty_like(rk), np.empty_like(rk)
-    np.multiply(a4, rk, out=t)
+    t = np.multiply(a4, rk)
     t += a3
     t *= rk
-    t *= np.exp(np.multiply(-a2, rk, out=z), out=z)     # r (a3 + a4 r) e^{-a2 r}
-    np.exp(np.multiply(-a1, rk, out=z), out=z)
+    t *= _exp(np.multiply(-a2, rk))                     # r (a3 + a4 r) e^{-a2 r}
+    z = _exp(np.multiply(-a1, rk))
     z *= p.Z - 1.0
     z += 1.0
     z -= t                                              # z
     np.negative(z, out=z)
     z /= rk
     v[core] = z
+    r3 = np.multiply(r, r)
+    r3 *= r
     t = np.empty_like(r)
     if p.alpha_c:
-        np.divide(p.alpha_c, two_r4, out=t)
-        near = np.flatnonzero(r <= rc * _EXP_ZERO ** (1.0 / 6.0))
-        u = r[near]
-        u /= rc
-        np.power(u, 6, out=u)
-        np.exp(np.negative(u, out=u), out=u)
-        np.subtract(1.0, u, out=u)
-        t[near] *= u
+        np.multiply(r3, r, out=t)
+        t *= 2.0
+        np.divide(p.alpha_c, t, out=t)
+        near = np.flatnonzero(r <= rc * _R_NEAR)
+        u2 = r[near]
+        u2 /= rc
+        u2 *= u2
+        u6 = np.multiply(u2, u2)
+        u6 *= u2
+        np.subtract(1.0, _exp(np.negative(u6, out=u6)), out=u6)
+        t[near] *= u6
         v -= t
     if p.so_scale:
-        ls = 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
-        np.divide(p.so_scale * FINE_STRUCTURE**2, two_r3, out=t)
-        t *= ls
+        np.multiply(r3, 2.0, out=t)
+        np.divide(p.so_scale * FINE_STRUCTURE**2, t, out=t)
+        t *= _ls(l, j)
         v += t
     return v
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """libm's exp at each point of x, as the compiled solve takes it: +inf
+    where it overflows, where math.exp raises."""
+    out = x.tolist()
+    for k, t in enumerate(out):
+        try:
+            out[k] = math.exp(t)
+        except OverflowError:
+            out[k] = math.inf
+    return np.array(out, dtype=float)
+
+
+def _ls(l: int, j: float) -> float:
+    """L.S of the spin-orbit term."""
+    return 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
 
 
 def qd_energy(p: SpeciesParams, n: int, l: int, j: float) -> float:
@@ -495,11 +481,10 @@ def _load_kernel(src: Path, cache_dir: Path):
     import ctypes
     kernel = ctypes.CDLL(str(lib))
     size, array, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    kernel.numerov_solve_model.argtypes = (size, array, array, array, array,
-                                           array, size, size, size, real, real,
-                                           array)
+    kernel.numerov_solve_model.argtypes = (size, real, real, real, array, array)
     kernel.numerov_solve_model.restype = None
-    kernel.simpson_product.argtypes = (size, array, array, array, real)
+    kernel.simpson_product.argtypes = (size, array, array, real, ctypes.c_int,
+                                       real)
     kernel.simpson_product.restype = real
     return kernel
 
@@ -533,9 +518,9 @@ def _build_kernel(src: Path, lib: Path) -> None:
 def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
                grid: RadialGrid) -> np.ndarray:
     """W = 8 xi^2 (V(xi^2) - E) + (2l + 1/2)(2l + 3/2) / xi^2, built in place
-    in the operation order of that formula from the grid's cached factors.
+    in the operation order of that formula from the grid's cached r.
     Scaling by 8 is exact, so (V - E) 8 r rounds as (V - E) ((8 xi) xi)."""
-    W = _potential(p, l, j, grid.r, *grid.r_factors)
+    W = _potential(p, l, j, grid.r)
     W -= energy
     W *= 8.0
     W *= grid.r                                         # 8 xi xi (V - E)
@@ -547,48 +532,26 @@ def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
                   grid: RadialGrid) -> tuple:
     """(chi, nodes, divergent core?, norm^2) as the fallback's
     `_numerov_inward(_numerov_w(...), h)` and `_finish` give them, bit for
-    bit, from one call of the compiled solve, which builds W node by node
-    and blanks, counts and integrates chi (`_numerov.c`); chi is not yet
-    normalized.  The kernel writes its three results over the first three
-    constants of `_model_inputs`' array."""
-    model, n1, n2, n_near = _model_inputs(p, l, j, energy, grid)
-    r, (two_r4, two_r3) = grid.r, grid.r_factors
-    chi = np.empty_like(r)
-    kernel.numerov_solve_model(r.size, grid.xi.ctypes.data, r.ctypes.data,
-                               two_r4.ctypes.data, two_r3.ctypes.data,
-                               model.ctypes.data, n1, n2, n_near, grid.step,
-                               TAIL_DEPTH, chi.ctypes.data)
+    bit, from one call of the compiled solve, which builds each node and W
+    there and blanks, counts and integrates chi (`_numerov.c`); chi is not
+    yet normalized.  The kernel writes its three results over the first
+    three of `_model_constants`."""
+    model = _model_constants(p, l, j, energy)
+    chi = np.empty(grid.size)
+    kernel.numerov_solve_model(chi.size, math.sqrt(grid.r_min), grid.step,
+                               TAIL_DEPTH, model.ctypes.data, chi.ctypes.data)
     nodes, core, norm2 = model[:3].tolist()
     return chi, int(nodes), core != 0.0, norm2
 
 
-def _model_inputs(p: SpeciesParams, l: int, j: float, energy: float,
-                  grid: RadialGrid) -> tuple:
-    """(model, n1, n2, n_near): what the compiled solve builds W from besides
-    the grid.  numpy computes only `_potential`'s three exponentials, each
-    on the nodes where its argument is >= -746: on the grid's sorted r those
-    are a prefix, found by bisection on the test `_potential` makes.  They
-    follow nine constants in the one array `model`."""
-    from bisect import bisect_right
+def _model_constants(p: SpeciesParams, l: int, j: float,
+                     energy: float) -> np.ndarray:
+    """The constants the compiled solve builds W from at each node, in the
+    order of `_numerov.c`'s unpack."""
     a1, a2, a3, a4, rc = p.potential_for(l)
-    r = grid.r
-    with np.errstate(over="ignore", invalid="ignore"):
-        n1 = bisect_right(r, _EXP_ZERO, key=lambda x: a1 * x)
-        n2 = bisect_right(r, _EXP_ZERO, key=lambda x: a2 * x)
-        n_near = bisect_right(r, rc * _EXP_ZERO ** (1.0 / 6.0)) if p.alpha_c else 0
-        model = np.empty(9 + n1 + n2 + n_near)
-        model[:9] = (energy, (2 * l + 0.5) * (2 * l + 1.5), p.Z - 1.0, a3, a4,
-                     p.alpha_c, p.so_scale, FINE_STRUCTURE**2,
-                     0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75))
-        exps, cut = model[9:], model[9 + n1 + n2:]
-        np.multiply(-a1, r[:n1], out=exps[:n1])
-        np.multiply(-a2, r[:n2], out=exps[n1:n1 + n2])
-        np.divide(r[:n_near], rc, out=cut)
-        np.power(cut, 6, out=cut)
-        np.negative(cut, out=cut)
-        np.exp(exps, out=exps)
-        np.subtract(1.0, cut, out=cut)
-    return model, n1, n2, n_near
+    return np.array((energy, (2 * l + 0.5) * (2 * l + 1.5), p.Z - 1.0, a3, a4,
+                     p.alpha_c, p.so_scale, FINE_STRUCTURE**2, _ls(l, j), a1,
+                     a2, rc, rc * _R_NEAR))
 
 
 def _tail_start(W: np.ndarray, h: float) -> int:
@@ -715,18 +678,21 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
         raise ValueError("w_r must be positive")
     if f.grid != i.grid:
         raise ValueError("states live on different grids; solve both on one grid")
-    power = f.grid.xi_power(2 * alpha + 2)
     kernel = _c_kernel()
     # no temporary, as fresh ones fault; a state the fallback solved holds a
     # reversed view of chi, which only numpy reads
     if kernel is not None and f.chi.flags.c_contiguous \
             and i.chi.flags.c_contiguous:
-        val = kernel.simpson_product(power.size, f.chi.ctypes.data,
-                                     i.chi.ctypes.data, power.ctypes.data,
+        val = kernel.simpson_product(f.chi.size, f.chi.ctypes.data,
+                                     i.chi.ctypes.data,
+                                     math.sqrt(f.grid.r_min), alpha,
                                      f.grid.step)
     else:
-        y = f.chi * i.chi
-        y *= power
+        r = f.grid.r
+        y = r.copy()
+        for _ in range(alpha):                          # r^(alpha + 1)
+            y *= r
+        y *= f.chi * i.chi
         val = 2.0 * _simpson(y, f.grid.step)
     return float(val) / w_r ** (alpha - 1)
 

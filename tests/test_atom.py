@@ -323,9 +323,11 @@ class TestRadialMatrixElement:
             with pytest.raises(ValueError):
                 radial_matrix_element(a, b, 1, 1.0)
 
-    def test_cached_xi_powers_bit_identical(self):
-        # every pair of rb60's states at alpha = 1..4 against the power
-        # taken afresh; the cached powers are read-only and the grid's own
+    def test_moments_match_fallback(self, monkeypatch):
+        # every pair of rb60's states at alpha = 1..4: the moment, on the
+        # compiled path where it is built and on numpy's, is
+        # 2 Simpson((chi_f chi_i) r^(alpha + 1)) bit for bit, with the power
+        # taken by alpha products of r from the left
         rt = Runtime(RB60)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # Rb l >= 4 has no defect series
@@ -335,18 +337,17 @@ class TestRadialMatrixElement:
         states = list(rt.solver.states)
         grid, w_r = states[0].grid, rt.cm_i.w_r
         for alpha in range(1, 5):
-            power = grid.xi ** (2 * alpha + 2)
+            power = grid.r
+            for _ in range(alpha):
+                power = power * grid.r
             for f in states:
                 for i in states:
-                    assert radial_matrix_element(f, i, alpha, w_r) == (
-                        2 * atom._simpson(f.chi * i.chi * power, grid.step)
-                        / w_r ** (alpha - 1))
-            cached = grid.xi_power(2 * alpha + 2)
-            assert cached is grid.xi_power(2 * alpha + 2)
-            assert not cached.flags.writeable
-            assert np.array_equal(cached, power)
-            other = default_grid(RB60.n).xi_power(2 * alpha + 2)
-            assert other is not cached and np.array_equal(other, cached)
+                    want = (2 * atom._simpson(f.chi * i.chi * power, grid.step)
+                            / w_r ** (alpha - 1))
+                    assert radial_matrix_element(f, i, alpha, w_r) == want
+                    with monkeypatch.context() as m:
+                        m.setattr(atom, "_c_kernel", lambda: None)
+                        assert radial_matrix_element(f, i, alpha, w_r) == want
         assert len(states) > 1 and all(st.grid is grid for st in states)
 
     def test_alpha_validation(self, hyd_states):
@@ -401,12 +402,21 @@ class TestGrid:
     def test_cached_arrays_shared_and_read_only(self):
         # built once per grid object, and no caller can edit them in place
         g = default_grid(30)
-        assert g.xi is g.xi and g.r is g.r and g.r_factors is g.r_factors
-        for arr in (g.xi, g.r, *g.r_factors):
+        assert g.xi is g.xi and g.r is g.r
+        for arr in (g.xi, g.r):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
             with pytest.raises(ValueError):
                 arr *= 2.0
+
+
+    def test_compiled_path_builds_no_grid_array(self, kernel, rb):
+        # the compiled solve and matrix element build each node and its
+        # powers themselves, so a fresh grid keeps no N-point array
+        g = default_grid(30)
+        f, i = solve_radial(rb, 30, 0, 0.5, g), solve_radial(rb, 30, 1, 1.5, g)
+        assert radial_matrix_element(f, i, 2, 2.0) != 0.0
+        assert "xi" not in vars(g) and "r" not in vars(g)
 
 
 class TestSimpson:
@@ -425,26 +435,34 @@ class TestSimpson:
                 assert abs(atom._simpson(y, st.grid.step) - ref) <= 1e-15 * abs(ref)
 
     def test_compiled_matches_numpy(self, kernel):
-        # the compiled Simpson of y (f = y, g = p = 1) is 2 _simpson(y) bit
-        # for bit: every point count from 3 to 300, both parities, the
-        # strided sums at the pairwise sum's split edges (128 | 129 and
-        # 256 | 257 terms) and the n = 60 and 90 grid sizes; terms spread
-        # over 70 decades, so the summation order shows, with +-0.0, +-inf
-        # and NaN put in
+        # the compiled Simpson of y r^(alpha + 1) (f = y, g = 1) is
+        # 2 _simpson(y power) bit for bit, the power taken by alpha products
+        # of r from the left on the nodes xi = sqrt(1e-3) + i h: every point
+        # count from 3 to 300, both parities, the strided sums at the
+        # pairwise sum's split edges (128 | 129 and 256 | 257 terms) and the
+        # n = 60 and 90 grid sizes, each alpha 1..4; terms spread over 70
+        # decades, so the summation order shows, with +-0.0, +-inf and NaN
+        # put in
         rng = np.random.default_rng(37)
         sizes = [*range(3, 301), *(2 * c + k for c in (256, 257)
                                    for k in (1, 2, 3, 4)), 9485, 13746]
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        xi0, h = math.sqrt(1e-3), 0.01
         for size in sizes:
-            ones = np.ones(size)
+            alpha, ones = size % 4 + 1, np.ones(size)
+            xi = xi0 + np.arange(size) * h
+            r = xi * xi
+            power = r
+            for _ in range(alpha):
+                power = power * r
             y = rng.standard_normal(size) * np.exp(rng.uniform(-80.0, 80.0, size))
             poked = y.copy()
             poked[rng.integers(size, size=2)] = rng.choice(special, 2)
             for y in (y, poked, np.full(size, -0.0), rng.choice(special, size)):
                 got = kernel.simpson_product(size, y.ctypes.data, ones.ctypes.data,
-                                             ones.ctypes.data, 0.01)
-                with np.errstate(invalid="ignore"):    # inf - inf
-                    want = 2.0 * atom._simpson(y, 0.01)
+                                             xi0, alpha, h)
+                with np.errstate(invalid="ignore"):    # inf - inf, inf 0
+                    want = 2.0 * atom._simpson(y * power, h)
                 # the same bits, or both NaN: which NaN's sign an addition
                 # keeps follows its operand order
                 assert float(want).hex() == got.hex() or \
@@ -557,8 +575,9 @@ def kernel():
 
 @pytest.fixture(scope="module")
 def shim(tmp_path_factory):
-    """tests/_numerov_shim.c, built as the kernel is built: its w_model and
-    inward_model export the compiled solve's W and its inward solve alone."""
+    """tests/_numerov_shim.c, built as the kernel is built: w_model exports
+    the compiled solve's W, and inward_w and solve_w its inward solve, alone
+    and with the blanks, the node count and the norm, of a given W."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH to build the kernel with")
     import ctypes
@@ -566,50 +585,29 @@ def shim(tmp_path_factory):
     atom._build_kernel(Path(__file__).with_name("_numerov_shim.c"), lib)
     shim = ctypes.CDLL(str(lib))
     size, array, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-    model = (size, array, array, array, array, size, size, size)
-    shim.w_model.argtypes = model + (array,)
-    shim.inward_model.argtypes = model + (real, real, array)
+    shim.w_model.argtypes = (size, real, real, array, array)
+    shim.inward_w.argtypes = (size, array, real, real, array)
+    shim.solve_w.argtypes = (size, array, real, real, real, array, array)
     return shim
 
 
 def _assert_same_w(shim, p, l, j, energy, grid):
-    """The compiled solve's W, node by node from `atom._model_inputs`, is
+    """The compiled solve's W, node by node from `atom._model_constants`, is
     `atom._numerov_w`'s bit for bit."""
-    model, n1, n2, n_near = atom._model_inputs(p, l, j, energy, grid)
-    r, (two_r4, two_r3) = grid.r, grid.r_factors
-    w = np.empty_like(r)
-    shim.w_model(r.size, r.ctypes.data, two_r4.ctypes.data, two_r3.ctypes.data,
-                 model.ctypes.data, n1, n2, n_near, w.ctypes.data)
+    model = atom._model_constants(p, l, j, energy)
+    w = np.empty(grid.size)
+    shim.w_model(w.size, math.sqrt(grid.r_min), grid.step, model.ctypes.data,
+                 w.ctypes.data)
     with np.errstate(over="ignore", invalid="ignore"):
         W = atom._numerov_w(p, l, j, energy, grid)
     assert np.array_equal(w.view(np.int64), W.view(np.int64)), (l, j)
 
 
-def _w_inputs(W):
-    """(r, 2 r^4 = 2 r^3, model) that make the compiled solve's W exactly
-    W: r = 1 at every node, every node inside both core prefixes,
-    exp(-a1 r) = -1, Z - 1 = 1, a3 = 0, a4 = 1, exp(-a2 r) = W / 8, and
-    alpha_c = so_scale = E = 0 with no centrifugal term.  The kernel's
-    formula on these inputs, in its operation order, must give W bit for
-    bit, or the case fails."""
-    n = W.size
-    r, two, e1, e2 = np.ones(n), np.full(n, 2.0), np.full(n, -1.0), W / 8.0
-    z1, a3, a4 = 1.0, 0.0, 1.0
-    with np.errstate(all="ignore"):
-        v = -((e1 * z1 + 1.0) - (a4 * r + a3) * r * e2) / r
-        assert np.array_equal((v - 0.0) * 8.0 * r + 0.0 / r, W, equal_nan=True)
-    return r, two, np.concatenate([[0.0, 0.0, z1, a3, a4, 0.0, 0.0, 0.0, 0.0],
-                                   e1, e2])
-
-
 def _compiled_inward(shim, W, h):
-    """The compiled inward solve's chi for a given W (`_w_inputs`), from the
-    shim's inward_model."""
-    r, two, model = _w_inputs(W)
+    """The compiled inward solve's chi for a given W, from the shim's
+    inward_w."""
     chi = np.full(W.size, np.nan)       # the kernel reads no node it has not set
-    shim.inward_model(W.size, r.ctypes.data, two.ctypes.data, two.ctypes.data,
-                      model.ctypes.data, W.size, W.size, 0, h, atom.TAIL_DEPTH,
-                      chi.ctypes.data)
+    shim.inward_w(W.size, W.ctypes.data, h, atom.TAIL_DEPTH, chi.ctypes.data)
     return chi
 
 
@@ -647,7 +645,7 @@ class _KernelCases:
     """The bitwise cases, run on the compiled kernel (TestNumerovKernel)
     and on the Python loop (TestPythonNumerovKernel); each class's `inward`
     fixture puts its path in place and gives the inward solve of a W on it,
-    through `_compiled_inward` (the compiled solve's steps 1-5) or
+    through `_compiled_inward` (the compiled solve's steps 2-5) or
     `atom._numerov_inward`."""
 
     def test_workload_states_start_at_tail_start(self, inward, workload_inputs):
@@ -823,10 +821,11 @@ class TestNumerovKernel(_KernelCases):
 
     @pytest.mark.parametrize("case", ["zero-chi", "overflow", "refused",
                                       *(f"random-{n}" for n in range(3, 13))])
-    def test_finish_matches_fallback(self, kernel, case):
-        # the whole compiled solve of a given W (`_w_inputs`, xi = 1): chi
-        # blanked, the node count, the divergent-core bit and the norm are
-        # `atom._finish`'s on the Python loop's chi.  zero-chi: a = 4 at the
+    def test_finish_matches_fallback(self, shim, case):
+        # the whole compiled solve of a given W (the shim's solve_w, on
+        # nodes xi = 1 + i h): chi blanked, the node count, the
+        # divergent-core bit and the norm are `atom._finish`'s on the Python
+        # loop's chi.  zero-chi: a = 4 at the
         # start and 1 next to it make chi exactly 0 at the next node, which
         # is no sign change, and then the minimum the divergent-core blank
         # cuts at; overflow: chi holds +-inf and NaN; refused: a zero divisor
@@ -845,19 +844,16 @@ class TestNumerovKernel(_KernelCases):
             h = 0.3
             W = np.random.default_rng(int(case[7:])).uniform(-150.0, 250.0,
                                                              int(case[7:]))
-        xi = np.ones(W.size)
-        r, two, model = _w_inputs(W)
-        chi = np.empty_like(W)
-        kernel.numerov_solve_model(W.size, xi.ctypes.data, r.ctypes.data,
-                                   two.ctypes.data, two.ctypes.data,
-                                   model.ctypes.data, W.size, W.size, 0, h,
-                                   atom.TAIL_DEPTH, chi.ctypes.data)
+        xi = 1.0 + np.arange(W.size) * h
+        chi, out = np.empty_like(W), np.empty(3)
+        shim.solve_w(W.size, W.ctypes.data, 1.0, h, atom.TAIL_DEPTH,
+                     chi.ctypes.data, out.ctypes.data)
         with np.errstate(all="ignore"):
             reference = atom._numerov_inward(W, h)
             nodes, core, norm2 = atom._finish(reference, xi, h, np.empty_like(W))
         assert np.array_equal(chi, reference, equal_nan=True)
-        assert model[:2].tolist() == [nodes, core]
-        assert np.array_equal(model[2], norm2, equal_nan=True)
+        assert out[:2].tolist() == [nodes, core]
+        assert np.array_equal(out[2], norm2, equal_nan=True)
         if case == "zero-chi":
             assert chi[17] == 0.0 and core and nodes == 0
 
@@ -1041,16 +1037,20 @@ class TestKernelLoader:
 
 
 def _model_potential_reference(p, l, j, r):
-    """model_potential as plain numpy expressions, the form the in-place
-    build in atom.model_potential must reproduce bit for bit."""
+    """model_potential as plain numpy expressions, with libm's exp at each
+    point and each power multiplied out, the form the in-place build in
+    atom.model_potential must reproduce bit for bit."""
     a1, a2, a3, a4, rc = p.potential_for(l)
-    z = 1.0 + (p.Z - 1.0) * np.exp(-a1 * r) - r * (a3 + a4 * r) * np.exp(-a2 * r)
+    exp = np.vectorize(math.exp, otypes=[float])
+    z = 1.0 + (p.Z - 1.0) * exp(-a1 * r) - r * (a3 + a4 * r) * exp(-a2 * r)
     v = -z / r
+    r3 = r * r * r
     if p.alpha_c:
-        v = v - p.alpha_c / (2.0 * r**4) * (1.0 - np.exp(-((r / rc) ** 6)))
+        u2 = (r / rc) * (r / rc)
+        v = v - p.alpha_c / (2.0 * (r3 * r)) * (1.0 - exp(-(u2 * u2 * u2)))
     if p.so_scale:
         ls = 0.5 * (j * (j + 1.0) - l * (l + 1.0) - 0.75)
-        v = v + p.so_scale * FINE_STRUCTURE**2 / (2.0 * r**3) * ls
+        v = v + p.so_scale * FINE_STRUCTURE**2 / (2.0 * r3) * ls
     return v
 
 

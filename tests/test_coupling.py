@@ -16,6 +16,9 @@ import dataclasses
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -800,14 +803,30 @@ def variant_name(changes) -> str:
     return "_".join(f"{k}={v}" for k, v in changes.items())
 
 
+VARIANTS = ({"m_j": 0.5}, {"N": 2, "M": 0}, {"N": 3, "M": -1},
+            {"j_policy": "all"}, {"n_final": 61}, {"n_final": 20})
+
+
+def sweep_rows_at_excited_trap_level():
+    rt = rb60_variant(N=2, M=0)
+    cfg = rt.cfg
+    return sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam, cfg.n,
+                                    cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
+                                    **rt.scenario_kwargs)
+
+
+def variant_outputs() -> str:
+    """The text of the seven variant pins, one after another."""
+    return "".join([*(golden_rows(rb60_variant(**changes).scenario())
+                      for changes in VARIANTS),
+                    golden_rows(sweep_rows_at_excited_trap_level())])
+
+
 class TestPinnedVariants:
     # every ChannelResult field, bit for bit, where rb60's own pins do not
     # reach: the other initial projection, excited trap levels, both j and
     # other final n; and the sweep rows, N_f included, at trap N = 2
-    @pytest.mark.parametrize("changes", [
-        {"m_j": 0.5}, {"N": 2, "M": 0}, {"N": 3, "M": -1},
-        {"j_policy": "all"}, {"n_final": 61}, {"n_final": 20}],
-        ids=variant_name)
+    @pytest.mark.parametrize("changes", VARIANTS, ids=variant_name)
     def test_scenario_fields(self, tmp_path, changes):
         res = rb60_variant(**changes).scenario()
         assert_golden(tmp_path, {
@@ -831,10 +850,23 @@ class TestPinnedVariants:
         assert type(r_ii) is float
 
     def test_sweep_rows_at_excited_trap_level(self, tmp_path):
-        rt = rb60_variant(N=2, M=0)
-        cfg = rt.cfg
-        rows = sweep_topological_charge(cfg.sweep_l, rt.solver, rt.beam, cfg.n,
-                                        cfg.l_i, cfg.j_i, cfg.m_j, rt.cm_i,
-                                        **rt.scenario_kwargs)
+        rows = sweep_rows_at_excited_trap_level()
         assert {r.N_f for r in rows} >= {2, 3}
         assert_golden(tmp_path, {"variants/sweep_N=2_M=0.csv": golden_rows(rows)})
+
+    def test_same_bytes_without_avx512(self):
+        # the seven variant pins hold full precision, so each exponential
+        # and power under them is libm's or IEEE multiplication, never
+        # numpy's vector exp or power, whose last bits follow the host's
+        # SIMD: a process with numpy's AVX-512 loops switched off writes
+        # the same bytes as this one
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+                   NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+        out = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", "import sys, test_coupling; "
+             "sys.stdout.write(test_coupling.variant_outputs())"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == variant_outputs()
