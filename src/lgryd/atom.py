@@ -35,8 +35,8 @@ tests/test_atom.py::_numerov_inward_reference.
 
 Every exponential is libm's and every power a chain of IEEE products, on
 either path (`model_potential`), so no state or moment depends on numpy's
-SIMD loops.  The compiled path reads no grid array; the fallback takes the
-grid's cached xi and r = xi^2.
+SIMD loops.  The compiled path reads no grid array; the fallback builds the
+grid's xi and r = xi^2 afresh at each solve and moment.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 from . import _lazy_numpy
@@ -198,22 +198,15 @@ class SpeciesParams:
         return params
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform grid in xi = sqrt(r) on [sqrt(r_min), sqrt(r_max)].
 
-    The node arrays xi and r = xi xi are built on first use and cached on
-    the grid, read-only, for the Python fallback, `RydbergState.u_of_r` and
-    the verifier.  The compiled solve and matrix element read neither: they
+    A grid is its three numbers.  Each read of xi, or of r = xi xi, builds
+    a fresh array, for the Python fallback, `RydbergState.u_of_r` and the
+    verifier.  The compiled solve and matrix element read neither: they
     build each node xi = sqrt(r_min) + k step, bit for bit as xi holds it,
-    and every power of it, as they step.  So a grid that only the compiled
-    path uses holds no N-point array, and each such array would cost about
-    850 page faults in an nscan pass, on the fresh grid of each scenario.
+    and every power of it, as they step.
     """
 
     r_min: float
@@ -243,14 +236,14 @@ class RadialGrid:
         lo, hi = math.sqrt(self.r_min), math.sqrt(self.r_max)
         return int(math.ceil((hi - lo) / self.step - 1e-9)) + 1
 
-    @cached_property
+    @property
     def xi(self) -> np.ndarray:
-        return _read_only(math.sqrt(self.r_min)
-                          + np.arange(self.size) * self.step)
+        return math.sqrt(self.r_min) + np.arange(self.size) * self.step
 
-    @cached_property
+    @property
     def r(self) -> np.ndarray:
-        return _read_only(self.xi * self.xi)
+        xi = self.xi
+        return xi * xi
 
 
 def default_grid(n: int, step: float = XI_STEP) -> RadialGrid:
@@ -277,9 +270,10 @@ class RydbergState:
         if abs(abs(self.j - self.l) - 0.5) > 1e-9:
             raise ValueError(f"|j - l| must be 1/2, got l={self.l}, j={self.j}")
         # the compiled matrix element reads chi by address
-        if self.chi.dtype != float or self.chi.shape != (self.grid.size,):
-            raise ValueError("chi must be a float64 array, one value per "
-                             "grid node")
+        if self.chi.dtype != float or self.chi.shape != (self.grid.size,) \
+                or not self.chi.flags.c_contiguous:
+            raise ValueError("chi must be a C-contiguous float64 array, one "
+                             "value per grid node")
         self.chi.setflags(write=False)
 
     def u_of_r(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +287,9 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
         V = -z/r - alpha_c/(2 r^4) (1 - exp(-(r/rc)^6)) + so_scale alpha^2/(2 r^3) L.S,
         z = 1 + (Z-1) exp(-a1 r) - r (a3 + a4 r) exp(-a2 r).
 
-    `_potential` builds it on one work buffer besides the result, each ufunc
-    one IEEE operation of the formula, in the order written, as the
-    compiled solve builds it node by node: r^3 = (r r) r, 2 r^4 = (r^3 r) 2,
+    `_potential` builds it from numpy expressions, each operator one IEEE
+    operation of the formula, in the order written, as the compiled solve
+    builds it node by node: r^3 = (r r) r, 2 r^4 = (r^3 r) 2,
     2 r^3 = r^3 2 and (r/rc)^6 = (u^2 u^2) u^2, and each exponential is
     libm's (`_exp`).  numpy's vector exp and power would round by the
     host's SIMD loops instead.  exp(x) rounds to exactly +0.0 below
@@ -322,41 +316,22 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
 def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
     """model_potential on a flat r > 0; a fresh array."""
     a1, a2, a3, a4, rc = p.potential_for(l)
-    v = np.divide(-1.0, r)                              # -z/r at z = 1
+    v = -1.0 / r                                        # -z/r at z = 1
     core = np.flatnonzero(min(a1, a2) * r <= _EXP_ZERO)
     rk = r[core]
-    t = np.multiply(a4, rk)
-    t += a3
-    t *= rk
-    t *= _exp(np.multiply(-a2, rk))                     # r (a3 + a4 r) e^{-a2 r}
-    z = _exp(np.multiply(-a1, rk))
-    z *= p.Z - 1.0
-    z += 1.0
-    z -= t                                              # z
-    np.negative(z, out=z)
-    z /= rk
-    v[core] = z
-    r3 = np.multiply(r, r)
-    r3 *= r
-    t = np.empty_like(r)
+    z = 1.0 + (p.Z - 1.0) * _exp(-a1 * rk) \
+        - rk * (a3 + a4 * rk) * _exp(-a2 * rk)
+    v[core] = -z / rk
+    r3 = r * r * r
     if p.alpha_c:
-        np.multiply(r3, r, out=t)
-        t *= 2.0
-        np.divide(p.alpha_c, t, out=t)
+        pol = p.alpha_c / (r3 * r * 2.0)
         near = np.flatnonzero(r <= rc * _R_NEAR)
-        u2 = r[near]
-        u2 /= rc
-        u2 *= u2
-        u6 = np.multiply(u2, u2)
-        u6 *= u2
-        np.subtract(1.0, _exp(np.negative(u6, out=u6)), out=u6)
-        t[near] *= u6
-        v -= t
+        u2 = r[near] / rc
+        u2 = u2 * u2
+        pol[near] *= 1.0 - _exp(-(u2 * u2 * u2))
+        v = v - pol
     if p.so_scale:
-        np.multiply(r3, 2.0, out=t)
-        np.divide(p.so_scale * FINE_STRUCTURE**2, t, out=t)
-        t *= _ls(l, j)
-        v += t
+        v = v + p.so_scale * FINE_STRUCTURE**2 / (r3 * 2.0) * _ls(l, j)
     return v
 
 
@@ -404,40 +379,33 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     compiled solve of `_kernel_solve` is tested against.
 
     W is a 1-D float64 array, which is only read; chi comes back as a new
-    array of W's length.  The step chi[i-1] = (b[i] chi[i] - a[i+1] chi[i+1])
-    / a[i-1], with a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial: numpy
-    builds a and b up to the start node and `_numerov_steps` runs the steps
-    on Python floats.  It does each IEEE double operation the numpy-indexed
-    loop does, in its order, as the C kernel does, so chi is bit-identical
-    on either path.  Dividing by a[i-1] must stay a division, and the two
-    products must stay separately rounded: multiplying by a precomputed 1/a,
-    or regrouping or fusing the terms, changes the last bits of chi and of
-    every output.
+    C-contiguous array of W's length.  The step
+    chi[i-1] = (b[i] chi[i] - a[i+1] chi[i+1]) / a[i-1], with
+    a = 1 - h^2 W / 12 and b = 12 - 10 a, is serial: numpy builds a and b up
+    to the start node, `_numerov_steps` runs the steps on Python floats, and
+    their values fill chi from the start node down to node 0.  It does each
+    IEEE double operation the numpy-indexed loop does, in its order, as the
+    C kernel does, so chi is bit-identical on either path.  Dividing by
+    a[i-1] must stay a division, and the two products must stay separately
+    rounded: multiplying by a precomputed 1/a, or regrouping or fusing the
+    terms, changes the last bits of chi and of every output.
 
     The recurrence has no overflow test: a chi that leaves the float range
     comes back as it stands, +-inf or NaN, and solve_radial flags the state
     'non-finite'.  A zero among the divisors a[0..start-2], where numpy
     would give +-inf and then NaN, is refused, and chi comes back NaN on
     [0, start].
-
-    np.fromiter writes chi from the outer end inward, the zeros beyond the
-    start and then one value per step, into one N-point buffer, which is
-    returned reversed as a view, so no N-element list and no second array
-    is built.
     """
     end = _tail_start(W, h) + 1
-    a = np.multiply(h * h / 12.0, W[:end])
-    np.subtract(1.0, a, out=a)
+    a = 1.0 - h * h / 12.0 * W[:end]
+    chi = np.zeros(W.size)
     if not a[:-2].all():
-        chi = np.full_like(W, np.nan)
-        chi[end:] = 0.0
+        chi[:end] = np.nan
         return chi
-    b = np.multiply(10.0, a)
-    np.subtract(12.0, b, out=b)
-    from itertools import chain, repeat
-    steps = _numerov_steps(memoryview(a[::-1]), memoryview(b[::-1]))
-    return np.fromiter(chain(repeat(0.0, W.size - end), steps), float,
-                       W.size)[::-1]
+    b = 12.0 - 10.0 * a
+    chi[end - 1::-1] = list(_numerov_steps(memoryview(a[::-1]),
+                                           memoryview(b[::-1])))
+    return chi
 
 
 def _numerov_steps(a_rev, b_rev):
@@ -492,9 +460,8 @@ def _load_kernel(src: Path, cache_dir: Path):
 def _build_kernel(src: Path, lib: Path) -> None:
     """Compile `src` into `lib`, stamped with the mtime `src` had before cc
     ran.  cc writes under a per-process name that is then moved into place,
-    so concurrent builds leave one whole file, and the libraries an earlier
-    naming left beside it (`_numerov.<stamp>.so`) are removed.  A failed or
-    timed-out build raises OSError and leaves no new file."""
+    so concurrent builds leave one whole file.  A failed or timed-out build
+    raises OSError and leaves no new file."""
     import subprocess
     st = src.stat()
     lib.parent.mkdir(exist_ok=True)
@@ -507,8 +474,6 @@ def _build_kernel(src: Path, lib: Path) -> None:
                        check=True, capture_output=True, timeout=CC_TIMEOUT_S)
         os.utime(tmp, ns=(st.st_atime_ns, st.st_mtime_ns))
         os.replace(tmp, lib)
-        for old in lib.parent.glob(f"{lib.stem}.*.so"):
-            old.unlink(missing_ok=True)
     except subprocess.SubprocessError as e:
         raise OSError(f"building {src.name} failed: {e}") from e
     finally:
@@ -517,15 +482,12 @@ def _build_kernel(src: Path, lib: Path) -> None:
 
 def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
                grid: RadialGrid) -> np.ndarray:
-    """W = 8 xi^2 (V(xi^2) - E) + (2l + 1/2)(2l + 3/2) / xi^2, built in place
-    in the operation order of that formula from the grid's cached r.
-    Scaling by 8 is exact, so (V - E) 8 r rounds as (V - E) ((8 xi) xi)."""
-    W = _potential(p, l, j, grid.r)
-    W -= energy
-    W *= 8.0
-    W *= grid.r                                         # 8 xi xi (V - E)
-    W += np.divide((2 * l + 0.5) * (2 * l + 1.5), grid.r)
-    return W
+    """W = 8 xi^2 (V(xi^2) - E) + (2l + 1/2)(2l + 3/2) / xi^2, in the
+    operation order of that formula on the grid's r.  Scaling by 8 is
+    exact, so (V - E) 8 r rounds as (V - E) ((8 xi) xi)."""
+    r = grid.r
+    return (_potential(p, l, j, r) - energy) * 8.0 * r \
+        + (2 * l + 0.5) * (2 * l + 1.5) / r
 
 
 def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
@@ -597,9 +559,9 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
         chi, nodes, core, norm2 = _kernel_solve(kernel, p, l, j, energy, grid)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            work = _numerov_w(p, l, j, energy, grid)
-        chi = _numerov_inward(work, grid.step)  # only reads W: scratch from here
-        nodes, core, norm2 = _finish(chi, grid.xi, grid.step, work)
+            W = _numerov_w(p, l, j, energy, grid)
+        chi = _numerov_inward(W, grid.step)
+        nodes, core, norm2 = _finish(chi, grid.xi, grid.step)
 
     flags: list[str] = []
     if core:
@@ -615,15 +577,10 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
                         nodes=nodes, flags=tuple(flags))
 
 
-def _finish(chi: np.ndarray, xi: np.ndarray, h: float,
-            work: np.ndarray) -> tuple:
+def _finish(chi: np.ndarray, xi: np.ndarray, h: float) -> tuple:
     """(nodes, divergent core?, norm^2) of an inward solution, blanked in
-    place first; `work` is an N-point scratch array.  The compiled solve
-    does the same in its steps 6-9, and this is its reference.
-
-    The N-point arrays are built in place: without scipy's import the heap
-    is small, and fresh temporaries took nscan from ~7k to ~37k page faults
-    a pass."""
+    place first.  The compiled solve does the same in its steps 6-9, and
+    this is its reference."""
     # Truncate an inner blow-up.  Inside the innermost crossing the physical
     # solution decays toward r -> 0 (the Langer term keeps W > 0 at the
     # boundary), so |chi| growing monotonically INTO the boundary by over an
@@ -634,8 +591,7 @@ def _finish(chi: np.ndarray, xi: np.ndarray, h: float,
     # crossings after it are the ones beyond k.  A chi past the float range
     # overflows these products and the norm's, which solve_radial flags.
     with np.errstate(over="ignore"):
-        sign_change = np.flatnonzero(np.multiply(chi[:-1], chi[1:],
-                                                 out=work[:-1]) < 0.0)
+        sign_change = np.flatnonzero(chi[:-1] * chi[1:] < 0.0)
     if sign_change.size and sign_change[0] < 3:
         # a crossing within a couple of samples of the cutoff is the
         # irregular branch leaking into the boundary value, not a node the
@@ -652,10 +608,7 @@ def _finish(chi: np.ndarray, xi: np.ndarray, h: float,
         sign_change = sign_change[sign_change > imin]
 
     with np.errstate(over="ignore"):
-        np.multiply(chi, chi, out=work)
-        work *= xi
-        work *= xi
-        norm2 = 2.0 * _simpson(work, h)
+        norm2 = 2.0 * _simpson(chi * chi * xi * xi, h)
     return sign_change.size, core, float(norm2)
 
 
@@ -679,21 +632,16 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
     if f.grid != i.grid:
         raise ValueError("states live on different grids; solve both on one grid")
     kernel = _c_kernel()
-    # no temporary, as fresh ones fault; a state the fallback solved holds a
-    # reversed view of chi, which only numpy reads
-    if kernel is not None and f.chi.flags.c_contiguous \
-            and i.chi.flags.c_contiguous:
+    if kernel is not None:
         val = kernel.simpson_product(f.chi.size, f.chi.ctypes.data,
                                      i.chi.ctypes.data,
                                      math.sqrt(f.grid.r_min), alpha,
                                      f.grid.step)
     else:
-        r = f.grid.r
-        y = r.copy()
+        r = y = f.grid.r
         for _ in range(alpha):                          # r^(alpha + 1)
-            y *= r
-        y *= f.chi * i.chi
-        val = 2.0 * _simpson(y, f.grid.step)
+            y = y * r
+        val = 2.0 * _simpson(y * (f.chi * i.chi), f.grid.step)
     return float(val) / w_r ** (alpha - 1)
 
 

@@ -385,17 +385,16 @@ def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
 
 class StateSolver:
     """Memoizing wrapper around solve_radial for one species/grid step; a
-    state is solved on default_grid(grid_n), grid_n defaulting to n, and
-    every state with the same grid_n gets the same grid object, so its
-    cached node arrays are built once.  `factors` keeps the factors of its
-    states for every scenario on this solver (`assemble`'s `memo`)."""
+    state is solved on default_grid(grid_n), grid_n defaulting to n, so
+    states with the same grid_n share one grid by value.  `factors` keeps
+    the factors of its states for every scenario on this solver
+    (`assemble`'s `memo`)."""
 
     def __init__(self, species: SpeciesParams, step: float = XI_STEP):
         self.species = species
         self.step = step
         self.factors: dict = {}
         self._cache: dict = {}
-        self._grids: dict = {}
 
     def get(self, n: int, l: int, j: float,
             grid_n: int | None = None) -> RydbergState:
@@ -403,9 +402,7 @@ class StateSolver:
         key = (n, l, round(2 * j), grid_n)
         state = self._cache.get(key)
         if state is None:
-            if grid_n not in self._grids:
-                self._grids[grid_n] = default_grid(grid_n, self.step)
-            grid = self._grids[grid_n]
+            grid = default_grid(grid_n, self.step)
             state = self._cache[key] = solve_radial(self.species, n, l, j, grid=grid)
         return state
 
@@ -489,7 +486,8 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
         for (label, M_f, N_f), me in sorted(totals.items()):
             rows.append(SweepRow(l, "total", "-", label, M_f, N_f, None,
                                  _to_kHz(abs(me))))
-            species_label = label.split("(")[0]
+            # D5/2(+3/2) -> D5/2, (l=17)35/2(+33/2) -> (l=17)35/2
+            species_label = label.rpartition("(")[0]
             try:
                 sq = abs(me) ** 2
             except OverflowError:     # a finite |me| over 1e154

@@ -273,8 +273,10 @@ class TestRydbergState:
             RydbergState(2, 2, 2.5, -0.1, st.grid, st.chi.copy(), 0)
         with pytest.raises(ValueError):
             RydbergState(2, 1, 0.4, -0.1, st.grid, st.chi.copy(), 0)
-        # the compiled matrix element reads chi by address: one float64 a node
-        for chi in (st.chi[:-1].copy(), st.chi.astype(np.float32)):
+        # the compiled matrix element reads chi by address: one float64 a
+        # node, in index order
+        for chi in (st.chi[:-1].copy(), st.chi.astype(np.float32),
+                    st.chi[::-1]):
             with pytest.raises(ValueError):
                 RydbergState(2, 1, 1.5, -0.1, st.grid, chi, 0)
         RydbergState(2, 1, 1.5, -0.1, st.grid, st.chi.copy(), 0)
@@ -348,7 +350,26 @@ class TestRadialMatrixElement:
                     with monkeypatch.context() as m:
                         m.setattr(atom, "_c_kernel", lambda: None)
                         assert radial_matrix_element(f, i, alpha, w_r) == want
-        assert len(states) > 1 and all(st.grid is grid for st in states)
+        assert len(states) > 1 and all(st.grid == grid for st in states)
+
+    def test_fallback_states_on_compiled_moment(self, kernel, monkeypatch, rb):
+        # states the fallback solved, their moments taken by the kernel: the
+        # fallback's moments and the compiled states', bit for bit
+        grid = default_grid(60)
+        keys = ((60, 0, 0.5), (60, 1, 1.5), (60, 2, 2.5), (59, 3, 3.5))
+        fallback = [_fallback_solve(monkeypatch, rb, *key, grid) for key in keys]
+        compiled = [solve_radial(rb, *key, grid) for key in keys]
+        for alpha in range(1, 5):
+            for f in range(len(keys)):
+                for i in range(len(keys)):
+                    got = radial_matrix_element(fallback[f], fallback[i],
+                                                alpha, 2.0)
+                    assert got == radial_matrix_element(compiled[f],
+                                                        compiled[i], alpha, 2.0)
+                    with monkeypatch.context() as m:
+                        m.setattr(atom, "_c_kernel", lambda: None)
+                        assert got == radial_matrix_element(
+                            fallback[f], fallback[i], alpha, 2.0)
 
     def test_alpha_validation(self, hyd_states):
         st = hyd_states[(1, 0)]
@@ -399,24 +420,16 @@ class TestGrid:
         g2 = default_grid(50)
         assert np.array_equal(g2.xi, xi[: g2.xi.size])
 
-    def test_cached_arrays_shared_and_read_only(self):
-        # built once per grid object, and no caller can edit them in place
-        g = default_grid(30)
-        assert g.xi is g.xi and g.r is g.r
-        for arr in (g.xi, g.r):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-            with pytest.raises(ValueError):
-                arr *= 2.0
-
-
-    def test_compiled_path_builds_no_grid_array(self, kernel, rb):
+    def test_compiled_path_builds_no_grid_array(self, kernel, monkeypatch, rb):
         # the compiled solve and matrix element build each node and its
-        # powers themselves, so a fresh grid keeps no N-point array
+        # powers themselves, and read neither of the grid's arrays
+        def refuse(grid):
+            raise AssertionError("the compiled path read a grid array")
+        monkeypatch.setattr(RadialGrid, "xi", property(refuse))
+        monkeypatch.setattr(RadialGrid, "r", property(refuse))
         g = default_grid(30)
         f, i = solve_radial(rb, 30, 0, 0.5, g), solve_radial(rb, 30, 1, 1.5, g)
         assert radial_matrix_element(f, i, 2, 2.0) != 0.0
-        assert "xi" not in vars(g) and "r" not in vars(g)
 
 
 class TestSimpson:
@@ -701,8 +714,8 @@ class _KernelCases:
     def test_bit_identical(self, inward, monkeypatch, species, n, l_max):
         # every state l <= l_max, both j: solved on this class's path, it is
         # the fallback's state, and every (W, h) the fallback hands
-        # _numerov_inward (copied: the solve goes on to reuse W as scratch)
-        # gives the numpy-indexed loop's chi on this class's path
+        # _numerov_inward gives the numpy-indexed loop's chi on this class's
+        # path
         fallback, inputs = atom._numerov_inward, []
         p = load_species(species)
         with warnings.catch_warnings():
@@ -714,7 +727,7 @@ class _KernelCases:
                     state = solve_radial(p, n, l, j)
                     with monkeypatch.context() as m:
                         m.setattr(atom, "_numerov_inward", lambda W, h: inputs.append(
-                            (W.copy(), h)) or fallback(W, h))
+                            (W, h)) or fallback(W, h))
                         _assert_same_state(state,
                                            _fallback_solve(m, p, n, l, j))
         assert len(inputs) == 2 * l_max + 1
@@ -850,7 +863,7 @@ class TestNumerovKernel(_KernelCases):
                      chi.ctypes.data, out.ctypes.data)
         with np.errstate(all="ignore"):
             reference = atom._numerov_inward(W, h)
-            nodes, core, norm2 = atom._finish(reference, xi, h, np.empty_like(W))
+            nodes, core, norm2 = atom._finish(reference, xi, h)
         assert np.array_equal(chi, reference, equal_nan=True)
         assert out[:2].tolist() == [nodes, core]
         assert np.array_equal(out[2], norm2, equal_nan=True)
@@ -924,7 +937,8 @@ class TestNumerovKernel(_KernelCases):
             chis.append(atom._kernel_solve(atom._c_kernel(), hyd, 1, 1.5,
                                            energy, grid)[0])
         for chi in chis:
-            assert chi.shape == grid.xi.shape and chi.flags.writeable
+            assert chi.shape == grid.xi.shape and chi.flags.writeable \
+                and chi.flags.c_contiguous
         st = solve_radial(hyd, 4, 1, 1.5, grid=grid)
         assert st.chi.shape == grid.xi.shape
         with pytest.raises(ValueError):
@@ -994,7 +1008,7 @@ class TestKernelLoader:
         chi, *results = atom._kernel_solve(kernel, rb, 1, 1.5, energy, grid)
         W = atom._numerov_w(rb, 1, 1.5, energy, grid)
         reference = atom._numerov_inward(W, grid.step)
-        assert results == list(atom._finish(reference, grid.xi, grid.step, W))
+        assert results == list(atom._finish(reference, grid.xi, grid.step))
         assert np.array_equal(chi, reference)
 
     def test_kernel_includes_only_stddef(self):
@@ -1003,18 +1017,6 @@ class TestKernelLoader:
         source = atom._KERNEL_SOURCE.read_text()
         assert re.findall(r"^\s*#\s*include\s*(.*?)\s*$", source,
                           re.MULTILINE) == ["<stddef.h>"]
-
-    @needs_cc
-    def test_build_removes_old_named_libraries(self, tmp_path):
-        # a library of the earlier _numerov.<mtime_ns>-<size>.so naming goes
-        # with the next build; the one library stays
-        src = tmp_path / "_numerov.c"
-        shutil.copy2(atom._KERNEL_SOURCE, src)
-        cache_dir = tmp_path / "__pycache__"
-        cache_dir.mkdir()
-        (cache_dir / "_numerov.18e0-28c.so").write_bytes(b"")
-        atom._load_kernel(src, cache_dir)
-        assert [lib.name for lib in cache_dir.iterdir()] == ["_numerov.so"]
 
     @needs_cc
     def test_touched_source_replaces_library(self, tmp_path):
@@ -1038,8 +1040,8 @@ class TestKernelLoader:
 
 def _model_potential_reference(p, l, j, r):
     """model_potential as plain numpy expressions, with libm's exp at each
-    point and each power multiplied out, the form the in-place build in
-    atom.model_potential must reproduce bit for bit."""
+    point and each power multiplied out, the form atom.model_potential must
+    reproduce bit for bit."""
     a1, a2, a3, a4, rc = p.potential_for(l)
     exp = np.vectorize(math.exp, otypes=[float])
     z = 1.0 + (p.Z - 1.0) * exp(-a1 * r) - r * (a3 + a4 * r) * exp(-a2 * r)
@@ -1077,7 +1079,7 @@ class TestInPlaceBuild:
                          + (2 * l + 0.5) * (2 * l + 1.5) / (xi * xi))
                     with monkeypatch.context() as m:
                         m.setattr(atom, "_numerov_inward",
-                                  lambda W_, h: seen.append(W_.copy())
+                                  lambda W_, h: seen.append(W_)
                                   or fallback(W_, h))
                         new = _fallback_solve(m, p, n, l, j)
                     assert np.array_equal(seen[-1], W)
@@ -1133,8 +1135,8 @@ class TestSharedGrid:
     def test_bit_identical_to_fresh_grids(self, monkeypatch, species, n):
         # every l <= 10 and both j, solved in shuffled order on one grid
         # object, against solves that each build a fresh grid and against
-        # the fallback's solves on the shared grid, whose W from the cached
-        # factors is the expression form
+        # the fallback's solves on the shared grid, whose W is the
+        # expression form
         p = load_species(species)
         grid = default_grid(n)
         xi = grid.xi
@@ -1147,7 +1149,7 @@ class TestSharedGrid:
                 shared = solve_radial(p, n, l, j, grid=grid)
                 with monkeypatch.context() as m:
                     m.setattr(atom, "_numerov_inward",
-                              lambda W, h: seen.append(W.copy()) or fallback(W, h))
+                              lambda W, h: seen.append(W) or fallback(W, h))
                     _assert_same_state(shared,
                                        _fallback_solve(m, p, n, l, j, grid=grid))
                 v = _model_potential_reference(p, l, j, xi * xi)
@@ -1157,4 +1159,3 @@ class TestSharedGrid:
                 fresh = solve_radial(p, n, l, j)
                 assert fresh.grid == grid and fresh.grid is not grid
                 _assert_same_state(shared, fresh)
-        assert grid.xi is xi

@@ -11,6 +11,7 @@ import hashlib
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -554,6 +555,29 @@ class TestEntryPoint:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == f"wrote {tmp_path / 'channels.csv'} (14 channels)\n"
         assert_golden(tmp_path, {"rb60/channels.csv": tmp_path / "channels.csv"})
+
+    def test_rb60_without_compiler(self, tmp_path):
+        # a copy of the package with no built library, run with no cc on
+        # PATH: the loader's build fails, rabi and sweep run the numpy and
+        # Python-loop fallback, write rb60's golden bytes and leave no
+        # library behind
+        shutil.copytree(Path(lgryd.__file__).parent, tmp_path / "lgryd",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / "bin").mkdir()
+        env = dict(os.environ, PATH=str(tmp_path / "bin"),
+                   PYTHONPATH=str(tmp_path))
+        out = tmp_path / "out"
+        for cmd in ("rabi", "sweep"):
+            proc = subprocess.run([sys.executable, "-m", "lgryd", cmd,
+                                   "--config", str(RB60_CFG), "--out", str(out)],
+                                  env=env, cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        assert_golden(tmp_path, {f"rb60/{name}": out / name for name in
+                                 ("rabi.csv", "sweep.csv", "sweep.svg")})
+        # the copy's loader ran (it makes __pycache__ before it calls cc)
+        assert (tmp_path / "lgryd" / "__pycache__").is_dir()
+        assert not list(tmp_path.rglob("*.so"))
 
     def test_config_error_is_2(self, tmp_path):
         (tmp_path / "bad.cfg").write_text("beam.l = fish\n")

@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -54,8 +55,11 @@ class TestStateLabel:
         assert str(StateLabel(0, 0.5, -0.5)) == "S1/2(-1/2)"
 
     def test_species_drops_projection(self):
-        # the sweep aggregates rows by the label up to its projection
-        assert str(StateLabel(2, 2.5, 1.5)).split("(")[0] == "D5/2"
+        # the sweep aggregates rows by the label up to its projection, the
+        # text before the last "(": l >= 17 prints its l in parentheses
+        assert str(StateLabel(2, 2.5, 1.5)).rpartition("(")[0] == "D5/2"
+        assert str(StateLabel(17, 17.5, 16.5)) == "(l=17)35/2(+33/2)"
+        assert str(StateLabel(17, 17.5, 16.5)).rpartition("(")[0] == "(l=17)35/2"
 
     def test_csv_safe(self):
         assert "," not in str(StateLabel(3, 3.5, -3.5))
@@ -579,6 +583,23 @@ class TestSweep:
             rss = math.sqrt(sum(t.rabi_kHz ** 2 for t in totals
                                 if t.final_state.startswith(arow.final_state)))
             assert arow.rabi_kHz == pytest.approx(rss, rel=1e-12)
+
+    def test_aggregate_keeps_high_l_finals_apart(self):
+        # finals with l_f >= 17 print as (l=17)35/2(+33/2): each (l_f, j_f)
+        # is its own aggregate row, once merged into one nameless row
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # no defect series at l >= 6
+            rows = sweep_topological_charge([1], self.solver, beam_for(1, 1),
+                                            30, 17, 17.5, 0.5, CM0,
+                                            final_l_f_max=20, j_policy="all")
+        totals = [r for r in rows if r.kind == "total"]
+        agg = {r.final_state: r.rabi_kHz for r in rows if r.kind == "aggregate"}
+        assert {"(l=17)33/2", "(l=17)35/2", "(l=18)35/2", "(l=18)37/2"} <= set(agg)
+        assert set(agg) == {t.final_state.rpartition("(")[0] for t in totals}
+        for label, rabi in agg.items():
+            rss = math.sqrt(sum(t.rabi_kHz ** 2 for t in totals
+                                if t.final_state.rpartition("(")[0] == label))
+            assert rabi == pytest.approx(rss, rel=1e-12)
 
     def test_multi_l_ordering(self):
         rows = sweep_topological_charge([0, 2], self.solver, self.template,
