@@ -18,33 +18,16 @@ cli       batch front-end (channels / rabi / sweep / wavefunction / verify)
 verify    self-check suites and their oracles (LG series residual,
           spherical harmonics, translation theorem, sphere quadrature)
 
-numpy loads on first array use: atom, cm, coupling and specfun bind ``np``
-through `_lazy_numpy`, so ``import lgryd.cli``, config parsing, the
-``Runtime`` setup, ``lgryd channels``, ``--help`` and config errors never
-import it.  ``import numpy`` takes about 105 ms, a third of a ``lgryd
-channels`` process on rb60 that loads it (2-vCPU Linux host, Python 3.11,
-numpy 2.4).  Every lgryd module but ``verify``, which only ``lgryd verify``
-imports, is still imported by ``import lgryd.cli``, so the benchmark tracer
-finds every module it patches loaded.
+A ``lgryd rabi`` or ``sweep`` process on the compiled path never imports numpy,
+which took about 53 ms of each on rb60 (2-vCPU Linux host, Python 3.11,
+numpy 2.4): the compiled kernel solves each state into a ctypes buffer and
+takes its matrix elements there, and the CM moments and the lambda audit
+are plain-Python sums over small quadrature rules.  numpy is imported only
+where it runs: by the Python fallback of the radial solve, where no kernel
+is built, by ``lgryd wavefunction`` and by ``lgryd verify``.  Every lgryd
+module but ``verify``, which only ``lgryd verify`` imports, is imported by
+``import lgryd.cli``, so the benchmark tracer finds every module it
+patches loaded.
 """
 
-import importlib.util
-import sys
-
 __version__ = "0.1.0"
-
-
-def _lazy_numpy():
-    """numpy, imported at the first attribute access of the result, since
-    the import is a third of a ``lgryd channels`` process (see above).  Python
-    3.11's ``LazyLoader`` is not thread-safe; lgryd is single-threaded."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module

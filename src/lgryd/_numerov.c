@@ -45,8 +45,12 @@
    9. The norm 2 Simpson(((chi chi) xi) xi), as lgryd.atom._simpson sums
       it: each strided sum in numpy's float64 add.reduce order (`pairwise`),
       xi built at each node as in step 1.
-   Steps 1-9 take one call of numerov_solve_model, which writes the node
-   count, the divergent-core bit and the norm over model[0..2];
+  10. chi divided by sqrt(norm^2) where norm^2 is finite, as
+      lgryd.atom._python_solve divides it (IEEE sqrt and division are
+      correctly rounded, so the bits are numpy's), and NaN throughout
+      where it is not.
+   Steps 1-10 take one call of numerov_solve_model, which writes the node
+   count, the divergent-core bit and norm^2 over model[0..2];
    simpson_product takes 2 Simpson((f g) r^(alpha + 1)) for a matrix
    element, r^(alpha + 1) = ((r r) r) ... by alpha products, with no
    temporary.
@@ -290,6 +294,13 @@ void numerov_solve_model(ptrdiff_t n, double xi0, double h, double depth,
 {
     const struct model m = unpack(xi0, h, model);
     finish(n, chi, xi0, h, inward(n, w_at, &m, depth, chi), model);
+    if (__builtin_isfinite(model[2])) {         /* step 10 */
+        const double norm = __builtin_sqrt(model[2]);
+        for (ptrdiff_t i = 0; i < n; i++)
+            chi[i] /= norm;
+    } else
+        for (ptrdiff_t i = 0; i < n; i++)
+            chi[i] = __builtin_nan("");
 }
 
 double simpson_product(ptrdiff_t n, const double *f, const double *g,

@@ -21,16 +21,18 @@ The whole solve of a state runs in one call of the C kernel `_numerov.c`
 (`_kernel_solve`), from a few constants: it builds each node, the powers of
 r there and W, with libm's exp for the core and polarization exponentials,
 finds the start node by `_tail_start`'s rule, refuses a zero divisor, runs
-the recurrence, building its coefficients node by node, and then does
-`_finish`'s work: the two blanks, the node count and the norm.  numpy then
-only divides chi by the norm.  A matrix element is one call of the kernel
-too, which builds each r^(alpha + 1) by multiplication and no temporary.
-The first solve compiles it with `cc` into __pycache__/_numerov.so (rebuilt
-over itself when the source changes) and later ones load it through
-ctypes.  Where it cannot be built or loaded, the numpy `_numerov_w`,
-`_tail_start` and `_finish`, the Python loop `_numerov_steps` and numpy's
-`_simpson` run instead.  Both paths give the same states and moments bit
-for bit, and the tests hold each against
+the recurrence, building its coefficients node by node, does `_finish`'s
+work (the two blanks, the node count and the norm) and divides chi by the
+norm.  chi lives in a ctypes buffer, which the state holds as a read-only
+memoryview, so the compiled path imports no numpy.  A matrix element is one
+call of the kernel too, which builds each r^(alpha + 1) by multiplication
+and no temporary.  The first solve compiles it with `cc` into
+__pycache__/_numerov.so (rebuilt over itself when the source changes) and
+later ones load it through ctypes.  Where it cannot be built or loaded,
+`_python_solve` runs instead: the numpy `_numerov_w`, `_tail_start` and
+`_finish` and the Python loop `_numerov_steps`, with numpy's `_simpson` for
+the moments, each importing numpy where it runs.  Both paths give the same
+states and moments bit for bit, and the tests hold each against
 tests/test_atom.py::_numerov_inward_reference.
 
 Every exponential is libm's and every power a chain of IEEE products, on
@@ -45,13 +47,14 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import _lazy_numpy
 from .units import FINE_STRUCTURE
 
-np = _lazy_numpy()
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpeciesParams",
@@ -203,8 +206,8 @@ class RadialGrid:
     """Uniform grid in xi = sqrt(r) on [sqrt(r_min), sqrt(r_max)].
 
     A grid is its three numbers.  Each read of xi, or of r = xi xi, builds
-    a fresh array, for the Python fallback, `RydbergState.u_of_r` and the
-    verifier.  The compiled solve and matrix element read neither: they
+    a fresh numpy array, for the Python fallback, `RydbergState.u_of_r` and
+    the verifier.  The compiled solve and matrix element read neither: they
     build each node xi = sqrt(r_min) + k step, bit for bit as xi holds it,
     and every power of it, as they step.
     """
@@ -238,12 +241,17 @@ class RadialGrid:
 
     @property
     def xi(self) -> np.ndarray:
-        return math.sqrt(self.r_min) + np.arange(self.size) * self.step
+        import numpy as np
+        xi = np.arange(self.size, dtype=float)
+        xi *= self.step
+        xi += math.sqrt(self.r_min)
+        return xi
 
     @property
     def r(self) -> np.ndarray:
-        xi = self.xi
-        return xi * xi
+        r = self.xi
+        r *= r
+        return r
 
 
 def default_grid(n: int, step: float = XI_STEP) -> RadialGrid:
@@ -260,7 +268,7 @@ class RydbergState:
     j: float
     energy: float
     grid: RadialGrid
-    chi: np.ndarray                   # chi = r psi / xi^(1/2), normalized
+    chi: memoryview                   # chi = r psi / xi^(1/2), normalized
     nodes: int
     flags: tuple = ()
 
@@ -270,15 +278,31 @@ class RydbergState:
         if abs(abs(self.j - self.l) - 0.5) > 1e-9:
             raise ValueError(f"|j - l| must be 1/2, got l={self.l}, j={self.j}")
         # the compiled matrix element reads chi by address
-        if self.chi.dtype != float or self.chi.shape != (self.grid.size,) \
-                or not self.chi.flags.c_contiguous:
-            raise ValueError("chi must be a C-contiguous float64 array, one "
-                             "value per grid node")
-        self.chi.setflags(write=False)
+        chi = self.chi
+        if not isinstance(chi, memoryview) or chi.format != "d" \
+                or chi.shape != (self.grid.size,) or not chi.c_contiguous:
+            raise ValueError("chi must be a C-contiguous memoryview of "
+                             "format 'd', one value per grid node")
+        object.__setattr__(self, "chi", chi.toreadonly())
+
+    @cached_property
+    def _address(self) -> int:
+        """chi's address, for the compiled matrix element: read once a
+        state, not once a moment, and kept out of the fields, which the
+        benchmark tracer keys on."""
+        import ctypes
+        owner = self.chi.obj
+        if isinstance(owner, ctypes.Array) \
+                and ctypes.sizeof(owner) == self.chi.nbytes:
+            return ctypes.addressof(owner)
+        import numpy as np              # a chi the fallback or a caller made
+        return np.frombuffer(self.chi).ctypes.data
 
     def u_of_r(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, u = r psi) for plotting/inspection."""
-        return self.grid.r, self.chi * np.sqrt(self.grid.xi)
+        import numpy as np
+        xi = self.grid.xi
+        return xi * xi, np.frombuffer(self.chi) * np.sqrt(xi)
 
 
 def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray:
@@ -305,6 +329,7 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
     Any r, scalar, unsorted or a grid, takes this one path; a scalar comes
     back as a float.
     """
+    import numpy as np
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("model potential requires r > 0")
@@ -315,6 +340,7 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
 
 def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
     """model_potential on a flat r > 0; a fresh array."""
+    import numpy as np
     a1, a2, a3, a4, rc = p.potential_for(l)
     v = -1.0 / r                                        # -z/r at z = 1
     core = np.flatnonzero(min(a1, a2) * r <= _EXP_ZERO)
@@ -337,14 +363,21 @@ def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
 
 def _exp(x: np.ndarray) -> np.ndarray:
     """libm's exp at each point of x, as the compiled solve takes it: +inf
-    where it overflows, where math.exp raises."""
-    out = x.tolist()
-    for k, t in enumerate(out):
-        try:
-            out[k] = math.exp(t)
-        except OverflowError:
-            out[k] = math.inf
-    return np.array(out, dtype=float)
+    where it overflows, where math.exp raises.  Only an overflow takes the
+    loop that tries each point alone."""
+    import numpy as np
+    xs = x.tolist()
+    try:
+        return np.fromiter(map(math.exp, xs), float, len(xs))
+    except OverflowError:
+        return np.array([_exp_or_inf(t) for t in xs], dtype=float)
+
+
+def _exp_or_inf(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def _ls(l: int, j: float) -> float:
@@ -396,6 +429,7 @@ def _numerov_inward(W: np.ndarray, h: float) -> np.ndarray:
     would give +-inf and then NaN, is refused, and chi comes back NaN on
     [0, start].
     """
+    import numpy as np
     end = _tail_start(W, h) + 1
     a = 1.0 - h * h / 12.0 * W[:end]
     chi = np.zeros(W.size)
@@ -427,8 +461,8 @@ CC_TIMEOUT_S = 60
 def _c_kernel():
     """The library of `_numerov.c`, built on first use into this package's
     __pycache__, or None where there is no compiler, the build fails or the
-    library will not load; solve_radial then runs `_numerov_w`,
-    `_numerov_inward` and `_finish`, and radial_matrix_element `_simpson`."""
+    library will not load; solve_radial then runs `_python_solve`, and
+    radial_matrix_element `_simpson`."""
     try:
         return _load_kernel(_KERNEL_SOURCE, _KERNEL_SOURCE.parent / "__pycache__")
     except (OSError, AttributeError):
@@ -440,9 +474,9 @@ def _load_kernel(src: Path, cache_dir: Path):
     simpson_product set up, built from `src` first unless that file's mtime
     is the source's: each build is stamped with the source's mtime, as a
     bytecode file's header records it, so an edited or touched source is
-    built again over the one library.  Its arrays are passed as addresses
-    (`ndarray.ctypes.data`) of C-contiguous float64 arrays: ctypes' checked
-    ndpointer took 15 us of a 200 us solve."""
+    built again over the one library.  Its arrays are passed as ctypes
+    arrays of doubles or as addresses (`RydbergState._address`): ctypes'
+    checked ndpointer took 15 us of a 200 us solve."""
     lib = cache_dir / f"{src.stem}.so"
     if not lib.is_file() or lib.stat().st_mtime_ns != src.stat().st_mtime_ns:
         _build_kernel(src, lib)
@@ -492,28 +526,29 @@ def _numerov_w(p: SpeciesParams, l: int, j: float, energy: float,
 
 def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
                   grid: RadialGrid) -> tuple:
-    """(chi, nodes, divergent core?, norm^2) as the fallback's
-    `_numerov_inward(_numerov_w(...), h)` and `_finish` give them, bit for
-    bit, from one call of the compiled solve, which builds each node and W
-    there and blanks, counts and integrates chi (`_numerov.c`); chi is not
-    yet normalized.  The kernel writes its three results over the first
-    three of `_model_constants`."""
+    """`_python_solve`'s (chi, nodes, divergent core?, norm^2), bit for bit,
+    from one call of the compiled solve, which builds each node and W there,
+    blanks, counts and integrates chi and divides it by its norm
+    (`_numerov.c`).  chi is a ctypes buffer, handed back as a memoryview of
+    format 'd'.  The kernel writes its three results over the first three
+    of `_model_constants`."""
+    import ctypes
     model = _model_constants(p, l, j, energy)
-    chi = np.empty(grid.size)
-    kernel.numerov_solve_model(chi.size, math.sqrt(grid.r_min), grid.step,
-                               TAIL_DEPTH, model.ctypes.data, chi.ctypes.data)
-    nodes, core, norm2 = model[:3].tolist()
-    return chi, int(nodes), core != 0.0, norm2
+    chi = (ctypes.c_double * grid.size)()
+    kernel.numerov_solve_model(grid.size, math.sqrt(grid.r_min), grid.step,
+                               TAIL_DEPTH, model, chi)
+    nodes, core, norm2 = model[:3]
+    return memoryview(chi).cast("B").cast("d"), int(nodes), core != 0.0, norm2
 
 
-def _model_constants(p: SpeciesParams, l: int, j: float,
-                     energy: float) -> np.ndarray:
+def _model_constants(p: SpeciesParams, l: int, j: float, energy: float):
     """The constants the compiled solve builds W from at each node, in the
-    order of `_numerov.c`'s unpack."""
+    order of `_numerov.c`'s unpack, as a ctypes array of 13 doubles."""
+    import ctypes
     a1, a2, a3, a4, rc = p.potential_for(l)
-    return np.array((energy, (2 * l + 0.5) * (2 * l + 1.5), p.Z - 1.0, a3, a4,
-                     p.alpha_c, p.so_scale, FINE_STRUCTURE**2, _ls(l, j), a1,
-                     a2, rc, rc * _R_NEAR))
+    return (ctypes.c_double * 13)(
+        energy, (2 * l + 0.5) * (2 * l + 1.5), p.Z - 1.0, a3, a4, p.alpha_c,
+        p.so_scale, FINE_STRUCTURE**2, _ls(l, j), a1, a2, rc, rc * _R_NEAR)
 
 
 def _tail_start(W: np.ndarray, h: float) -> int:
@@ -524,6 +559,7 @@ def _tail_start(W: np.ndarray, h: float) -> int:
     node has W < 0.  The C kernel finds the same node in its own scan, on
     the W it builds from the outer end; this numpy form serves the Python
     fallback and is the tests' reference."""
+    import numpy as np
     below = W < 0.0
     turn = W.size - 1 - int(np.argmax(below[::-1]))
     if not below[turn]:
@@ -539,8 +575,9 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
     """Inward Numerov solve at the quantum-defect energy, started at
     `_tail_start`'s node (the grid's last node unless the state's tail dies
     out before it), with chi 0 beyond (`_numerov_inward`), then blanked,
-    counted and normalized (`_finish`).  Where the C kernel is built, all of
-    it is one compiled call (`_kernel_solve`), which allocates only chi.
+    counted (`_finish`) and normalized.  Where the C kernel is built, all of
+    it is one compiled call (`_kernel_solve`), which allocates only chi, and
+    imports no numpy; elsewhere `_python_solve` does it in numpy.
 
     Returns the normalized state with node count and diagnostic flags:
     'divergent-core' when the inner solution regrew under the barrier and was
@@ -552,29 +589,40 @@ def solve_radial(p: SpeciesParams, n: int, l: int, j: float,
         grid = default_grid(n)
     if energy is None:
         energy = qd_energy(p, n, l, j)
-    # Species data that overflow the potential (say alpha_c = 1e300) give a
-    # non-finite chi, which the flag below reports, so numpy need not warn.
     kernel = _c_kernel()
     if kernel is not None:
         chi, nodes, core, norm2 = _kernel_solve(kernel, p, l, j, energy, grid)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            W = _numerov_w(p, l, j, energy, grid)
-        chi = _numerov_inward(W, grid.step)
-        nodes, core, norm2 = _finish(chi, grid.xi, grid.step)
+        chi, nodes, core, norm2 = _python_solve(p, l, j, energy, grid)
 
     flags: list[str] = []
     if core:
         flags.append("divergent-core")
     if nodes != n - l - 1:
         flags.append("node-count")
+    if not math.isfinite(norm2):
+        flags.append("non-finite")
+    return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
+                        nodes=nodes, flags=tuple(flags))
+
+
+def _python_solve(p: SpeciesParams, l: int, j: float, energy: float,
+                  grid: RadialGrid) -> tuple:
+    """(chi, nodes, divergent core?, norm^2) of the solve, in numpy and the
+    Python loop, where no kernel is built: chi normalized, or NaN where its
+    norm is not finite, as a memoryview of a numpy array."""
+    import numpy as np
+    # Species data that overflow the potential (say alpha_c = 1e300) give a
+    # non-finite chi, which solve_radial flags, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = _numerov_w(p, l, j, energy, grid)
+    chi = _numerov_inward(W, grid.step)
+    nodes, core, norm2 = _finish(chi, grid.xi, grid.step)
     if math.isfinite(norm2):
         chi /= math.sqrt(norm2)
     else:
-        flags.append("non-finite")
         chi.fill(np.nan)
-    return RydbergState(n=n, l=l, j=j, energy=energy, grid=grid, chi=chi,
-                        nodes=nodes, flags=tuple(flags))
+    return memoryview(chi), nodes, core, norm2
 
 
 def _finish(chi: np.ndarray, xi: np.ndarray, h: float) -> tuple:
@@ -590,6 +638,7 @@ def _finish(chi: np.ndarray, xi: np.ndarray, h: float) -> tuple:
     # product chi[i] chi[i+1] with i <= k and leaves the rest, so the
     # crossings after it are the ones beyond k.  A chi past the float range
     # overflows these products and the norm's, which solve_radial flags.
+    import numpy as np
     with np.errstate(over="ignore"):
         sign_change = np.flatnonzero(chi[:-1] * chi[1:] < 0.0)
     if sign_change.size and sign_change[0] < 3:
@@ -633,15 +682,17 @@ def radial_matrix_element(f: RydbergState, i: RydbergState,
         raise ValueError("states live on different grids; solve both on one grid")
     kernel = _c_kernel()
     if kernel is not None:
-        val = kernel.simpson_product(f.chi.size, f.chi.ctypes.data,
-                                     i.chi.ctypes.data,
+        val = kernel.simpson_product(len(f.chi), f._address, i._address,
                                      math.sqrt(f.grid.r_min), alpha,
                                      f.grid.step)
     else:
-        r = y = f.grid.r
-        for _ in range(alpha):                          # r^(alpha + 1)
-            y = y * r
-        val = 2.0 * _simpson(y * (f.chi * i.chi), f.grid.step)
+        import numpy as np
+        r = f.grid.r
+        y = r * r                                       # r^(alpha + 1)
+        for _ in range(alpha - 1):
+            y *= r
+        y *= np.frombuffer(f.chi) * np.frombuffer(i.chi)
+        val = 2.0 * _simpson(y, f.grid.step)
     return float(val) / w_r ** (alpha - 1)
 
 

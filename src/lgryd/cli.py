@@ -242,13 +242,13 @@ def _config_error(exc: Exception) -> int:
 def run() -> None:
     """Console entry point: `main`, then end the process at once with its
     exit code, skipping interpreter teardown (module cleanup and the final
-    GC passes, over numpy's objects once it is loaded): about 30 ms of a
-    rb60 `channels` process and 47 ms of `rabi` or `sweep` on a 2-vCPU
-    Linux host (Python 3.11).  Safe because every output is written by
-    `Path.write_text`, closed before it returns, and lgryd registers no
-    atexit handler and starts no thread or child process; stdout and stderr
-    are flushed here.  An exception, argparse's SystemExit included, leaves
-    the normal way."""
+    GC passes over every loaded module's objects): about 30 ms of a rb60
+    `channels` process on a 2-vCPU Linux host (Python 3.11), and 47 ms of
+    `rabi` or `sweep` when they still loaded numpy.  Safe because every
+    output is written by `Path.write_text`, closed before it returns, and
+    lgryd registers no atexit handler and starts no thread or child
+    process; stdout and stderr are flushed here.  An exception, argparse's
+    SystemExit included, leaves the normal way."""
     rc = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -8,9 +8,9 @@ quadrature after u = x^2, where the integrand is exactly (polynomial) x
 u^{a} e^{-u} and the rule is exact at modest node counts.  This module also
 gives the Gauss-Legendre rule of the lambda audit and of the verifier's
 sphere quadrature.  Both rules come from their polynomials' three-term
-recurrences in plain Python, so no module needs numpy.polynomial or
-numpy.linalg: LAPACK's first call costs a process about 1.3 MB of peak
-memory.
+recurrences in plain Python, as tuples of floats, so no module needs numpy,
+its polynomial module or LAPACK, whose first call costs a process about
+1.3 MB of peak memory.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from . import _lazy_numpy
 from .specfun import assoc_laguerre, log_factorial
-
-np = _lazy_numpy()
 
 __all__ = ["CMState", "MAX_N_MINUS", "cm_moment", "gauss_legendre"]
 
@@ -68,9 +65,9 @@ def _log_norm(s: CMState) -> float:
 
 
 @cache
-def _gauss_laguerre_unit(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_laguerre_unit(n: int, a: float) -> tuple[tuple, tuple]:
     """n-point Gauss rule for the unit-mass weight u^a e^{-u}/Gamma(a+1) on
-    [0, inf), nodes ascending; cached per (n, a), so the arrays are read-only.
+    [0, inf): (nodes ascending, weights), cached per (n, a) as tuples.
 
     Sturm bisection isolates each node, bracketed Newton steps on the
     orthonormal polynomial p_n polish it, and its weight is the Christoffel
@@ -112,16 +109,13 @@ def _gauss_laguerre_unit(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = (x, hi) if count <= k else (lo, x)
         nodes.append(x)
         weights.append(1.0 / ss)
-    rule = np.array(nodes), np.array(weights)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
+    return tuple(nodes), tuple(weights)
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [-1, 1], nodes ascending: Newton's
-    method on P_n from Tricomi's guesses for the nodes x >= 0 (the rule is
-    symmetric), weights 2(1 - x^2)/(n (P_{n-1} - x P_n))^2."""
+def gauss_legendre(n: int) -> tuple[tuple, tuple]:
+    """n-point Gauss-Legendre rule on [-1, 1] as tuples (nodes ascending,
+    weights): Newton's method on P_n from Tricomi's guesses for the nodes
+    x >= 0 (the rule is symmetric), weights 2(1 - x^2)/(n (P_{n-1} - x P_n))^2."""
     nodes, weights = [], []
     for i in range((n + 1) // 2, 0, -1):
         x = (1.0 - (n - 1) / (8.0 * n ** 3)) * math.cos(math.pi * (i - 0.25) / (n + 0.5))
@@ -137,8 +131,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
             x -= step
         nodes.append(x)
         weights.append(2.0 * (1.0 - x * x) / (dp * dp))
-    x, w = np.array(nodes), np.array(weights)
-    return np.concatenate((-x[::-1], x[n % 2:])), np.concatenate((w[::-1], w[n % 2:]))
+    return (tuple(-x for x in reversed(nodes)) + tuple(nodes[n % 2:]),
+            tuple(reversed(weights)) + tuple(weights[n % 2:]))
 
 
 def cm_moment(f: CMState, i: CMState, beta: int) -> float:
@@ -147,8 +141,9 @@ def cm_moment(f: CMState, i: CMState, beta: int) -> float:
 
     After u = x^2 the integrand is u^a L_{nf} L_{ni} e^{-u}/2 with
     a = (|Mf|+|Mi|+beta)/2, handled exactly by the unit-mass Gauss-Laguerre
-    rule of u^a e^{-u}.  Its mass Gamma(a+1) and the two norms go in through
-    one exp of their logs, so no factorial overflows at large |M|.
+    rule of u^a e^{-u}, summed node by node from the left.  Its mass
+    Gamma(a+1) and the two norms go in through one exp of their logs, so no
+    factorial overflows at large |M|.
     """
     if beta < 0:
         raise ValueError("moment order must be non-negative")
@@ -156,9 +151,11 @@ def cm_moment(f: CMState, i: CMState, beta: int) -> float:
         raise ValueError(f"trap lengths differ: {f.w_r} vs {i.w_r}")
     a = 0.5 * (abs(f.M) + abs(i.M) + beta)
     npts = f.n_minus + i.n_minus + 2
-    u, w = _gauss_laguerre_unit(npts, a)
-    lf = assoc_laguerre(f.n_minus, float(abs(f.M)), u)
-    li = assoc_laguerre(i.n_minus, float(abs(i.M)), u)
+    af, ai = float(abs(f.M)), float(abs(i.M))
+    total = 0.0          # not sum(), whose order Python 3.12 changed
+    for u, w in zip(*_gauss_laguerre_unit(npts, a)):
+        total += w * (assoc_laguerre(f.n_minus, af, u)
+                      * assoc_laguerre(i.n_minus, ai, u))
     scale = math.exp(math.lgamma(a + 1.0) + _log_norm(f) + _log_norm(i))
-    return 0.5 * scale * float(np.dot(w, lf * li))
+    return 0.5 * scale * total
 

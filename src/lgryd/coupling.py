@@ -36,15 +36,12 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
-from . import _lazy_numpy
 from .atom import (XI_STEP, RydbergState, SpeciesParams, default_grid,
                    radial_matrix_element, solve_radial)
 from .beam import BeamSpec, g_coeff, solid_norm
 from .cm import CMState, cm_moment, gauss_legendre
 from .specfun import clebsch_gordan, multi_gaunt, spherical_bessel
 from .units import FINE_STRUCTURE, rabi_kHz as _to_kHz
-
-np = _lazy_numpy()
 
 __all__ = ["StateLabel", "Channel", "ChannelResult", "SweepRow", "StateSolver",
            "c_product", "enumerate_channels", "scenario_channels",
@@ -277,34 +274,30 @@ def scenario_channels(beam: BeamSpec, n: int, l_i: int, j_i: float,
 
 
 @cache
-def _gauss_legendre_unit():
-    """64-point Gauss-Legendre nodes mapped to [0, 1], and their weights;
-    read-only, as every later call shares them."""
+def _gauss_legendre_unit() -> tuple[tuple, tuple]:
+    """64-point Gauss-Legendre nodes mapped to [0, 1], and their weights."""
     x, w = gauss_legendre(64)
-    lam = 0.5 * (x + 1.0)
-    lam.setflags(write=False)
-    w.setflags(write=False)
-    return lam, w
+    return tuple(0.5 * (t + 1.0) for t in x), w
 
 
 @cache
-def _lambda_powers(exponent: int) -> np.ndarray:
-    """lambda^exponent at the unit nodes, read-only.  Python's ** calls
-    libm's pow, as a numpy scalar's does; numpy's vectorised array power can
-    differ from pow in the last bit (at 1 to 6 of the 64 nodes for most
-    exponents on an AVX-512 x86-64 host)."""
-    out = np.array([li**exponent for li in _gauss_legendre_unit()[0].tolist()])
-    out.setflags(write=False)
-    return out
+def _lambda_powers(exponent: int) -> tuple:
+    """lambda^exponent at the unit nodes, each by Python's **, which is
+    libm's pow."""
+    return tuple(li**exponent for li in _gauss_legendre_unit()[0])
 
 
 def lambda_integral_oracle(exponent: int, k: float, r: float) -> float:
-    """int_0^1 lambda^exponent j_0(k lambda r) dlambda by Gauss-Legendre."""
+    """int_0^1 lambda^exponent j_0(k lambda r) dlambda by Gauss-Legendre,
+    summed node by node from the left."""
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     lam, w = _gauss_legendre_unit()
-    vals = _lambda_powers(exponent) * spherical_bessel(k * lam * r)
-    return 0.5 * float(np.dot(w, vals))
+    j0 = spherical_bessel(tuple(k * li * r for li in lam))
+    total = 0.0          # not sum(), whose order Python 3.12 changed
+    for wi, pi, ji in zip(w, _lambda_powers(exponent), j0):
+        total += wi * (pi * ji)
+    return 0.5 * total
 
 
 # bounds above a q_max = 4 rb60 sweep's working set; width scans add keys

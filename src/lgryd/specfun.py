@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import _lazy_numpy
-
-np = _lazy_numpy()
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "log_factorial",
@@ -56,7 +55,10 @@ def assoc_laguerre(n: int, a: float, x: float | np.ndarray) -> float | np.ndarra
     if n < 0:
         raise ValueError("Laguerre degree must be non-negative")
     if n == 0:
-        return 1.0 if isinstance(x, (int, float)) else np.ones_like(x, dtype=float)
+        if isinstance(x, (int, float)):
+            return 1.0
+        import numpy as np
+        return np.ones_like(x, dtype=float)
     lm, lk = 1.0, 1.0 + a - x
     for k in range(1, n):
         lm, lk = lk, ((2 * k + 1 + a - x) * lk - (k + a) * lm) / (k + 1)
@@ -178,13 +180,26 @@ def multi_gaunt(factors: Sequence, bra, ket) -> float:
 # spherical Bessel
 
 def spherical_bessel(x):
-    """j_0(x) = sin x / x; below |x| = 1e-3 the power series
-    1 - x^2/6 + x^4/120 dodges the cancellation.  x may be a scalar or an
-    array; a scalar comes back as a float.  Each element takes the IEEE
-    operations of the scalar formula, so the two forms agree bit for bit."""
+    """j_0(x) = sin x / x, with libm's sin (math.sin); below |x| = 1e-3 the
+    power series 1 - x^2/6 + x^4/120 dodges the cancellation.  x may be a
+    number, which comes back as a float, a tuple, which comes back as a
+    tuple, or an array; each element takes the scalar path, so every form
+    agrees bit for bit on any host."""
+    if isinstance(x, (int, float)):
+        return _j0(float(x))
+    if isinstance(x, tuple):
+        return tuple(map(_j0, x))
+    import numpy as np
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.reshape(-1)
+    j0 = np.array(list(map(_j0, x.ravel().tolist())), dtype=float)
+    return j0.reshape(x.shape) if x.shape else float(j0[0])
+
+
+def _j0(x: float) -> float:
+    if abs(x) >= 1e-3:
+        try:
+            return math.sin(x) / x
+        except ValueError:      # x = +-inf, where sin is NaN
+            return math.nan
     x2 = x * x
-    j0 = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    np.divide(np.sin(x), x, out=j0, where=np.abs(x) >= 1e-3)
-    return j0.reshape(shape) if shape else float(j0[0])
+    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0

@@ -227,7 +227,7 @@ def suite_hydrogen_oracle() -> SuiteReport:
         for l in range(n):
             st = solve_radial(hy, n, l, l + 0.5, grid=default_grid(n))
             xi = st.grid.xi
-            u_num = st.chi * np.sqrt(xi)
+            u_num = np.frombuffer(st.chi) * np.sqrt(xi)
             u_ref = _hydrogen_u(n, l, xi * xi)
             if np.dot(u_num, u_ref) < 0:
                 u_num = -u_num

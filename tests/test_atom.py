@@ -179,7 +179,8 @@ class TestSolveRadialHydrogen:
         from scipy.integrate import simpson
         st = hyd_states[(3, 1)]
         xi = st.grid.xi
-        assert 2.0 * simpson(st.chi**2 * xi**2, x=xi) == pytest.approx(1.0, abs=1e-10)
+        chi = np.frombuffer(st.chi)
+        assert 2.0 * simpson(chi**2 * xi**2, x=xi) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonality_same_l(self, hyd, hyd_states):
         g = default_grid(5)
@@ -188,7 +189,8 @@ class TestSolveRadialHydrogen:
             b = solve_radial(hyd, nb, 0, 0.5, grid=g)
             xi = g.xi
             from scipy.integrate import simpson
-            ov = 2.0 * simpson(a.chi * b.chi * xi**2, x=xi)
+            ov = 2.0 * simpson(np.frombuffer(a.chi) * np.frombuffer(b.chi)
+                               * xi**2, x=xi)
             assert abs(ov) < 1e-4
 
     def test_inconsistent_energy_flagged(self, hyd):
@@ -204,7 +206,8 @@ class TestSolveRadialRb:
         assert st.nodes == 59
         assert not st.flags
         xi = st.grid.xi
-        assert 2.0 * simpson(st.chi**2 * xi**2, x=xi) == pytest.approx(1.0, abs=1e-8)
+        chi = np.frombuffer(st.chi)
+        assert 2.0 * simpson(chi**2 * xi**2, x=xi) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("l,j", [(1, 1.5), (2, 2.5), (3, 3.5)])
     def test_node_theorem_other_l(self, rb, l, j):
@@ -269,21 +272,22 @@ class TestEveryL:
 class TestRydbergState:
     def test_validation(self, hyd_states):
         st = hyd_states[(2, 1)]
+        chi = np.frombuffer(st.chi)
         with pytest.raises(ValueError):
-            RydbergState(2, 2, 2.5, -0.1, st.grid, st.chi.copy(), 0)
+            RydbergState(2, 2, 2.5, -0.1, st.grid, memoryview(chi.copy()), 0)
         with pytest.raises(ValueError):
-            RydbergState(2, 1, 0.4, -0.1, st.grid, st.chi.copy(), 0)
-        # the compiled matrix element reads chi by address: one float64 a
-        # node, in index order
-        for chi in (st.chi[:-1].copy(), st.chi.astype(np.float32),
-                    st.chi[::-1]):
+            RydbergState(2, 1, 0.4, -0.1, st.grid, memoryview(chi.copy()), 0)
+        # the compiled matrix element reads chi by address: a memoryview of
+        # one float64 a node, in index order
+        for bad in (chi.copy(), memoryview(chi[:-1].copy()),
+                    memoryview(chi.astype(np.float32)), memoryview(chi[::-1])):
             with pytest.raises(ValueError):
-                RydbergState(2, 1, 1.5, -0.1, st.grid, chi, 0)
-        RydbergState(2, 1, 1.5, -0.1, st.grid, st.chi.copy(), 0)
+                RydbergState(2, 1, 1.5, -0.1, st.grid, bad, 0)
+        RydbergState(2, 1, 1.5, -0.1, st.grid, memoryview(chi.copy()), 0)
 
     def test_chi_immutable(self, hyd_states):
         st = hyd_states[(1, 0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="read-only"):
             st.chi[0] = 1.0
 
 
@@ -344,7 +348,9 @@ class TestRadialMatrixElement:
                 power = power * grid.r
             for f in states:
                 for i in states:
-                    want = (2 * atom._simpson(f.chi * i.chi * power, grid.step)
+                    want = (2 * atom._simpson(np.frombuffer(f.chi)
+                                              * np.frombuffer(i.chi) * power,
+                                              grid.step)
                             / w_r ** (alpha - 1))
                     assert radial_matrix_element(f, i, alpha, w_r) == want
                     with monkeypatch.context() as m:
@@ -441,9 +447,9 @@ class TestSimpson:
         from scipy.integrate import simpson
         for l in range(4):
             st = solve_radial(rb, n, l, l + 0.5)
-            xi = st.grid.xi
+            xi, chi = st.grid.xi, np.frombuffer(st.chi)
             assert (xi.size % 2 == 1) == odd
-            for y in (st.chi**2 * xi**2, st.chi**2 * xi**4):
+            for y in (chi**2 * xi**2, chi**2 * xi**4):
                 ref = simpson(y, x=xi)
                 assert abs(atom._simpson(y, st.grid.step) - ref) <= 1e-15 * abs(ref)
 
@@ -609,8 +615,7 @@ def _assert_same_w(shim, p, l, j, energy, grid):
     `atom._numerov_w`'s bit for bit."""
     model = atom._model_constants(p, l, j, energy)
     w = np.empty(grid.size)
-    shim.w_model(w.size, math.sqrt(grid.r_min), grid.step, model.ctypes.data,
-                 w.ctypes.data)
+    shim.w_model(w.size, math.sqrt(grid.r_min), grid.step, model, w.ctypes.data)
     with np.errstate(over="ignore", invalid="ignore"):
         W = atom._numerov_w(p, l, j, energy, grid)
     assert np.array_equal(w.view(np.int64), W.view(np.int64)), (l, j)
@@ -931,17 +936,17 @@ class TestNumerovKernel(_KernelCases):
         # on the fallback, and on the kernel where it is built
         grid = default_grid(4)
         energy = qd_energy(hyd, 4, 1, 1.5)
-        chis = [atom._numerov_inward(atom._numerov_w(hyd, 1, 1.5, energy, grid),
-                                     grid.step)]
+        chis = [memoryview(atom._numerov_inward(
+            atom._numerov_w(hyd, 1, 1.5, energy, grid), grid.step))]
         if atom._c_kernel() is not None:
             chis.append(atom._kernel_solve(atom._c_kernel(), hyd, 1, 1.5,
                                            energy, grid)[0])
         for chi in chis:
-            assert chi.shape == grid.xi.shape and chi.flags.writeable \
-                and chi.flags.c_contiguous
+            assert chi.shape == grid.xi.shape and not chi.readonly \
+                and chi.c_contiguous and chi.format == "d"
         st = solve_radial(hyd, 4, 1, 1.5, grid=grid)
-        assert st.chi.shape == grid.xi.shape
-        with pytest.raises(ValueError):
+        assert st.chi.shape == grid.xi.shape and st.chi.readonly
+        with pytest.raises(TypeError, match="read-only"):
             st.chi[0] = 1.0
 
     @pytest.mark.parametrize("species,n,l_max", [("rb", 30, 10), ("rb", 60, 10),
@@ -957,8 +962,9 @@ class TestNumerovKernel(_KernelCases):
                 for j in (l - 0.5, l + 0.5):
                     if j > 0:
                         st = solve_radial(p, n, l, j)
+                        chi = np.frombuffer(st.chi)
                         assert st.nodes == np.count_nonzero(
-                            st.chi[:-1] * st.chi[1:] < 0.0), (l, j)
+                            chi[:-1] * chi[1:] < 0.0), (l, j)
 
 
 class TestPythonNumerovKernel(_KernelCases):
@@ -1009,7 +1015,7 @@ class TestKernelLoader:
         W = atom._numerov_w(rb, 1, 1.5, energy, grid)
         reference = atom._numerov_inward(W, grid.step)
         assert results == list(atom._finish(reference, grid.xi, grid.step))
-        assert np.array_equal(chi, reference)
+        assert np.array_equal(chi, reference / math.sqrt(results[2]))
 
     def test_kernel_includes_only_stddef(self):
         # math.h alone raised cc's peak RSS by 1.8 MB, above that of the CLI

@@ -638,14 +638,20 @@ class TestImportCost:
                 "and c.__doc__.startswith(c.__name__ + '(')))")
         assert fresh_python(code) == "[]"
 
-    def test_numpy_loads_on_first_array_use(self, tmp_path):
-        # setup, --help, channels and config errors stay numpy-free; rabi
-        # loads numpy at its first solve
+    def test_compiled_commands_import_no_numpy(self, tmp_path):
+        # with the kernel built, setup, --help, a config error and each of
+        # channels, rabi and sweep on rb60 import no numpy module: chi lives
+        # in a ctypes buffer and the small quadratures are Python sums
+        from lgryd import atom
+        if atom._c_kernel() is None:
+            pytest.skip("no compiled Numerov kernel: cc is missing or the "
+                        "build failed, and the fallback solves in numpy")
         cfg = Path(__file__).parent.parent / "configs" / "rb60.cfg"
         code = f"""
 import contextlib, io, sys
 def loaded():
-    return "numpy._core" in sys.modules or "numpy.core" in sys.modules
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith("numpy."))
 from lgryd import cli
 from lgryd.config import parse_config
 steps = [loaded()]
@@ -655,18 +661,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     with contextlib.suppress(SystemExit):
         cli.main(["--help"])
     steps.append(loaded())
-    assert cli.main(["channels", "--config", {str(cfg)!r},
-                     "--out", {str(tmp_path)!r}]) == 0
-    steps.append(loaded())
     with contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(["channels", "--config", {str(tmp_path / "none.cfg")!r}]) == 2
+        assert cli.main(["rabi", "--config", {str(tmp_path / "none.cfg")!r}]) == 2
     steps.append(loaded())
-    assert cli.main(["rabi", "--config", {str(cfg)!r},
-                     "--out", {str(tmp_path)!r}]) == 0
-steps.append(loaded())
+    for cmd in ("channels", "rabi", "sweep"):
+        assert cli.main([cmd, "--config", {str(cfg)!r},
+                         "--out", {str(tmp_path)!r}]) == 0
+        steps.append(loaded())
 print(steps)
 """
-        assert fresh_python(code) == str([False] * 5 + [True])
+        assert fresh_python(code) == str([[]] * 7)
+        assert_golden(tmp_path, {f"rb60/{name}": tmp_path / name for name in
+                                 ("channels.csv", "rabi.csv", "sweep.csv",
+                                  "sweep.svg")})
 
 
 class TestUnitRoundTrip:

@@ -59,7 +59,7 @@ class TestAssocLaguerre:
         # nodes cm_moment takes and on the rho = 2r/n of the n = 90 hydrogen
         # closed form, for integer and fractional a, up to degree 89
         rho = 2.0 * default_grid(90).r[::7] / 90.0
-        nodes = _gauss_laguerre_unit(12, 1.5)[0]
+        nodes = np.array(_gauss_laguerre_unit(12, 1.5)[0])
         for x in (rho, nodes):
             for n in (0, 1, 2, 3, 11, 40, 89):
                 for a in (0.0, 1.5, 3, 179):
@@ -307,6 +307,15 @@ class TestSphericalBessel:
         assert all(type(v) is float for v in scalars)
         assert got.ravel().tolist() == scalars
         assert type(specfun.spherical_bessel(np.float64(0.5))) is float
+        # a tuple, as the lambda audit passes its nodes, comes back a tuple
+        assert specfun.spherical_bessel(tuple(xs.tolist())) == tuple(scalars)
+
+    def test_infinite_argument_is_nan(self):
+        # libm's sin raises at +-inf in Python; j_0 is NaN there, as numpy's
+        # sin gives it, on every form
+        for x in (math.inf, -math.inf):
+            assert math.isnan(specfun.spherical_bessel(x))
+            assert math.isnan(specfun.spherical_bessel((x,))[0])
 
 
 class TestSphereQuadrature:
