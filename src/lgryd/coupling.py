@@ -13,13 +13,15 @@ rest.  The matrix element is assembled literally as
        * <CM_f| x^beta |CM_i> * (angular bracket) * (fine-structure weight),
 
 with the dipole-limit constant Gamma(alpha/2) kept exactly as the source
-formula states it.  Every result carries an audit of that constant against
-the exact integral int_0^1 lambda^{alpha-1} j_0(k lambda r) dlambda at the
-resonant k (see docs/AUDIT.md for what that ratio reveals).
-Factors of plain numbers (angular x CG, each block's open final labels,
-the coefficient, the final trap state, the CM moment) are cached per
-process; factors of solved states (<f|r^alpha|i> with its audit,
-<i|r|i>) are kept by the `StateSolver` that solved them.
+formula states it.  `assemble`, which `compute_scenario` and rabi.csv
+report, sets that constant against the exact integral int_0^1
+lambda^{alpha-1} j_0(k lambda r) dlambda at the resonant k and r = <i|r|i>
+(the lambda audit; see docs/AUDIT.md for what that ratio reveals).  The
+sweep prints no audit, so it sums the same factor product (`_factors`)
+and takes none.  Factors of plain numbers (angular x CG, each block's open
+final labels, the coefficient, the final trap state, the CM moment) are
+cached per process; factors of solved states (<f|r^alpha|i>, <i|r|i> among
+them, and each audit) are kept by the `StateSolver` that solved them.
 
 The six normalization constants of c_product follow the coordinate split:
 the printed index pairs are used in the form that matches the CM-side
@@ -102,7 +104,9 @@ class Channel(NamedTuple):
 
     @property
     def M_f(self) -> int:
-        return self.l - self.m1 - self.m2 - self.m3 + self.M_i
+        # l - m1 - m2 - m3 + M_i, the projections spelt out
+        m1 = self.l1 if self.l > 0 else -self.l1
+        return self.l - m1 - self.l2 + self.l3 + self.M_i
 
     @property
     def alpha(self) -> int:
@@ -322,55 +326,74 @@ def _cm_moment(cm_i: CMState, M_f: int, beta: int) -> float:
     return cm_moment(_final_cm(cm_i, M_f), cm_i, beta)
 
 
-def _radial_and_audit(memo: dict, psi_f: RydbergState, psi_i: RydbergState,
-                      al: int, w_r: float) -> tuple[float, float]:
-    """(<f|r^alpha|i>, audit) of one (final state, alpha): the audit sets
-    the assembled constant Gamma(alpha/2) against the exact lambda-integral
-    at the resonant k and <r> of the initial state."""
-    radial_e = radial_matrix_element(psi_f, psi_i, al, w_r)
-    k = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
-    r_char = memo.get((psi_i, w_r))
-    if r_char is None:
-        r_char = memo[psi_i, w_r] = radial_matrix_element(psi_i, psi_i, 1, w_r)
-    exact = lambda_integral_oracle(al - 1, k, r_char)
-    audit = math.exp(math.lgamma(al / 2.0)) / exact if exact else math.inf
-    return radial_e, audit
+def _radial(memo: dict, psi_f: RydbergState, psi_i: RydbergState, al: int,
+            w_r: float) -> float:
+    """<f| r (r/w_r)^(alpha-1) |i>, kept in `memo` per (psi_f, psi_i,
+    alpha, w_r)."""
+    key = (psi_f, psi_i, al, w_r)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = radial_matrix_element(psi_f, psi_i, al, w_r)
+    return value
+
+
+def _factors(ch: Channel, beam: BeamSpec, psi_i: RydbergState,
+             psi_f: RydbergState, cm_i: CMState, memo: dict) -> tuple:
+    """(coeff, radial_e, radial_cm, angular, cg_weight, matrix_element) of
+    one channel, the factor product that `assemble` reports and the sweep
+    sums.  <f|r^alpha|i> is kept in `memo`; every other factor comes from a
+    process cache keyed by plain numbers."""
+    fin = ch.final
+    w_r = cm_i.w_r
+    coeff = _coeff(ch.l, ch.q, ch.l1, ch.l2, ch.l3, w_r, beam.w0,
+                   beam.mass_ratio)
+    radial_e = _radial(memo, psi_f, psi_i, ch.alpha, w_r)
+    radial_cm = _cm_moment(cm_i, ch.M_f, ch.beta)
+    angular, cg = _angular_and_cg(ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3,
+                                  fin.l, fin.j, fin.m_j, psi_i.l, psi_i.j)
+    eps = 1.0 if ch.sigma == beam.sigma else 0.0
+    me = beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg
+    return coeff, radial_e, radial_cm, angular, cg, me
+
+
+def _audit(memo: dict, psi_f: RydbergState, psi_i: RydbergState, al: int,
+           w_r: float) -> float:
+    """The lambda audit of one (final state, alpha), kept in `memo` per
+    ("audit", psi_f, psi_i, alpha, w_r): the assembled constant
+    Gamma(alpha/2) over the exact lambda-integral at the resonant k and
+    <i|r|i>."""
+    key = ("audit", psi_f, psi_i, al, w_r)
+    audit = memo.get(key)
+    if audit is None:
+        k = abs(psi_f.energy - psi_i.energy) * FINE_STRUCTURE
+        exact = lambda_integral_oracle(al - 1, k,
+                                       _radial(memo, psi_i, psi_i, 1, w_r))
+        audit = memo[key] = (math.exp(math.lgamma(al / 2.0)) / exact
+                             if exact else math.inf)
+    return audit
 
 
 def assemble(channel: Channel, beam: BeamSpec, psi_i: RydbergState,
              psi_f: RydbergState, cm_i: CMState,
              memo: dict | None = None) -> ChannelResult:
-    """Literal per-channel matrix element and Rabi frequency.
+    """Literal per-channel matrix element and Rabi frequency, with the
+    lambda audit of its (final state, alpha).
 
     The channel fixes the projections: m_ji = m_jf - sigma - m1 - m2 - m3
     by its deltas, and the final CM state by M_f (`_final_cm`).  The
     reported Rabi convention is nu = |<f|H|i>| / h, i.e. the matrix element
-    in hartree times E_h/h, in kHz.  Angular x CG, the coefficient and the
-    CM moment come from process caches keyed by plain numbers.  `memo`
-    keeps <f|r^alpha|i> and the lambda audit per (psi_f, psi_i, alpha,
-    w_r), and <i|r|i> per (psi_i, w_r); `compute_scenario` passes its
-    solver's `factors`, and a standalone call without one fills its own.
+    in hartree times E_h/h, in kHz.  The factors are `_factors`'.  `memo`
+    keeps each <f|r^alpha|i> (<i|r|i> among them) and each audit;
+    `compute_scenario` passes its solver's `factors`, and a standalone call
+    without one fills its own.
     """
     memo = {} if memo is None else memo
-    ch, fin = channel, channel.final
-    eps = 1.0 if ch.sigma == beam.sigma else 0.0
-    w_r = cm_i.w_r
-    al = ch.alpha
-
-    coeff = _coeff(ch.l, ch.q, ch.l1, ch.l2, ch.l3, w_r, beam.w0,
-                   beam.mass_ratio)
-    key = (psi_f, psi_i, al, w_r)
-    radial = memo.get(key)
-    if radial is None:
-        radial = memo[key] = _radial_and_audit(memo, psi_f, psi_i, al, w_r)
-    radial_e, audit = radial
-    radial_cm = _cm_moment(cm_i, ch.M_f, ch.beta)
-    angular, cg = _angular_and_cg(ch.sigma, ch.l1, ch.m1, ch.l2, ch.l3,
-                                  fin.l, fin.j, fin.m_j, psi_i.l, psi_i.j)
-
-    me = beam.E0 * eps * coeff * radial_e * radial_cm * angular * cg
-    closed = eps == 0.0 or angular == 0.0 or cg == 0.0 or radial_e == 0.0 \
-        or radial_cm == 0.0
+    ch = channel
+    coeff, radial_e, radial_cm, angular, cg, me = _factors(
+        ch, beam, psi_i, psi_f, cm_i, memo)
+    audit = _audit(memo, psi_f, psi_i, ch.alpha, cm_i.w_r)
+    closed = ch.sigma != beam.sigma or angular == 0.0 or cg == 0.0 \
+        or radial_e == 0.0 or radial_cm == 0.0
     # positional, in field order: keywords double the cost of the build
     return ChannelResult(ch, coeff, radial_e, radial_cm, angular, cg, me,
                          _to_kHz(abs(me)), audit, closed)
@@ -405,23 +428,33 @@ class StateSolver:
         return self._cache.values()
 
 
-def compute_scenario(solver: StateSolver, beam: BeamSpec,
-                     n: int, l_i: int, j_i: float, m_ji: float,
-                     cm_i: CMState, *, final_l_f_max: int = 3,
-                     n_final: int | None = None,
-                     j_policy: str = "stretched") -> list[ChannelResult]:
-    """Solve, enumerate and assemble every channel of one beam scenario from
-    |n l_i j_i m_ji>, keeping the factors of its states in `solver.factors`.
-    All states are solved on the grid of max(n, n_final), the one grid
+def _solved_channels(solver: StateSolver, beam: BeamSpec, n: int, l_i: int,
+                     j_i: float, m_ji: float, cm_i: CMState, *,
+                     final_l_f_max: int = 3, n_final: int | None = None,
+                     j_policy: str = "stretched") -> tuple:
+    """(psi_i, [(channel, psi_f)]) of one beam scenario from |n l_i j_i
+    m_ji>, every state solved on the grid of max(n, n_final), the one grid
     `radial_matrix_element` requires of its two states."""
     nf = n if n_final is None else n_final
     grid_n = max(n, nf)
     psi_i = solver.get(n, l_i, j_i, grid_n)
     channels = scenario_channels(beam, n, l_i, j_i, m_ji, cm_i,
                                  final_l_f_max, n_final, j_policy)
-    return [assemble(ch, beam, psi_i,
-                     solver.get(nf, ch.final.l, ch.final.j, grid_n), cm_i,
-                     solver.factors) for ch in channels]
+    return psi_i, [(ch, solver.get(nf, ch.final.l, ch.final.j, grid_n))
+                   for ch in channels]
+
+
+def compute_scenario(solver: StateSolver, beam: BeamSpec,
+                     n: int, l_i: int, j_i: float, m_ji: float,
+                     cm_i: CMState, **scenario_kwargs) -> list[ChannelResult]:
+    """Solve, enumerate and assemble every channel of one beam scenario from
+    |n l_i j_i m_ji>, keeping the factors of its states in `solver.factors`.
+    `scenario_kwargs` are final_l_f_max (3), n_final (n) and j_policy
+    ("stretched")."""
+    psi_i, channels = _solved_channels(solver, beam, n, l_i, j_i, m_ji, cm_i,
+                                       **scenario_kwargs)
+    return [assemble(ch, beam, psi_i, psi_f, cm_i, solver.factors)
+            for ch, psi_f in channels]
 
 
 class SweepRow(NamedTuple):
@@ -448,26 +481,32 @@ def sweep_topological_charge(l_values: Sequence[int], solver: StateSolver,
     aggregate  root-sum-square of the totals over the projections of one
                electronic species (how curves collapse when the plot labels
                only, say, D5/2).
+
+    A channel row is `_factors`' matrix element and its Rabi frequency, as
+    `assemble` gives them; the sweep prints no lambda audit and takes none.
     """
     if not l_values:
         raise ValueError("sweep needs at least one l")
     rows: list[SweepRow] = []
     texts: dict = {}       # final label -> its text, formatted once
+    levels: dict = {}      # M_f -> N of its final trap state
     for l in l_values:
         beam = dataclasses.replace(beam_template, l=l)
-        results = compute_scenario(solver, beam, n, l_i, j_i, m_ji, cm_i,
-                                   **scenario_kwargs)
+        psi_i, channels = _solved_channels(solver, beam, n, l_i, j_i, m_ji,
+                                           cm_i, **scenario_kwargs)
         groups: dict = {}
         totals: dict = {}
-        for res in results:
-            ch = res.channel
-            fin, M_f, group, me = ch.final, ch.M_f, ch.group, res.matrix_element
-            N_f = _final_cm(cm_i, M_f).N
+        for ch, psi_f in channels:
+            me = _factors(ch, beam, psi_i, psi_f, cm_i, solver.factors)[5]
+            fin, M_f, group = ch.final, ch.M_f, ch.group
+            N_f = levels.get(M_f)
+            if N_f is None:
+                N_f = levels[M_f] = _final_cm(cm_i, M_f).N
             label = texts.get(fin)
             if label is None:
                 label = texts[fin] = str(fin)
             rows.append(SweepRow(l, "channel", group, label, M_f, N_f, ch.q,
-                                 res.rabi_kHz))
+                                 _to_kHz(abs(me))))
             gkey = (group, label, M_f, N_f)
             groups[gkey] = groups.get(gkey, 0.0) + me
             tkey = (label, M_f, N_f)

@@ -330,7 +330,8 @@ class TestRadialMatrixElement:
                 radial_matrix_element(a, b, 1, 1.0)
 
     def test_moments_match_fallback(self, monkeypatch):
-        # every pair of rb60's states at alpha = 1..4: the moment, on the
+        # every pair of rb60's states at alpha = 1..11, which the benchmark's
+        # heavy sweep takes: the moment, on the
         # compiled path where it is built and on numpy's, is
         # 2 Simpson((chi_f chi_i) r^(alpha + 1)) bit for bit, with the power
         # taken by alpha products of r from the left
@@ -342,7 +343,7 @@ class TestRadialMatrixElement:
                                      **rt.scenario_kwargs)
         states = list(rt.solver.states)
         grid, w_r = states[0].grid, rt.cm_i.w_r
-        for alpha in range(1, 5):
+        for alpha in range(1, 12):
             power = grid.r
             for _ in range(alpha):
                 power = power * grid.r
@@ -365,7 +366,7 @@ class TestRadialMatrixElement:
         keys = ((60, 0, 0.5), (60, 1, 1.5), (60, 2, 2.5), (59, 3, 3.5))
         fallback = [_fallback_solve(monkeypatch, rb, *key, grid) for key in keys]
         compiled = [solve_radial(rb, *key, grid) for key in keys]
-        for alpha in range(1, 5):
+        for alpha in range(1, 12):
             for f in range(len(keys)):
                 for i in range(len(keys)):
                     got = radial_matrix_element(fallback[f], fallback[i],
@@ -454,38 +455,45 @@ class TestSimpson:
                 assert abs(atom._simpson(y, st.grid.step) - ref) <= 1e-15 * abs(ref)
 
     def test_compiled_matches_numpy(self, kernel):
-        # the compiled Simpson of y r^(alpha + 1) (f = y, g = 1) is
-        # 2 _simpson(y power) bit for bit, the power taken by alpha products
-        # of r from the left on the nodes xi = sqrt(1e-3) + i h: every point
-        # count from 3 to 300, both parities, the strided sums at the
-        # pairwise sum's split edges (128 | 129 and 256 | 257 terms) and the
-        # n = 60 and 90 grid sizes, each alpha 1..4; terms spread over 70
-        # decades, so the summation order shows, with +-0.0, +-inf and NaN
-        # put in
+        # the compiled Simpson of (f g) r^(alpha + 1) is 2 _simpson((f g)
+        # power) bit for bit, the power taken by alpha products of r from
+        # the left on the nodes xi = sqrt(1e-3) + i h, and at alpha = 0 the
+        # norm's 2 _simpson(((f g) xi) xi): every point count from 3 to 300,
+        # both parities, the strided sums at the pairwise sum's split edges
+        # (128 | 129 and 256 | 257 terms) and the n = 60 and 90 grid sizes,
+        # each at every alpha 0..17 (17 = |l| + 2q + 1 at l = 8, q = 4), so
+        # every remainder of a block's four-node fill meets every alpha;
+        # terms spread over 70 decades, so the summation order shows, with
+        # +-0.0, +-inf and NaN put in
         rng = np.random.default_rng(37)
         sizes = [*range(3, 301), *(2 * c + k for c in (256, 257)
                                    for k in (1, 2, 3, 4)), 9485, 13746]
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
         xi0, h = math.sqrt(1e-3), 0.01
         for size in sizes:
-            alpha, ones = size % 4 + 1, np.ones(size)
             xi = xi0 + np.arange(size) * h
             r = xi * xi
-            power = r
-            for _ in range(alpha):
-                power = power * r
+            g = rng.standard_normal(size)
             y = rng.standard_normal(size) * np.exp(rng.uniform(-80.0, 80.0, size))
             poked = y.copy()
             poked[rng.integers(size, size=2)] = rng.choice(special, 2)
-            for y in (y, poked, np.full(size, -0.0), rng.choice(special, size)):
-                got = kernel.simpson_product(size, y.ctypes.data, ones.ctypes.data,
-                                             xi0, alpha, h)
-                with np.errstate(invalid="ignore"):    # inf - inf, inf 0
-                    want = 2.0 * atom._simpson(y * power, h)
-                # the same bits, or both NaN: which NaN's sign an addition
-                # keeps follows its operand order
-                assert float(want).hex() == got.hex() or \
-                    math.isnan(want) and math.isnan(got), (size, got, want)
+            for f in (y, poked, np.full(size, -0.0), rng.choice(special, size)):
+                power = r
+                for alpha in range(18):
+                    got = kernel.simpson_product(size, f.ctypes.data,
+                                                 g.ctypes.data, xi0, alpha, h)
+                    with np.errstate(invalid="ignore"):    # inf - inf, inf 0
+                        if alpha:
+                            power = power * r
+                            terms = f * g * power
+                        else:
+                            terms = f * g * xi * xi
+                        want = 2.0 * atom._simpson(terms, h)
+                    # the same bits, or both NaN: which NaN's sign an
+                    # addition keeps follows its operand order
+                    assert float(want).hex() == got.hex() or \
+                        math.isnan(want) and math.isnan(got), \
+                        (size, alpha, got, want)
 
 
 def _numerov_inward_reference(W, h):

@@ -683,31 +683,43 @@ class TestFactorTables:
     def test_sweep_equals_untabulated_assemble(self, monkeypatch, l_values,
                                                q_max):
         # every channel of a sweep, which shares its solver's factors, field
-        # by field, against an assemble call that fills a memo of its own;
-        # the second sweep shares them across both signs of the charge
+        # by field, against an assemble call that fills a memo of its own:
+        # each factor and the matrix element it sums, and its channel row's
+        # Rabi frequency; the second sweep shares them across both signs of
+        # the charge
         calls = []
-        plain = coupling.assemble
+        plain = coupling._factors
 
         def recording(*args):
             res = plain(*args)
             calls.append((args, res))
             return res
 
-        monkeypatch.setattr(coupling, "assemble", recording)
-        rb60_sweep(l_values, q_max)
+        monkeypatch.setattr(coupling, "_factors", recording)
+        rows = rb60_sweep(l_values, q_max)
+        monkeypatch.undo()
         assert len({id(args[5]) for args, _ in calls}) == 1   # one store
         assert {args[1].l for args, _ in calls} == set(l_values)
-        for args, shared in calls:
-            assert shared == plain(*args[:5])
+        channel_rows = [row for row in rows if row.kind == "channel"]
+        assert len(channel_rows) == len(calls)
+        for (args, shared), row in zip(calls, channel_rows):
+            want = coupling.assemble(*args[:5])
+            assert shared == (want.coeff, want.radial_e, want.radial_cm,
+                              want.angular, want.cg_weight,
+                              want.matrix_element)
+            ch = want.channel
+            assert (row.l, row.group, row.final_state, row.M_f, row.q,
+                    row.rabi_kHz) == (ch.l, ch.group, str(ch.final), ch.M_f,
+                                      ch.q, want.rabi_kHz)
 
-    def test_each_factor_once_per_key(self, monkeypatch, cold_caches):
-        # the benchmark's heavy sweep: 606 channels, 39 final (state, alpha)
-        # pairs, 20 (M_f, beta) pairs, 105 angular keys (l_f stops at the
-        # triangle bound l_i + 1 + l1 + l2 + l3), 220 coefficient keys
-        # (l, q, l1, l2, l3)
-        counts = dict.fromkeys(("assemble", "radial_matrix_element",
-                                "cm_moment", "lambda_integral_oracle",
-                                "g_coeff", "c_product"), 0)
+    @staticmethod
+    def count_factors(monkeypatch):
+        """Calls of each factor's function in `coupling`, counted as they
+        run."""
+        counts = dict.fromkeys(("assemble", "_factors",
+                                "radial_matrix_element", "cm_moment",
+                                "lambda_integral_oracle", "g_coeff",
+                                "c_product"), 0)
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -718,14 +730,43 @@ class TestFactorTables:
         for name in counts:
             monkeypatch.setattr(coupling, name,
                                 counting(name, getattr(coupling, name)))
+        return counts
+
+    def test_each_factor_once_per_key(self, monkeypatch, cold_caches):
+        # the benchmark's heavy sweep: 606 channels, 39 final (state, alpha)
+        # pairs, 20 (M_f, beta) pairs, 105 angular keys (l_f stops at the
+        # triangle bound l_i + 1 + l1 + l2 + l3), 220 coefficient keys
+        # (l, q, l1, l2, l3); the sweep prints no lambda audit, so it
+        # assembles no channel and takes no <i|r|i> and no oracle
+        counts = self.count_factors(monkeypatch)
         rb60_sweep(tuple(range(1, 9)), q_max=1)
-        assert counts == {"assemble": 606,
-                          "radial_matrix_element": 39 + 1,   # + <i|r|i>
+        assert counts == {"assemble": 0,
+                          "_factors": 606,
+                          "radial_matrix_element": 39,
                           "cm_moment": 20,
-                          "lambda_integral_oracle": 39,
+                          "lambda_integral_oracle": 0,
                           "g_coeff": 220,
                           "c_product": 220}
         assert coupling._angular_and_cg.cache_info().misses == 105
+
+    def test_scenario_audits_once_per_key(self, monkeypatch, cold_caches):
+        # rb60's scenario, which rabi.csv prints: 14 channels, 7 final
+        # (state, alpha) pairs, each with its moment and its audit, plus
+        # <i|r|i> for the audits, 6 (M_f, beta) pairs, 12 angular keys and
+        # 10 coefficient keys
+        counts = self.count_factors(monkeypatch)
+        results = rb60_variant().scenario()
+        keys = {(r.channel.final.l, r.channel.final.j, r.channel.alpha)
+                for r in results}
+        assert (len(results), len(keys)) == (14, 7)
+        assert counts == {"assemble": 14,
+                          "_factors": 14,
+                          "radial_matrix_element": 7 + 1,   # + <i|r|i>
+                          "cm_moment": 6,
+                          "lambda_integral_oracle": 7,
+                          "g_coeff": 10,
+                          "c_product": 10}
+        assert coupling._angular_and_cg.cache_info().misses == 12
 
     def test_angular_caches_key_by_scenario(self):
         # each scenario alone on cold caches, and again after the ones before
