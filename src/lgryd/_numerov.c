@@ -7,14 +7,15 @@
    1. W at node i (w_at) is lgryd.atom._numerov_w's, in its operation
       order, from xi = xi0 + i h and r = xi xi, as RadialGrid builds them,
       the powers r^3 = (r r) r, 2 r^4 = (r^3 r) 2 and 2 r^3 = r^3 2, and
-      `model`: the constants E, (2l + 1/2)(2l + 3/2), Z - 1, a3, a4,
-      alpha_c, so_scale, alpha^2, L.S, a1, a2, rc and rc 746^(1/6).
-      exp(-a1 r) is libm's where a1 r <= 746, exp(-a2 r) where
-      a2 r <= 746, and 1 - exp(-(u^2 u^2) u^2), u = r / rc, where
-      r <= rc 746^(1/6); elsewhere each exponential is exactly +0.0, and
-      where both core ones are V_core is -1/r, as in _potential.  The
-      fallback takes the same libm exp (math.exp) at the same points, so
-      no bit depends on numpy's SIMD loops.
+      `model`: the 14 constants E, (2l + 1/2)(2l + 3/2), Z - 1, a3, a4,
+      alpha_c, so_scale, alpha^2, L.S, a1, a2, rc and the block's cut
+      radii r_core and r_pol (lgryd.atom._cut_radii).  exp(-a1 r) and
+      exp(-a2 r) are libm's where r <= r_core, and
+      1 - exp(-(u^2 u^2) u^2), u = r / rc, where r <= r_pol.  Beyond
+      r_core each core term is at most 2^-56, so z rounds to exactly 1
+      and V_core is -1/r; beyond r_pol the factor is exactly 1, as in
+      _potential.  The fallback takes the same libm exp (math.exp) at the
+      same points, so no bit depends on numpy's SIMD loops.
    2. The start node, as lgryd.atom._tail_start finds it: the first node
       beyond the outer turning point (the last node with W < 0) where the
       running sum of sqrt(W), added one node at a time from the turning
@@ -29,9 +30,8 @@
       numpy computes it, in the operation order of
       tests/test_atom.py::_numerov_inward_reference: two separately rounded
       products, a difference, then a division.  It builds W[i-1] as it
-      steps; W's four divisions a node run in the shadow of the
-      recurrence's latency, and so does the note it takes of each sign
-      change chi[i-1] chi[i] < 0 (the product rounded, as numpy rounds it).
+      steps, and notes each sign change chi[i-1] chi[i] < 0 (the product
+      rounded, as numpy rounds it).
    4. A zero divisor a[0..start-2] is refused: chi is NaN on [0, start],
       with no sign change.
    5. chi is 0 beyond the start.
@@ -62,8 +62,11 @@
    counts where the CLI process that builds the kernel is measured, so the
    source stays small: no header beyond stddef.h (math.h alone took
    1.8 MB), and -Og, which runs fewer passes than -O1 (29.8 MB against
-   31.0, and 33.8 at -O2) and solves as fast, the recurrence being bound by
-   latency.  The pairwise sum fills a block of terms and then adds it.  At
+   31.0, and 33.8 at -O2) and solves as fast.  The solve is bound by
+   throughput, not by the recurrence's latency: two states interleaved in
+   one loop took 224 us against 233 us one after the other, so it gains
+   by doing less work a node, such as the exponentials the cut radii
+   skip.  The pairwise sum fills a block of terms and then adds it.  At
    alpha > 0 it fills four nodes at a time, keeping their four product
    chains in locals, so the chains' latencies overlap and each node still
    takes its own products in term's order: a moment's cost grows with
@@ -77,7 +80,7 @@ double exp(double);     /* libm's, which the Python process has loaded */
 /* the constants of `model` at a grid of nodes xi0 + i h */
 struct model {
     double xi0, h, energy, cent, z1, a3, a4, alpha_c, so_scale, so, ls, a1, a2,
-           rc, r_near;
+           rc, r_core, r_pol;
 };
 
 static struct model unpack(double xi0, double h, const double *model)
@@ -85,7 +88,7 @@ static struct model unpack(double xi0, double h, const double *model)
     const struct model m = {
         xi0, h, model[0], model[1], model[2], model[3], model[4], model[5],
         model[6], model[6] * model[7], model[8], model[9], model[10],
-        model[11], model[12]};
+        model[11], model[12], model[13]};
     return m;
 }
 
@@ -95,17 +98,16 @@ typedef double w_fn(const struct model *m, ptrdiff_t i);
 static double w_at(const struct model *m, ptrdiff_t i)
 {
     const double xi = m->xi0 + (double)i * m->h, r = xi * xi;
-    const double x1 = m->a1 * r, x2 = m->a2 * r, r3 = r * r * r;
+    const double r3 = r * r * r;
     double v;
-    if (x1 <= 746.0 || x2 <= 746.0) {
-        const double e1 = x1 <= 746.0 ? exp(-x1) : 0.0;
-        const double e2 = x2 <= 746.0 ? exp(-x2) : 0.0;
+    if (r <= m->r_core) {
+        const double e1 = exp(-(m->a1 * r)), e2 = exp(-(m->a2 * r));
         v = -((e1 * m->z1 + 1.0) - (m->a4 * r + m->a3) * r * e2) / r;
     } else
         v = -1.0 / r;
     if (m->alpha_c != 0.0) {
         double t = m->alpha_c / (r3 * r * 2.0);
-        if (r <= m->r_near) {
+        if (r <= m->r_pol) {
             const double u = r / m->rc, u2 = u * u;
             t *= 1.0 - exp(-(u2 * u2 * u2));
         }

@@ -77,10 +77,11 @@ XI_STEP = 0.01
 # the most nodes a grid may have: each N-point array of a solve then stays
 # under 80 MB, and a step too small for that is refused before any is built
 MAX_GRID_NODES = 10_000_000
-# exp(-x) is exactly +0.0 for every x > _EXP_ZERO, and so is exp(-(r/rc)^6)
-# for every r > rc _R_NEAR (model_potential, _numerov.c)
-_EXP_ZERO = 746.0
-_R_NEAR = _EXP_ZERO ** (1.0 / 6.0)
+# a model-potential term is cut where it is at most 2^-56 = e^-_LN_CUT
+# (`_cut_radii`), four times below the half ulp of the 1 it is added to;
+# 1 - exp(-(r/rc)^6) is exactly 1 beyond r = rc _R_POL
+_LN_CUT = 56.0 * math.log(2.0)
+_R_POL = _LN_CUT ** (1.0 / 6.0)
 # the inward recurrence starts where the tail lies e^-TAIL_DEPTH (about
 # 1e-130) below its value at the outer turning point (`_tail_start`): far
 # past double precision, and chi grows from its 1e-12 seeds to about 1e118
@@ -316,16 +317,17 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
     builds it node by node: r^3 = (r r) r, 2 r^4 = (r^3 r) 2,
     2 r^3 = r^3 2 and (r/rc)^6 = (u^2 u^2) u^2, and each exponential is
     libm's (`_exp`).  numpy's vector exp and power would round by the
-    host's SIMD loops instead.  exp(x) rounds to exactly +0.0 below
-    x = -745.14, so the exponentials are evaluated only where an argument
-    is >= -746, on gathered copies of those points, and every other point
-    is set to the value the full formula gives there, each cut exponential
-    being +0.0.  The compiled solve makes the same tests at each node:
-      - z is computed only where min(a1, a2) r <= 746.  Beyond, both core
-        exponentials are 0, z is exactly 1 and V_core is -1/r.
-      - 1 - exp(-(r/rc)^6) is computed only where r <= rc 746^(1/6).
-        Beyond, it is exactly 1, so the polarization term is
-        -alpha_c/(2 r^4) as it stands and the sixth power is skipped.
+    host's SIMD loops instead.  The exponentials are evaluated only inside
+    the block's cut radii (`_cut_radii`), on gathered copies of those
+    points, and every other point is set to the value the full formula
+    rounds to there.  The compiled solve makes the same tests at each node:
+      - z is computed only where r <= r_core.  Beyond, (Z-1) exp(-a1 r) and
+        r (a3 + a4 r) exp(-a2 r) are each at most 2^-56, too small to move
+        the 1 they are added to, so z is exactly 1 and V_core is -1/r.
+      - 1 - exp(-(r/rc)^6) is computed only where r <= r_pol, which is
+        rc (56 ln 2)^(1/6), about 1.84 rc.  Beyond, it is exactly 1, so the
+        polarization term is -alpha_c/(2 r^4) as it stands and the sixth
+        power is skipped.
     Any r, scalar, unsorted or a grid, takes this one path; a scalar comes
     back as a float.
     """
@@ -341,9 +343,11 @@ def model_potential(p: SpeciesParams, l: int, j: float, r) -> float | np.ndarray
 def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
     """model_potential on a flat r > 0; a fresh array."""
     import numpy as np
-    a1, a2, a3, a4, rc = p.potential_for(l)
+    block = p.potential_for(l)
+    a1, a2, a3, a4, rc = block
+    r_core, r_pol = _cut_radii(p.Z - 1.0, *block)
     v = -1.0 / r                                        # -z/r at z = 1
-    core = np.flatnonzero(min(a1, a2) * r <= _EXP_ZERO)
+    core = np.flatnonzero(r <= r_core)
     rk = r[core]
     z = 1.0 + (p.Z - 1.0) * _exp(-a1 * rk) \
         - rk * (a3 + a4 * rk) * _exp(-a2 * rk)
@@ -351,7 +355,7 @@ def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
     r3 = r * r * r
     if p.alpha_c:
         pol = p.alpha_c / (r3 * r * 2.0)
-        near = np.flatnonzero(r <= rc * _R_NEAR)
+        near = np.flatnonzero(r <= r_pol)
         u2 = r[near] / rc
         u2 = u2 * u2
         pol[near] *= 1.0 - _exp(-(u2 * u2 * u2))
@@ -359,6 +363,52 @@ def _potential(p: SpeciesParams, l: int, j: float, r: np.ndarray) -> np.ndarray:
     if p.so_scale:
         v = v + p.so_scale * FINE_STRUCTURE**2 / (r3 * 2.0) * _ls(l, j)
     return v
+
+
+@cache
+def _cut_radii(z1: float, a1: float, a2: float, a3: float, a4: float,
+               rc: float) -> tuple[float, float]:
+    """(r_core, r_pol) of a potential block, with Z - 1 = z1: beyond r_core
+    both (Z-1) exp(-a1 r) and (|a4| r + |a3|) r exp(-a2 r) are at most
+    2^-56, and beyond r_pol exp(-(r/rc)^6) is.  A negative a1 or a2 gets no
+    core cut (r_core = inf); hydrogen's zero terms get r_core = 0.  Found
+    once per block."""
+    if a1 < 0.0 or a2 < 0.0:
+        r_core = math.inf
+    else:
+        r_core = max(_cut(0.0, z1, 0, a1), _cut(abs(a4), abs(a3), 1, a2))
+    return r_core, rc * _R_POL
+
+
+def _cut(c: float, d: float, k: int, a: float) -> float:
+    """The least r >= 0 from which on (c r + d) r^k exp(-a r) <= 2^-56, for
+    c, d, a >= 0 and k = 0 or 1: 0 for a zero term, inf for one that never
+    falls that low.  The log of the term is concave in r, so Newton's steps
+    from a point past its peak where it is below -_LN_CUT stay at or beyond
+    the last crossing and close on it from there."""
+    if c == 0.0 and d == 0.0:
+        return 0.0
+    if a == 0.0:
+        return math.inf
+
+    def excess(r):
+        return math.log(c * r + d) + k * math.log(r) - a * r + _LN_CUT
+
+    r = 2.0 * (1 + k) / a               # the log falls at least a/2 per a.u.
+    while excess(r) > 0.0:
+        r *= 2.0
+        if r == math.inf:
+            return r
+    while True:
+        slope = c / (c * r + d) + k / r - a
+        if slope >= 0.0:                # at or before the peak, still below
+            return 0.0
+        step = r - excess(r) / slope
+        if step <= 0.0:
+            return 0.0
+        if step >= r:
+            return r
+        r = step
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -543,12 +593,15 @@ def _kernel_solve(kernel, p: SpeciesParams, l: int, j: float, energy: float,
 
 def _model_constants(p: SpeciesParams, l: int, j: float, energy: float):
     """The constants the compiled solve builds W from at each node, in the
-    order of `_numerov.c`'s unpack, as a ctypes array of 13 doubles."""
+    order of `_numerov.c`'s unpack, as a ctypes array of 14 doubles: the
+    block's cut radii (`_cut_radii`) come last."""
     import ctypes
-    a1, a2, a3, a4, rc = p.potential_for(l)
-    return (ctypes.c_double * 13)(
+    block = p.potential_for(l)
+    a1, a2, a3, a4, rc = block
+    return (ctypes.c_double * 14)(
         energy, (2 * l + 0.5) * (2 * l + 1.5), p.Z - 1.0, a3, a4, p.alpha_c,
-        p.so_scale, FINE_STRUCTURE**2, _ls(l, j), a1, a2, rc, rc * _R_NEAR)
+        p.so_scale, FINE_STRUCTURE**2, _ls(l, j), a1, a2, rc,
+        *_cut_radii(p.Z - 1.0, *block))
 
 
 def _tail_start(W: np.ndarray, h: float) -> int:

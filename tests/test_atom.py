@@ -1117,11 +1117,13 @@ class TestInPlaceBuild:
                     assert type(got) is float and got == v
 
     def test_exp_cut_boundaries(self, rb, hyd):
-        # r placed so each exponential's argument runs from -700 to -760:
-        # through the subnormal band and across the -746 cut, with the ulp
-        # neighbours of every point.  Every Rb block, both j; hydrogen
-        # (a1 = a2 = 0, alpha_c = 0) on the same points cuts nothing.
-        # Ascending, shuffled, and one scalar at a time.
+        # r placed so each exponential's argument runs from -700 to -760,
+        # through libm's subnormal band to +0.0, with the ulp neighbours of
+        # every point: far past every cut radius, where the formula must
+        # still round to -1/r and its polarization factor to 1.  Every Rb
+        # block, both j; hydrogen (r_core = 0, alpha_c = 0) on the same
+        # points takes no exponential at all.  Ascending, shuffled, and one
+        # scalar at a time.
         x = np.concatenate([np.linspace(700.0, 760.0, 121),
                             [708.0, 745.13, 745.14, 746.0]])
         rng = np.random.default_rng(9)
@@ -1141,6 +1143,123 @@ class TestInPlaceBuild:
                                           ref[perm])
                     for x_, v in zip(r[::7].tolist(), ref[::7].tolist()):
                         assert model_potential(p, l, j, x_) == v
+
+
+def _cut_species(rb, hyd):
+    """(species, its blocks' l) for the cut-radius tests: every Rb block,
+    hydrogen, and three mutants of Rb's l = 0 block: Z - 1 = 100 with
+    a1 = 0.5, where the a1 term sets r_core; a2 = 0.3 with a3 = -1e3 and
+    a4 = 50, where the a2 term does; and a1 = 0, whose a1 term never falls
+    below 2^-56, so nothing may be cut."""
+    a1, a2, a3, a4, rc = rb.potential_for(0)
+    return {
+        "rb": (rb, sorted(rb.potential)),
+        "hydrogen": (hyd, [0]),
+        "Z=101": (dataclasses.replace(
+            rb, Z=101, potential={0: (0.5, a2, a3, a4, rc)}), [0]),
+        "a2=0.3": (dataclasses.replace(
+            rb, potential={0: (a1, 0.3, -1e3, 50.0, rc)}), [0]),
+        "a1=0": (dataclasses.replace(
+            rb, potential={0: (0.0, a2, a3, a4, rc)}), [0]),
+    }
+
+
+def _radii(p, l):
+    return atom._cut_radii(p.Z - 1.0, *p.potential_for(l))
+
+
+class TestCutRadii:
+    def test_radii(self, rb, hyd):
+        # each radius is where its term reaches 2^-56, to a few ulps: the
+        # term is at most that at the radius and above it 1e-9 inside
+        bound = 2.0 ** -56
+        species = _cut_species(rb, hyd)
+        for name, (p, ls) in species.items():
+            for l in ls:
+                a1, a2, a3, a4, rc = p.potential_for(l)
+                r_core, r_pol = _radii(p, l)
+                assert r_pol == rc * (56.0 * math.log(2.0)) ** (1.0 / 6.0)
+                assert r_pol == pytest.approx(1.84 * rc, rel=1e-3)
+                assert math.exp(-(r_pol / rc) ** 6) <= bound * (1 + 1e-12)
+                if name in ("hydrogen", "a1=0"):
+                    continue
+                terms = [lambda r: (p.Z - 1.0) * math.exp(-a1 * r),
+                         lambda r: (abs(a4) * r + abs(a3)) * r * math.exp(-a2 * r)]
+                assert max(t(r_core) for t in terms) <= bound * (1 + 1e-12)
+                assert max(t(r_core * (1 - 1e-9)) for t in terms) > bound
+        assert [round(_radii(rb, l)[0], 2) for l in range(4)] == \
+            [27.19, 23.63, 28.96, 25.75]
+        assert _radii(hyd, 0)[0] == 0.0
+        assert _radii(species["Z=101"][0], 0)[0] == pytest.approx(
+            (math.log(100.0) + 56.0 * math.log(2.0)) / 0.5, rel=1e-14)
+        assert round(_radii(species["a2=0.3"][0], 0)[0], 1) == 177.3
+        assert _radii(species["a1=0"][0], 0)[0] == math.inf
+        for k in (0, 1):                # a growing exponential: no cut
+            block = list(rb.potential_for(0))
+            block[k] = -block[k]
+            assert atom._cut_radii(36.0, *block)[0] == math.inf
+            assert atom._cut_radii(0.0, *block[:2], 0.0, 0.0, 1.0)[0] == math.inf
+
+    @staticmethod
+    def _across(p, l, rb):
+        """Each of the block's finite radii, and for a block that cuts
+        nothing Rb's own at that l, as the cut that must not be made."""
+        radii = [r for r in _radii(p, l) if 0.0 < r < math.inf]
+        if _radii(p, l)[0] == math.inf:
+            radii.append(_radii(rb, l)[0])
+        return radii
+
+    def test_model_potential_across_radii(self, rb, hyd):
+        # r from half to one and a half times each radius, with the radius
+        # and the ulp neighbours of every point: the cut formula's bits
+        # are the full one's on both sides of each cut
+        for name, (p, ls) in _cut_species(rb, hyd).items():
+            for l in ls:
+                for radius in self._across(p, l, rb):
+                    r = np.append(np.linspace(0.5, 1.5, 401) * radius, radius)
+                    r = np.concatenate([np.nextafter(r, 0.0), r,
+                                        np.nextafter(r, np.inf)])
+                    for j in (l - 0.5, l + 0.5):
+                        if j > 0:
+                            assert np.array_equal(
+                                model_potential(p, l, j, r),
+                                _model_potential_reference(p, l, j, r)), \
+                                (name, l, j, radius)
+
+    def test_compiled_w_across_radii(self, shim, rb, hyd):
+        # grids whose nodes straddle each radius: one from half to one and
+        # a half times it, and one a few ulps wide around it.  The compiled
+        # W is the fallback's, and both are the full formula's.
+        for name, (p, ls) in _cut_species(rb, hyd).items():
+            for l in ls:
+                for radius in self._across(p, l, rb):
+                    lo, hi = 0.5 * radius, 1.5 * radius
+                    grids = [RadialGrid(lo, hi, (hi ** 0.5 - lo ** 0.5) / 2000),
+                             RadialGrid(radius * (1 - 1e-14), radius * (1 + 1e-14),
+                                        radius ** 0.5 * 2e-17)]
+                    for grid in grids:
+                        for j in (l - 0.5, l + 0.5):
+                            if j > 0:
+                                _assert_same_w(shim, p, l, j, -1e-3, grid)
+                                r = grid.r
+                                v = _model_potential_reference(p, l, j, r)
+                                W = ((v + 1e-3) * 8.0 * r
+                                     + (2 * l + 0.5) * (2 * l + 1.5) / r)
+                                assert np.array_equal(
+                                    atom._numerov_w(p, l, j, -1e-3, grid), W)
+
+    def test_fallback_exp_points(self, monkeypatch, rb, hyd):
+        # the points the fallback takes libm's exp at in one solve: only
+        # those inside the cut radii, so hydrogen takes none
+        counted = []
+        exp = atom._exp
+        monkeypatch.setattr(atom, "_exp",
+                            lambda x: counted.append(x.size) or exp(x))
+        _fallback_solve(monkeypatch, rb, 60, 1, 1.5)
+        assert 0 < sum(counted) <= 1300
+        counted.clear()
+        _fallback_solve(monkeypatch, hyd, 60, 1, 1.5)
+        assert sum(counted) == 0
 
 
 class TestSharedGrid:
